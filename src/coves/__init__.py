@@ -27,7 +27,6 @@ from .simgen import (
     ScenarioSampler,
     ScenarioSpec,
     TargetedSampler,
-    empirical_inverse_cdf,
     load_standin,
     sample_scenario,
     sample_targeted,
@@ -54,7 +53,6 @@ __all__ = [
     "bandwidth_rot",
     "coves_stat",
     "decompose_T",
-    "empirical_inverse_cdf",
     "estimate_rejection_rate",
     "fit_rq",
     "kde_at_zero",

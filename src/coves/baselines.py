@@ -8,11 +8,12 @@ freedom; the conventional benchmark for the shortfall-based test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.stats import t as t_dist
+from scipy.special import stdtr
 
-from .coves_test import SIDES, Dataset, design_matrix
+from .coves_test import Dataset, check_side, design_matrix, p_value
 from .errors import DegenerateDesignError
 
 
@@ -28,8 +29,7 @@ class OlsReport:
 
 def run_ttest(data: Dataset, side: str = "two-sided") -> OlsReport:
     """Least-squares fit of z on (1, d, c); t-test on the d coefficient."""
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+    check_side(side)
     X = design_matrix(data, True)
     n, p = X.shape
     if n < p + 1:
@@ -45,17 +45,11 @@ def run_ttest(data: Dataset, side: str = "two-sided") -> OlsReport:
         raise DegenerateDesignError("residual variance is zero")
     se_delta = float(np.sqrt(sigma2 * np.linalg.inv(xtx)[1, 1]))
     t_stat = float(beta[1] / se_delta)
-    if side == "two-sided":
-        p_value = float(2.0 * t_dist.sf(abs(t_stat), df))
-    elif side == "one-sided-upper":
-        p_value = float(t_dist.sf(t_stat, df))
-    else:
-        p_value = float(t_dist.cdf(t_stat, df))
     return OlsReport(
         beta=beta,
         se_delta=se_delta,
         t_stat=t_stat,
-        p_value=p_value,
+        p_value=p_value(t_stat, side, partial(stdtr, df)),
         side=side,
         df=df,
     )

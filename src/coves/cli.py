@@ -23,7 +23,7 @@ from .baselines import run_ttest
 from .coves_test import Dataset, run_coves, run_es
 from .diagnostics import adjusted_quantile_curves
 from .errors import DataError, NumericalError
-from .mc_engine import estimate_rejection_rate, power_curve, sample_size_search
+from .mc_engine import allocate, power_curve, sample_size_search
 from .simgen import (
     EmpiricalDist,
     ScenarioSampler,
@@ -191,9 +191,7 @@ def _parse_sizes(spec: str, allocation: str) -> list[tuple[int, int]]:
             raise ValueError
     except ValueError:
         raise DataError(f"bad --sizes {spec!r}; expected N or START:STOP:STEP") from None
-    if allocation == "equal":
-        return [(s, s) for s in values]
-    return [(2 * s, s) for s in values]
+    return [allocate(s, allocation) for s in values]
 
 
 def cmd_power(args) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .density import group_density_at_zero
 from .errors import (
@@ -106,17 +106,25 @@ def adjusted_outcomes(data: Dataset, fit: QuantileFit) -> np.ndarray:
     return data.z - gamma * data.c
 
 
+def shortfall_mask(data: Dataset, fit: QuantileFit, group: int) -> np.ndarray:
+    """Mask of the group's observations strictly above the fitted plane.
+
+    Raises EmptyShortfallError when the group has none.
+    """
+    sel = fit.positive_mask() & (data.d == group)
+    if not np.any(sel):
+        raise EmptyShortfallError(
+            f"no observation above the fitted quantile plane in group {group} "
+            "(tau too high or data degenerate)"
+        )
+    return sel
+
+
 def coves_stat(data: Dataset, fit: QuantileFit, group: int) -> float:
     """Mean adjusted outcome over the group's strictly positive residuals."""
     if group not in (0, 1):
         raise ValueError("group must be 0 or 1")
-    sel = fit.positive_mask() & (data.d == group)
-    if not np.any(sel):
-        raise EmptyShortfallError(
-            f"group {group} has no observation above the fitted quantile plane "
-            "(tau too high or data degenerate)"
-        )
-    return float(np.mean(adjusted_outcomes(data, fit)[sel]))
+    return float(np.mean(adjusted_outcomes(data, fit)[shortfall_mask(data, fit, group)]))
 
 
 def orthogonalized_covariate(data: Dataset) -> np.ndarray:
@@ -128,7 +136,7 @@ def orthogonalized_covariate(data: Dataset) -> np.ndarray:
     return cstar
 
 
-def _tail_variation(group_res: np.ndarray, pos: np.ndarray) -> float:
+def _tail_variation(r: np.ndarray, n_group: int) -> float:
     """V_d = sum of squared positive residuals minus N_d^-1 (their sum)^2.
 
     With s_d positive residuals r, V_d / s_d^2 equals
@@ -136,8 +144,7 @@ def _tail_variation(group_res: np.ndarray, pos: np.ndarray) -> float:
     points the statistic averages, of the influence-function variance
     [Var(Y | Y > q) + tau (ES - q)^2] / ((1 - tau) N_d) of a shortfall.
     """
-    r = group_res[pos]
-    return float(np.sum(r * r) - np.sum(r) ** 2 / group_res.size)
+    return float(np.sum(r * r) - np.sum(r) ** 2 / n_group)
 
 
 def _tail_term(v1: float, v0: float, s1: int, s0: int) -> float:
@@ -175,42 +182,59 @@ def variance_est(
     ) ** 2 * u_f**-2 * cstar_sumsq
 
 
-def _pvalue(z: float, side: str) -> float:
+def p_value(stat: float, side: str, cdf) -> float:
+    """Tail probability of ``stat`` under a symmetric null with CDF ``cdf``.
+
+    Two-sided 2*cdf(-|stat|), upper cdf(-stat), lower cdf(stat).
+    """
+    check_side(side)
     if side == "two-sided":
-        return float(2.0 * norm.sf(abs(z)))
+        return float(2.0 * cdf(-abs(stat)))
     if side == "one-sided-upper":
-        return float(norm.sf(z))
-    if side == "one-sided-lower":
-        return float(norm.cdf(z))
-    raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+        return float(cdf(-stat))
+    return float(cdf(stat))
 
 
-def _assemble(
-    data: Dataset, fit: QuantileFit, tau: float, side: str, method: str
-) -> CovesReport:
-    pos = fit.positive_mask()
+def check_side(side: str) -> None:
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+
+
+def run_coves(data: Dataset, tau: float, side: str = "two-sided") -> CovesReport:
+    """Covariate-adjusted expected-shortfall test at quantile level tau."""
+    return _shortfall_test(data, tau, side, "coves")
+
+
+def run_es(data: Dataset, tau: float, side: str = "two-sided") -> CovesReport:
+    """Unadjusted expected-shortfall test: covariate dropped from the design."""
+    return _shortfall_test(data, tau, side, "es")
+
+
+def _shortfall_test(data: Dataset, tau: float, side: str, method: str) -> CovesReport:
+    """Fit, shortfall summaries, variance and p-value; the covariate enters
+    the design only for method 'coves'."""
+    check_side(side)
+    adjust = method == "coves"
+    fit = fit_rq(RegressionData(data.z, design_matrix(data, adjust)), tau)
+    sel1 = shortfall_mask(data, fit, 1)
+    sel0 = shortfall_mask(data, fit, 0)
+    s1 = int(np.sum(sel1))
+    s0 = int(np.sum(sel0))
     in1 = data.d == 1
     in0 = ~in1
-    s1 = int(np.sum(pos & in1))
-    s0 = int(np.sum(pos & in0))
-    if s1 == 0 or s0 == 0:
-        raise EmptyShortfallError(
-            "no observation above the fitted quantile plane in group "
-            f"{'1' if s1 == 0 else '0'} (tau too high or data degenerate)"
-        )
     y = adjusted_outcomes(data, fit)
-    coves1 = float(np.mean(y[pos & in1]))
-    coves0 = float(np.mean(y[pos & in0]))
-    cbar1 = float(np.mean(data.c[pos & in1]))
-    cbar0 = float(np.mean(data.c[pos & in0]))
+    coves1 = float(np.mean(y[sel1]))
+    coves0 = float(np.mean(y[sel0]))
+    cbar1 = float(np.mean(data.c[sel1]))
+    cbar0 = float(np.mean(data.c[sel0]))
     cstar = orthogonalized_covariate(data)
     cstar_sumsq = float(np.sum(cstar * cstar))
-    v1 = _tail_variation(fit.residuals[in1], pos[in1])
-    v0 = _tail_variation(fit.residuals[in0], pos[in0])
+    v1 = _tail_variation(fit.residuals[sel1], data.n_treat)
+    v0 = _tail_variation(fit.residuals[sel0], data.n_control)
 
-    if method == "coves":
-        f1 = group_density_at_zero(fit.residuals[in1], 1).f_at_zero
-        f0 = group_density_at_zero(fit.residuals[in0], 0).f_at_zero
+    if adjust:
+        f1 = group_density_at_zero(fit.residuals[in1]).f_at_zero
+        f0 = group_density_at_zero(fit.residuals[in0]).f_at_zero
         u_f = f1 * float(np.sum(cstar[in1] ** 2)) + f0 * float(
             np.sum(cstar[in0] ** 2)
         )
@@ -238,24 +262,8 @@ def _assemble(
         s2=float(s2),
         t_stat=t_stat,
         z_score=float(z),
-        p_value=_pvalue(float(z), side),
+        p_value=p_value(float(z), side, ndtr),
     )
-
-
-def run_coves(data: Dataset, tau: float, side: str = "two-sided") -> CovesReport:
-    """Covariate-adjusted expected-shortfall test at quantile level tau."""
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    fit = fit_rq(RegressionData(data.z, design_matrix(data, True)), tau)
-    return _assemble(data, fit, tau, side, "coves")
-
-
-def run_es(data: Dataset, tau: float, side: str = "two-sided") -> CovesReport:
-    """Unadjusted expected-shortfall test: covariate dropped from the design."""
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    fit = fit_rq(RegressionData(data.z, design_matrix(data, False)), tau)
-    return _assemble(data, fit, tau, side, "es")
 
 
 def decompose_T(
@@ -274,17 +282,15 @@ def decompose_T(
     simulation studies where the generating parameters are known.
     """
     alpha, delta, gamma = (float(x) for x in true_params)
-    pos = fit.positive_mask()
-    in1 = data.d == 1
-    if not np.any(pos & in1) or not np.any(pos & ~in1):
-        raise EmptyShortfallError("a group has an empty positive-residual set")
+    sel1 = shortfall_mask(data, fit, 1)
+    sel0 = shortfall_mask(data, fit, 0)
     direct = coves_stat(data, fit, 1) - coves_stat(data, fit, 0)
 
     gamma_hat = float(fit.beta[2]) if fit.beta.size >= 3 else 0.0
     e = data.z - alpha - delta * data.d - gamma * data.c
-    ebar1 = float(np.mean(e[pos & in1]))
-    ebar0 = float(np.mean(e[pos & ~in1]))
-    cbar1 = float(np.mean(data.c[pos & in1]))
-    cbar0 = float(np.mean(data.c[pos & ~in1]))
+    ebar1 = float(np.mean(e[sel1]))
+    ebar0 = float(np.mean(e[sel0]))
+    cbar1 = float(np.mean(data.c[sel1]))
+    cbar0 = float(np.mean(data.c[sel0]))
     decomposed = delta - (gamma_hat - gamma) * (cbar1 - cbar0) + (ebar1 - ebar0)
     return direct, decomposed

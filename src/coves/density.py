@@ -19,7 +19,6 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 @dataclass
 class DensityEstimate:
-    group: int
     bandwidth: float
     f_at_zero: float
 
@@ -59,7 +58,7 @@ def kde_at_zero(samples, h: float) -> float:
     return float(np.sum(np.exp(-0.5 * t * t) / _SQRT_2PI) / (x.size * h))
 
 
-def group_density_at_zero(samples, group: int) -> DensityEstimate:
+def group_density_at_zero(samples) -> DensityEstimate:
     """Bandwidth and density-at-zero for one treatment group's residuals."""
     h = bandwidth_rot(samples)
-    return DensityEstimate(group=group, bandwidth=h, f_at_zero=kde_at_zero(samples, h))
+    return DensityEstimate(bandwidth=h, f_at_zero=kde_at_zero(samples, h))

@@ -176,7 +176,8 @@ def power_curve(
     ]
 
 
-def _allocate(size: int, allocation: str) -> tuple[int, int]:
+def allocate(size: int, allocation: str) -> tuple[int, int]:
+    """(m, n) for control-group size n = size: m = n ('equal') or m = 2n ('two-to-one')."""
     if allocation == "equal":
         return size, size
     return 2 * size, size
@@ -217,7 +218,7 @@ def sample_size_search(
 
     def probe(size: int) -> PowerEstimate:
         if size not in cache:
-            m, n = _allocate(size, allocation)
+            m, n = allocate(size, allocation)
             cache[size] = estimate_rejection_rate(
                 generator,
                 test_id,
@@ -253,7 +254,7 @@ def sample_size_search(
                 lo = mid
         best = hi
 
-    m, n = _allocate(best, allocation)
+    m, n = allocate(best, allocation)
     return SampleSizeResult(
         m=m,
         n=n,

@@ -230,7 +230,8 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
         If the design is rank deficient (via RegressionData validation).
     ConvergenceError
         If the relative duality gap fails to reach tolerance within the
-        iteration cap; carries the final gap.
+        iteration cap, or a dual slack rounds to zero before it does;
+        carries the last gap.
     """
     _check_tau(tau)
     y, X = data.y, data.X
@@ -257,6 +258,13 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
 
         mu = gap / (2.0 * n)
         theta = u / w + v / q
+        if not np.all(np.isfinite(theta)):
+            # A dual slack rounded to zero; every later iterate would be NaN.
+            raise ConvergenceError(
+                "interior-point iteration broke down: a dual slack reached zero "
+                f"(relative duality gap {rel_gap:.3e})",
+                gap=rel_gap,
+            )
         itheta = 1.0 / theta
 
         # Predictor (affine scaling) direction.

@@ -32,6 +32,7 @@ from scipy.special import ndtri
 
 from .coves_test import Dataset
 from .errors import DataError
+from .orderstats import empirical_quantile
 
 TAIL_KINK = 0.65
 TAIL_SCALE = 8.0
@@ -74,16 +75,6 @@ class EmpiricalDist:
                         f"{path}: line {lineno}: not a number: {text!r}"
                     ) from None
         return cls(np.asarray(vals))
-
-
-def empirical_inverse_cdf(dist: EmpiricalDist, u):
-    """Left-continuous generalized inverse: the ceil(u*n)-th order statistic."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
-        raise ValueError("u must lie strictly in (0, 1)")
-    k = np.clip(np.ceil(u * dist.values.size).astype(int), 1, dist.values.size)
-    out = dist.values[k - 1]
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -130,10 +121,6 @@ def _open_uniforms(seed: int, size: int) -> np.ndarray:
     return (raw + 0.5) * 2.0**-53
 
 
-def _normals(u: np.ndarray) -> np.ndarray:
-    return ndtri(u)
-
-
 def sample_scenario(spec: ScenarioSpec, m: int, n: int, seed: int) -> Dataset:
     """m treatment and n control observations from the normal model."""
     if m < 1 or n < 1:
@@ -143,8 +130,8 @@ def sample_scenario(spec: ScenarioSpec, m: int, n: int, seed: int) -> Dataset:
     d = np.concatenate([np.ones(m, dtype=int), np.zeros(n, dtype=int)])
     mean = np.where(d == 1, spec.c_mean_treat, spec.c_mean_control)
     sd = np.where(d == 1, spec.c_sd_treat, spec.c_sd_control)
-    c = mean + sd * _normals(u[:total])
-    e = _normals(u[total:])
+    c = mean + sd * ndtri(u[:total])
+    e = ndtri(u[total:])
     inflate = 1.0 + spec.eta * ((e > 0.0) & (d == 0))
     z = 5.0 + spec.gamma * c + inflate * e
     return Dataset(z=z, d=d, c=c)
@@ -165,8 +152,8 @@ def sample_targeted(
         raise ValueError("need m >= 1 and n >= 1")
     u = _open_uniforms(seed, m + n)
     d = np.concatenate([np.ones(m, dtype=int), np.zeros(n, dtype=int)])
-    c = empirical_inverse_cdf(g_dist, u)
-    z = empirical_inverse_cdf(f_dist, u)
+    c = empirical_quantile(g_dist.values, u)
+    z = empirical_quantile(f_dist.values, u)
     z = z + np.where(d == 0, tail_shift(u), 0.0)
     return Dataset(z=z, d=d, c=c)
 

@@ -8,6 +8,7 @@ from coves.coves_test import (
     decompose_T,
     design_matrix,
     orthogonalized_covariate,
+    p_value,
     run_coves,
     run_es,
     variance_est,
@@ -399,3 +400,39 @@ class TestInvariances:
         assert swapped.t_stat == pytest.approx(-base.t_stat, rel=1e-9)
         assert swapped.z_score == pytest.approx(-base.z_score, rel=1e-7)
         assert swapped.p_value == pytest.approx(base.p_value, rel=1e-7)
+
+
+class TestPValue:
+    # A grid through 0 and far into both tails, where the tail mass
+    # underflows at +-37.5 and vanishes at +-inf.
+    STATS = np.concatenate(
+        [[0.0, -0.0, 37.5, -37.5, np.inf, -np.inf], np.linspace(-9.0, 9.0, 721)]
+    )
+
+    def test_normal_matches_scipy_stats(self):
+        from scipy.special import ndtr
+        from scipy.stats import norm
+
+        for x in self.STATS:
+            assert p_value(x, "two-sided", ndtr) == float(2.0 * norm.sf(abs(x)))
+            assert p_value(x, "one-sided-upper", ndtr) == float(norm.sf(x))
+            assert p_value(x, "one-sided-lower", ndtr) == float(norm.cdf(x))
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 5, 17, 97, 9997])
+    def test_t_matches_scipy_stats(self, df):
+        from functools import partial
+
+        from scipy.special import stdtr
+        from scipy.stats import t
+
+        cdf = partial(stdtr, df)
+        for x in self.STATS:
+            assert p_value(x, "two-sided", cdf) == float(2.0 * t.sf(abs(x), df))
+            assert p_value(x, "one-sided-upper", cdf) == float(t.sf(x, df))
+            assert p_value(x, "one-sided-lower", cdf) == float(t.cdf(x, df))
+
+    def test_unknown_side(self):
+        from scipy.special import ndtr
+
+        with pytest.raises(ValueError, match="side must be one of"):
+            p_value(1.0, "both", ndtr)

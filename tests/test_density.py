@@ -111,7 +111,6 @@ class TestConsistency:
 
 
 def test_group_density_record():
-    est = group_density_at_zero(PINNED_DRAWS, 1)
-    assert est.group == 1
+    est = group_density_at_zero(PINNED_DRAWS)
     assert est.bandwidth == pytest.approx(PINNED_H, rel=1e-12)
     assert est.f_at_zero == pytest.approx(PINNED_KDE, rel=1e-12)

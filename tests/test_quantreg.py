@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coves.errors import DegenerateDesignError, OracleSizeError
+from coves.errors import ConvergenceError, DegenerateDesignError, OracleSizeError
 from coves.quantreg import (
     RegressionData,
     check_objective,
@@ -188,3 +188,24 @@ class TestRegressionData:
     def test_requires_enough_rows(self):
         with pytest.raises(ValueError):
             RegressionData(np.array([1.0]), np.ones((1, 2)))
+
+
+class TestInteriorPointBreakdown:
+    # Stand-in replications on which a dual slack of the covariate-adjusted
+    # fit rounds to exactly zero a step short of convergence.
+    SEEDS = [((7, 12, 52), 24, 12), ((9, 12, 70), 24, 12), ((8, 20, 195), 40, 20)]
+
+    @pytest.mark.parametrize("key,m,n", SEEDS)
+    def test_raises_convergence_error(self, key, m, n):
+        from coves.coves_test import design_matrix, run_coves, run_es
+        from coves.mc_engine import replication_seed
+        from coves.simgen import TargetedSampler, load_standin
+
+        data = TargetedSampler(*load_standin())(m, n, replication_seed(*key))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(ConvergenceError) as info:
+                fit_rq(RegressionData(data.z, design_matrix(data, True)), 0.75)
+            with pytest.raises(ConvergenceError):
+                run_coves(data, 0.75)
+        assert np.isfinite(info.value.gap) and info.value.gap > 0.0
+        assert 0.0 <= run_es(data, 0.75).p_value <= 1.0

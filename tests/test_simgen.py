@@ -7,7 +7,6 @@ from coves.orderstats import empirical_quantile
 from coves.simgen import (
     EmpiricalDist,
     ScenarioSpec,
-    empirical_inverse_cdf,
     load_standin,
     sample_scenario,
     sample_targeted,
@@ -19,23 +18,23 @@ class TestEmpiricalInverseCdf:
     def test_singleton(self):
         dist = EmpiricalDist(np.array([10.0]))
         for u in (0.01, 0.5, 0.99):
-            assert empirical_inverse_cdf(dist, u) == 10.0
+            assert empirical_quantile(dist.values, u) == 10.0
 
     def test_order_statistic_definition(self):
         dist = EmpiricalDist(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert empirical_inverse_cdf(dist, 0.5) == 2.0
-        assert empirical_inverse_cdf(dist, 0.75) == 3.0
-        assert empirical_inverse_cdf(dist, 0.7500001) == 4.0
+        assert empirical_quantile(dist.values, 0.5) == 2.0
+        assert empirical_quantile(dist.values, 0.75) == 3.0
+        assert empirical_quantile(dist.values, 0.7500001) == 4.0
 
     def test_domain(self):
         dist = EmpiricalDist(np.array([1.0, 2.0]))
         for u in (0.0, 1.0, -0.2, 1.1):
             with pytest.raises(ValueError):
-                empirical_inverse_cdf(dist, u)
+                empirical_quantile(dist.values, u)
 
     def test_vectorized(self):
         dist = EmpiricalDist(np.array([1.0, 2.0, 3.0, 4.0]))
-        out = empirical_inverse_cdf(dist, np.array([0.1, 0.5, 0.9]))
+        out = empirical_quantile(dist.values, np.array([0.1, 0.5, 0.9]))
         assert np.array_equal(out, [1.0, 2.0, 4.0])
 
     def test_sorts_on_construction(self):
