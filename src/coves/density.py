@@ -34,7 +34,8 @@ def bandwidth_rot(samples) -> float:
     if x.size < 2:
         raise ValueError("need at least two samples for a bandwidth")
     sd = float(np.std(x, ddof=1))
-    iqr = empirical_quantile(x, 0.75) - empirical_quantile(x, 0.25)
+    q25, q75 = empirical_quantile(x, [0.25, 0.75])
+    iqr = float(q75 - q25)
     lo = min(sd, iqr / 1.34)
     if lo <= 0.0:
         lo = sd

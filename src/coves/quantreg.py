@@ -11,11 +11,22 @@ brute-force global minimizer used to validate the solver on small
 instances: an optimal vertex always exists, so enumerating all p-subsets
 of observations and solving the interpolation system for each one finds
 an exact optimum.
+
+The optimum need not be unique.  In the two-sample design, when
+tau*N_d is an integer for a group (tau = 0.75 with 8 or 5000
+observations per group), the optimal set is a whole face of the LP, and
+its vertices can disagree on which observations lie above the plane.
+Which point of the face ``fit_rq`` returns, and so the shortfall counts,
+the statistic and the p-value built on it, is fixed only by the path of
+the interior-point iterates; no tie rule picks it.  A change to the
+solver must therefore keep every iterate bit-identical, or it changes
+reported results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -132,6 +143,11 @@ def _zero_tol(y: np.ndarray) -> float:
     return 1e-9 * (1.0 + float(np.max(np.abs(y))))
 
 
+def _objective(residuals: np.ndarray, tau: float) -> float:
+    """check_objective for a float array and a validated tau."""
+    return float(np.sum(residuals * (tau - (residuals < 0))))
+
+
 def _make_fit(data: RegressionData, tau: float, beta: np.ndarray) -> QuantileFit:
     residuals = data.y - data.X @ beta
     ztol = _zero_tol(data.y)
@@ -139,10 +155,19 @@ def _make_fit(data: RegressionData, tau: float, beta: np.ndarray) -> QuantileFit
         tau=tau,
         beta=beta,
         residuals=residuals,
-        objective=check_objective(residuals, tau),
+        objective=_objective(residuals, tau),
         zero_set=np.flatnonzero(np.abs(residuals) <= ztol),
         zero_tol=ztol,
     )
+
+
+@lru_cache(maxsize=64)
+def _subsets(k: int, p: int) -> np.ndarray:
+    """Read-only (C(k, p), p) table of the p-subsets of range(k), in
+    itertools.combinations order."""
+    table = np.array(list(combinations(range(k), p)), dtype=int)
+    table.flags.writeable = False
+    return table
 
 
 def _enumerate_vertices(data: RegressionData, tau: float, subsets: np.ndarray):
@@ -189,8 +214,7 @@ def rq_oracle(data: RegressionData, tau: float) -> QuantileFit:
         raise OracleSizeError(
             f"oracle enumeration limited to n <= {ORACLE_MAX_N}, got n = {data.n}"
         )
-    subsets = np.array(list(combinations(range(data.n), data.p)), dtype=int)
-    found = _enumerate_vertices(data, tau, subsets)
+    found = _enumerate_vertices(data, tau, _subsets(data.n, data.p))
     if found is None:
         raise DegenerateDesignError("no nonsingular p-subset of observations")
     beta, _ = found
@@ -207,12 +231,14 @@ def _solve_normal(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(M, rhs, rcond=None)[0]
 
 
-def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with x + alpha*dx >= 0, capped at 1."""
-    shrink = dx < 0
-    if not np.any(shrink):
-        return 1.0
-    return min(1.0, float(np.min(-x[shrink] / dx[shrink])))
+def _step_length(x: np.ndarray, dx: np.ndarray) -> float:
+    """Largest alpha in [0, 1] with x + alpha*dx >= 0.
+
+    One pass over the whole array: x/dx is formed everywhere and kept
+    only where dx < 0, so the caller suppresses numpy's divide-by-zero
+    warning.  -(x/dx) is the same float as -x/dx.
+    """
+    return -float(np.where(dx < 0, x / dx, -1.0).max(initial=-1.0))
 
 
 def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
@@ -223,6 +249,10 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     only complementarity is driven to zero), then polishes the result
     to an exactly interpolating vertex whenever that does not worsen
     the objective.
+
+    The primal slacks are kept stacked as U = [u; v] and the dual
+    slacks as W = [w; q] = [tau - d; (1 - tau) + d], so each update of
+    a pair is one array operation.
 
     Raises
     ------
@@ -235,74 +265,74 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     """
     _check_tau(tau)
     y, X = data.y, data.X
-    n, p = data.n, data.p
+    n = data.n
+    neg_XT = -X.T
+    base = np.array([[tau], [1.0 - tau]])
+    # W = base + sgn*d, so a change dd of d moves W by sgn*dd.
+    sgn = np.array([[-1.0], [1.0]])
 
     beta = np.linalg.lstsq(X, y, rcond=None)[0]
     r = y - X @ beta
     pad = 1.0 + float(np.mean(np.abs(r)))
-    u = np.maximum(r, 0.0) + pad
-    v = np.maximum(-r, 0.0) + pad
+    U = np.maximum(np.array([r, -r]), 0.0) + pad
     d = np.zeros(n)
 
     converged = False
     rel_gap = np.inf
-    for _ in range(MAX_ITER):
-        w = tau - d
-        q = (1.0 - tau) + d
-        gap = float(u @ w + v @ q)
-        lp_obj = tau * float(np.sum(u)) + (1.0 - tau) * float(np.sum(v))
-        rel_gap = gap / (1.0 + abs(lp_obj))
-        if rel_gap <= GAP_RTOL:
-            converged = True
-            break
+    with np.errstate(divide="ignore"):
+        for _ in range(MAX_ITER):
+            W = base + sgn * d
+            gap = float(U[0] @ W[0] + U[1] @ W[1])
+            sum_u, sum_v = U.sum(axis=1)
+            lp_obj = tau * float(sum_u) + (1.0 - tau) * float(sum_v)
+            rel_gap = gap / (1.0 + abs(lp_obj))
+            if rel_gap <= GAP_RTOL:
+                converged = True
+                break
 
-        mu = gap / (2.0 * n)
-        theta = u / w + v / q
-        if not np.all(np.isfinite(theta)):
-            # A dual slack rounded to zero; every later iterate would be NaN.
-            raise ConvergenceError(
-                "interior-point iteration broke down: a dual slack reached zero "
-                f"(relative duality gap {rel_gap:.3e})",
-                gap=rel_gap,
-            )
-        itheta = 1.0 / theta
+            mu = gap / (2.0 * n)
+            UW = U / W
+            theta = UW[0] + UW[1]
+            if not np.isfinite(theta).all():
+                # A dual slack rounded to zero; every later iterate would be NaN.
+                raise ConvergenceError(
+                    "interior-point iteration broke down: a dual slack reached zero "
+                    f"(relative duality gap {rel_gap:.3e})",
+                    gap=rel_gap,
+                )
+            itheta = 1.0 / theta
 
-        # Predictor (affine scaling) direction.
-        g_aff = v - u
-        M = X.T @ (itheta[:, None] * X)
-        dbeta_aff = _solve_normal(M, -X.T @ (itheta * g_aff))
-        dd_aff = -itheta * (X @ dbeta_aff + g_aff)
-        du_aff = -u + (u / w) * dd_aff
-        dv_aff = -v - (v / q) * dd_aff
+            # Predictor (affine scaling) direction.
+            g_aff = U[1] - U[0]
+            M = X.T @ (itheta[:, None] * X)
+            dbeta_aff = _solve_normal(M, neg_XT @ (itheta * g_aff))
+            dd_aff = -itheta * (X @ dbeta_aff + g_aff)
+            dW_aff = sgn * dd_aff
+            # Linearised complementarity: w*du + u*dw = -u*w per pair.
+            dU_aff = -U - UW * dW_aff
 
-        ap = min(_max_step(u, du_aff), _max_step(v, dv_aff))
-        ad = min(_max_step(w, -dd_aff), _max_step(q, dd_aff))
-        gap_aff = float(
-            (u + ap * du_aff) @ (w - ad * dd_aff)
-            + (v + ap * dv_aff) @ (q + ad * dd_aff)
-        )
-        sigma = min(max((max(gap_aff, 0.0) / gap) ** 3, 1e-10), 1.0 - 1e-10)
+            ap = _step_length(U, dU_aff)
+            ad = _step_length(W, dW_aff)
+            U_aff = U + ap * dU_aff
+            W_aff = W + ad * dW_aff
+            gap_aff = float(U_aff[0] @ W_aff[0] + U_aff[1] @ W_aff[1])
+            sigma = min(max((max(gap_aff, 0.0) / gap) ** 3, 1e-10), 1.0 - 1e-10)
 
-        # Corrector direction with Mehrotra's second-order term.
-        smu = sigma * mu
-        g = (
-            smu * (1.0 / w - 1.0 / q)
-            + (du_aff * dd_aff) / w
-            + (dv_aff * dd_aff) / q
-            - u
-            + v
-        )
-        dbeta = _solve_normal(M, -X.T @ (itheta * g))
-        dd = -itheta * (X @ dbeta + g)
-        du = smu / w - u + (du_aff * dd_aff) / w + (u / w) * dd
-        dv = smu / q - v - (dv_aff * dd_aff) / q - (v / q) * dd
+            # Corrector direction with Mehrotra's second-order term.
+            smu = sigma * mu
+            iW = 1.0 / W
+            second = (dU_aff * dW_aff) / W
+            g = smu * (iW[0] - iW[1]) - second[0] + second[1] - U[0] + U[1]
+            dbeta = _solve_normal(M, neg_XT @ (itheta * g))
+            dd = -itheta * (X @ dbeta + g)
+            dW = sgn * dd
+            dU = smu / W - U - second - UW * dW
 
-        ap = _STEP_DAMP * min(_max_step(u, du), _max_step(v, dv))
-        ad = _STEP_DAMP * min(_max_step(w, -dd), _max_step(q, dd))
-        beta = beta + ap * dbeta
-        u = u + ap * du
-        v = v + ap * dv
-        d = d + ad * dd
+            ap = _STEP_DAMP * _step_length(U, dU)
+            ad = _STEP_DAMP * _step_length(W, dW)
+            beta = beta + ap * dbeta
+            U = U + ap * dU
+            d = d + ad * dd
 
     if not converged:
         raise ConvergenceError(
@@ -323,16 +353,13 @@ def _polish_to_vertex(
     smallest absolute residuals; the polished solution is kept only if
     its objective does not exceed the unpolished one.
     """
-    ipm_fit = _make_fit(data, tau, beta)
-    order = np.argsort(np.abs(ipm_fit.residuals), kind="stable")
+    r = data.y - data.X @ beta
+    obj = _objective(r, tau)
     k = min(data.n, data.p + 3)
-    subsets = np.array(list(combinations(sorted(order[:k]), data.p)), dtype=int)
-    found = _enumerate_vertices(data, tau, subsets)
-    if found is None:
-        return ipm_fit
-    vbeta, vobj = found
+    near = np.sort(np.argsort(np.abs(r), kind="stable")[:k])
+    found = _enumerate_vertices(data, tau, near[_subsets(k, data.p)])
     # Tolerance matches the tie-break window in _enumerate_vertices, so a
     # tie-preferred vertex a hair above the exact minimum is still kept.
-    if vobj <= ipm_fit.objective + 1e-9 * (1.0 + abs(ipm_fit.objective)):
-        return _make_fit(data, tau, vbeta)
-    return ipm_fit
+    if found is not None and found[1] <= obj + 1e-9 * (1.0 + abs(obj)):
+        return _make_fit(data, tau, found[0])
+    return _make_fit(data, tau, beta)

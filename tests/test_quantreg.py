@@ -1,8 +1,12 @@
+import warnings
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coves.coves_test import design_matrix
 from coves.errors import ConvergenceError, DegenerateDesignError, OracleSizeError
 from coves.quantreg import (
     RegressionData,
@@ -197,15 +201,92 @@ class TestInteriorPointBreakdown:
 
     @pytest.mark.parametrize("key,m,n", SEEDS)
     def test_raises_convergence_error(self, key, m, n):
-        from coves.coves_test import design_matrix, run_coves, run_es
+        from coves.coves_test import run_coves, run_es
         from coves.mc_engine import replication_seed
         from coves.simgen import TargetedSampler, load_standin
 
         data = TargetedSampler(*load_standin())(m, n, replication_seed(*key))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # The breakdown is reported by the error alone, with no numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(ConvergenceError) as info:
                 fit_rq(RegressionData(data.z, design_matrix(data, True)), 0.75)
             with pytest.raises(ConvergenceError):
                 run_coves(data, 0.75)
         assert np.isfinite(info.value.gap) and info.value.gap > 0.0
         assert 0.0 <= run_es(data, 0.75).p_value <= 1.0
+
+
+def tied_treated_shortfall_counts(data, X, tau):
+    """Treated shortfall counts over every optimal vertex, by enumeration.
+
+    A vertex is optimal when its objective lies in the solver's 1e-9
+    relative tie window of the minimum.
+    """
+    y = data.z
+    subsets = np.array(list(combinations(range(y.size), X.shape[1])))
+    mats = X[subsets]
+    ok = np.abs(np.linalg.det(mats)) > 1e-12 * np.prod(np.linalg.norm(mats, axis=2), axis=1)
+    betas = np.linalg.solve(mats[ok], y[subsets[ok]][..., None])[..., 0]
+    res = y - betas @ X.T
+    objs = np.sum(res * (tau - (res < 0)), axis=1)
+    best = objs.min()
+    tied = res[objs <= best + 1e-9 * (1.0 + abs(best))]
+    ztol = 1e-9 * (1.0 + np.max(np.abs(y)))
+    return set(np.sum(tied[:, data.d == 1] > ztol, axis=1).tolist())
+
+
+class TestDegenerateDesigns:
+    # Scenario 2 at (8,8): tau*N_d is an integer for tau in {0.5, 0.75},
+    # so the LP optimum is a whole face rather than a single vertex.
+    SEEDS = range(40)
+    CASES = [(0.5, True), (0.5, False), (0.75, True), (0.75, False)]
+    # On an optimal face the polish can keep the interior-point iterate:
+    # no p-subset of the p+3 nearest points is an optimal vertex.
+    NOT_A_VERTEX = {(0.75, True): {27, 31}, (0.75, False): {27}}
+
+    @staticmethod
+    def problem(seed, cov, size=8):
+        from coves.simgen import ScenarioSpec, sample_scenario
+
+        data = sample_scenario(ScenarioSpec.from_scenario(2, 0.0), size, size, seed)
+        X = design_matrix(data, cov)
+        return data, X, RegressionData(data.z, X)
+
+    @pytest.mark.parametrize("tau,cov", CASES)
+    def test_objective_matches_oracle(self, tau, cov):
+        for seed in self.SEEDS:
+            _, _, rd = self.problem(seed, cov)
+            fo = rq_oracle(rd, tau)
+            assert fit_rq(rd, tau).objective == pytest.approx(fo.objective, rel=1e-9), seed
+
+    @pytest.mark.parametrize("tau,cov", CASES)
+    def test_fit_is_vertex(self, tau, cov):
+        for seed in self.SEEDS:
+            if seed not in self.NOT_A_VERTEX.get((tau, cov), ()):
+                _, X, rd = self.problem(seed, cov)
+                assert len(fit_rq(rd, tau).zero_set) >= X.shape[1], seed
+
+    @pytest.mark.xfail(strict=True, reason="polish keeps a non-vertex on an optimal face")
+    @pytest.mark.parametrize(
+        "tau,cov,seed",
+        [(*case, seed) for case, seeds in NOT_A_VERTEX.items() for seed in sorted(seeds)],
+    )
+    def test_fit_is_vertex_on_known_faces(self, tau, cov, seed):
+        _, X, rd = self.problem(seed, cov)
+        assert len(fit_rq(rd, tau).zero_set) >= X.shape[1]
+
+    @pytest.mark.parametrize("tau,cov", CASES)
+    def test_optimal_vertices_disagree_on_treated_shortfall(self, tau, cov):
+        # Which optimal vertex the solver returns fixes s_1, and so the
+        # statistic; only the path of the iterates decides it.
+        assert any(
+            len(tied_treated_shortfall_counts(data, X, tau)) > 1
+            for data, X, _ in (self.problem(seed, cov) for seed in self.SEEDS)
+        )
+
+    def test_unique_shortfall_when_tau_n_is_fractional(self):
+        # (10,10) at tau = 0.75: tau*N_d = 7.5, the optimum is one vertex.
+        for seed in self.SEEDS:
+            data, X, _ = self.problem(seed, True, size=10)
+            assert len(tied_treated_shortfall_counts(data, X, 0.75)) == 1, seed
