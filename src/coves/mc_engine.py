@@ -123,7 +123,7 @@ def estimate_rejection_rate(
                 rejections += rej
                 errors += err
 
-    if errors >= MAX_ERROR_FRACTION * reps:
+    if errors > MAX_ERROR_FRACTION * reps:
         raise UnstableConfigurationError(
             f"{errors}/{reps} replications failed; configuration too degenerate "
             f"for a trustworthy estimate (limit {MAX_ERROR_FRACTION:.0%})"

@@ -234,11 +234,19 @@ def _solve_normal(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _step_length(x: np.ndarray, dx: np.ndarray) -> float:
     """Largest alpha in [0, 1] with x + alpha*dx >= 0.
 
-    One pass over the whole array: x/dx is formed everywhere and kept
-    only where dx < 0, so the caller suppresses numpy's divide-by-zero
-    warning.  -(x/dx) is the same float as -x/dx.
+    The ratio x/max(-dx, 0) has no branch, so it is fast on any sign
+    pattern of dx.  It is exactly the masked form kept as the fallback:
+    where dx < 0, x/(-dx) is the same float as -(x/dx), and every other
+    entry divides a positive slack by zero and gives +inf, which the cap
+    at 1 absorbs.  A slack that is zero, negative or NaN, or a NaN step,
+    makes the minimum NaN or -inf; only then does the masked form run.
+    (Were max(-0.0, 0.0) to keep the sign of -0.0, its -inf would only
+    send the call to the fallback.)  The caller suppresses numpy's divide and invalid warnings.
     """
-    return -float(np.where(dx < 0, x / dx, -1.0).max(initial=-1.0))
+    alpha = float((x / np.maximum(-dx, 0.0)).min(initial=1.0))
+    if not alpha > -np.inf:
+        alpha = -float(np.where(dx < 0, x / dx, -1.0).max(initial=-1.0))
+    return alpha
 
 
 def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
@@ -279,7 +287,7 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
 
     converged = False
     rel_gap = np.inf
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(MAX_ITER):
             W = base + sgn * d
             gap = float(U[0] @ W[0] + U[1] @ W[1])
@@ -344,6 +352,23 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     return _polish_to_vertex(data, tau, beta)
 
 
+def _nearest(a: np.ndarray, k: int) -> np.ndarray:
+    """Ascending indices of the k smallest entries of a NaN-free array.
+
+    The same set as np.argsort(a, kind="stable")[:k]: every entry below
+    the k-th smallest value, plus the lowest-index entries equal to it.
+    A partition finds that value in linear time; only when it is tied
+    past the k-th place are the highest-index ties dropped.
+    """
+    kth = np.partition(a, k - 1)[k - 1]
+    near = np.flatnonzero(a <= kth)
+    if near.size > k:
+        keep = a[near] < kth
+        keep[np.flatnonzero(~keep)[: k - np.count_nonzero(keep)]] = True
+        near = near[keep]
+    return near
+
+
 def _polish_to_vertex(
     data: RegressionData, tau: float, beta: np.ndarray
 ) -> QuantileFit:
@@ -351,12 +376,15 @@ def _polish_to_vertex(
 
     Candidate bases are the p-subsets of the p+3 observations with the
     smallest absolute residuals; the polished solution is kept only if
-    its objective does not exceed the unpolished one.
+    its objective does not exceed the unpolished one.  ``_nearest``
+    picks those points in linear time, and it picks the same set as a
+    stable argsort of |r|, ties included, so the candidate bases, their
+    order and hence the vertex kept are exactly what sorting would give.
     """
     r = data.y - data.X @ beta
     obj = _objective(r, tau)
     k = min(data.n, data.p + 3)
-    near = np.sort(np.argsort(np.abs(r), kind="stable")[:k])
+    near = _nearest(np.abs(r), k)
     found = _enumerate_vertices(data, tau, near[_subsets(k, data.p)])
     # Tolerance matches the tie-break window in _enumerate_vertices, so a
     # tie-preferred vertex a hair above the exact minimum is still kept.

@@ -30,6 +30,16 @@ class DegenerateSampler:
         )
 
 
+@dataclass(frozen=True)
+class FailOnSeeds:
+    """NULL1, except that the given replication seeds give a degenerate dataset."""
+
+    bad: frozenset
+
+    def __call__(self, m, n, seed):
+        return DegenerateSampler()(m, n, seed) if seed in self.bad else NULL1(m, n, seed)
+
+
 class TestEstimateRejectionRate:
     def test_alpha_one_rejects_everything(self):
         est = estimate_rejection_rate(NULL1, "ttest", 15, 15, 1.0, 50, 3)
@@ -59,6 +69,13 @@ class TestEstimateRejectionRate:
     def test_unstable_configuration(self):
         with pytest.raises(UnstableConfigurationError):
             estimate_rejection_rate(DegenerateSampler(), "coves", 10, 10, 0.05, 50, 1)
+
+    def test_error_budget_tolerates_one_percent(self):
+        seeds = [replication_seed(1, 0, r) for r in range(100)]
+        est = estimate_rejection_rate(FailOnSeeds(frozenset(seeds[40:41])), "coves", 10, 10, 0.05, 100, 1)
+        assert est.errors == 1
+        with pytest.raises(UnstableConfigurationError, match="2/100"):
+            estimate_rejection_rate(FailOnSeeds(frozenset(seeds[40:42])), "coves", 10, 10, 0.05, 100, 1)
 
     def test_validates_arguments(self):
         with pytest.raises(ValueError):

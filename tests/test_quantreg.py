@@ -1,3 +1,4 @@
+import struct
 import warnings
 from itertools import combinations
 
@@ -10,6 +11,8 @@ from coves.coves_test import design_matrix
 from coves.errors import ConvergenceError, DegenerateDesignError, OracleSizeError
 from coves.quantreg import (
     RegressionData,
+    _nearest,
+    _step_length,
     check_objective,
     fit_rq,
     rho_tau,
@@ -290,3 +293,108 @@ class TestDegenerateDesigns:
         for seed in self.SEEDS:
             data, X, _ = self.problem(seed, True, size=10)
             assert len(tied_treated_shortfall_counts(data, X, 0.75)) == 1, seed
+
+
+def masked_step_length(x, dx):
+    """The masked step length that _step_length must reproduce bit for bit."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return -float(np.where(dx < 0, x / dx, -1.0).max(initial=-1.0))
+
+
+def bits(a):
+    return struct.pack("<d", a)
+
+
+class TestStepLength:
+    # Signed zeros, subnormals, the smallest normal, huge, infinite and NaN
+    # values, as slacks and as steps.
+    SPECIAL = [
+        s * v
+        for v in (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.5, 1.0, 3.0, 1e300, np.inf)
+        for s in (1.0, -1.0)
+    ] + [np.nan]
+
+    @staticmethod
+    def check(x, dx):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            fast = _step_length(x, dx)
+        assert bits(fast) == bits(masked_step_length(x, dx)), (x, dx)
+
+    def test_special_values(self):
+        # Each pair alone, then beside an ordinary blocking ratio of 0.25
+        # and beside an entry that blocks nothing.
+        for x0 in self.SPECIAL:
+            for dx0 in self.SPECIAL:
+                self.check(np.array([[x0], [1.0]]), np.array([[dx0], [0.5]]))
+                self.check(np.array([[x0, 1.0], [2.0, 1.0]]), np.array([[dx0, -4.0], [0.5, 0.0]]))
+                self.check(np.array([[1.0, x0]]), np.array([[-0.0, dx0]]))
+
+    def test_random_arrays(self):
+        rng = np.random.default_rng(20)
+        for _ in range(3000):
+            k = int(rng.integers(1, 40))
+            x = np.exp(rng.normal(0.0, 8.0, size=(2, k)))
+            dx = rng.normal(size=(2, k)) * np.exp(rng.normal(0.0, 8.0, size=(2, k)))
+            # Sprinkle exact zeros and, now and then, non-positive slacks.
+            dx[rng.random((2, k)) < 0.05] = 0.0
+            if rng.random() < 0.2:
+                x[rng.random((2, k)) < 0.1] = rng.choice([0.0, -0.0, -1.0])
+            self.check(x, dx)
+
+
+def stable_nearest(a, k):
+    """The selection _nearest must reproduce: the k first of a stable argsort."""
+    return np.sort(np.argsort(a, kind="stable")[:k])
+
+
+class TestNearestSelection:
+    # Integer-valued |r| with heavy ties, like the stand-in outcome, which
+    # takes 41 distinct values in 150.
+    def test_tie_heavy_integers(self):
+        rng = np.random.default_rng(41)
+        for _ in range(400):
+            n = int(rng.integers(1, 151))
+            a = np.abs(rng.integers(-20, 21, size=n) - rng.integers(0, 3)).astype(float)
+            for k in {1, min(n, 6), int(rng.integers(1, n + 1)), n}:
+                got = _nearest(a, k)
+                assert np.array_equal(got, stable_nearest(a, k)), (a, k)
+
+    def test_all_tied(self):
+        a = np.full(9, 2.5)
+        for k in range(1, 10):
+            assert np.array_equal(_nearest(a, k), np.arange(k))
+
+    def test_standin_residuals(self):
+        from coves.simgen import load_standin
+
+        f, _ = load_standin()
+        a = np.abs(np.random.default_rng(3).permutation(f.values) - np.median(f.values))
+        for k in range(1, a.size + 1):
+            assert np.array_equal(_nearest(a, k), stable_nearest(a, k)), k
+
+
+class TestLargeDesignPins:
+    # mc-large-shaped replications: scenario 3 null at (5000, 5000), tau =
+    # 0.75, so tau*N_d = 3750 and the optimum is a whole face.  Which of its
+    # points the solver returns shows in the shortfall counts.  Recorded
+    # with the masked step length and the argsort polish selection.
+    PINS = [
+        (0, (1250, 1249), 3200.3514045774737, (1250, 1250), 3534.3985803235823),
+        (1, (1250, 1249), 3174.40061438025, (1250, 1250), 3526.8385294017858),
+        (2, (1249, 1250), 3181.778818709867, (1250, 1249), 3552.433858021427),
+    ]
+
+    @pytest.mark.parametrize("pin", PINS, ids=lambda pin: f"rep{pin[0]}")
+    def test_shortfall_counts_and_objective(self, pin):
+        rep, coves_counts, coves_obj, es_counts, es_obj = pin
+        from coves.coves_test import run_coves, run_es
+        from coves.mc_engine import replication_seed
+        from coves.simgen import ScenarioSampler, ScenarioSpec
+
+        data = ScenarioSampler(ScenarioSpec.from_scenario(3, 0.0))(5000, 5000, replication_seed(0, 0, rep))
+        coves = run_coves(data, 0.75)
+        es = run_es(data, 0.75)
+        assert coves.s_counts == coves_counts
+        assert coves.fit.objective == pytest.approx(coves_obj, rel=1e-12)
+        assert es.s_counts == es_counts
+        assert es.fit.objective == pytest.approx(es_obj, rel=1e-12)
