@@ -9,7 +9,8 @@ standard normal under the null of equal conditional outcome
 distributions.
 
 ``run_es`` is the unadjusted variant: the covariate is dropped from the
-design, so the adjustment and its variance contribution vanish.
+design, so the adjustment and its variance contribution vanish, and the
+fit is each group's tau-quantile.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     EmptyShortfallError,
     NumericalError,
 )
-from .quantreg import QuantileFit, RegressionData, fit_rq
+from .quantreg import QuantileFit, RegressionData, fit_group_quantiles, fit_rq
 
 SIDES = ("two-sided", "one-sided-upper", "one-sided-lower")
 
@@ -206,7 +207,15 @@ def run_coves(data: Dataset, tau: float, side: str = "two-sided") -> CovesReport
 
 
 def run_es(data: Dataset, tau: float, side: str = "two-sided") -> CovesReport:
-    """Unadjusted expected-shortfall test: covariate dropped from the design."""
+    """Unadjusted expected-shortfall test: covariate dropped from the design.
+
+    The fit of the design (1, d) puts each group's quantile at its
+    ceil(tau*N_d)-th order statistic.  When that optimum is unique (in
+    each group, the neighbouring distinct values cost more than the tie
+    window), the fit is taken exactly from the order statistics and no
+    LP is solved.  Otherwise, as for an integral tau*N_d without ties,
+    ``fit_rq`` picks one point of the optimal face, as for ``run_coves``.
+    """
     return _shortfall_test(data, tau, side, "es")
 
 
@@ -215,7 +224,10 @@ def _shortfall_test(data: Dataset, tau: float, side: str, method: str) -> CovesR
     the design only for method 'coves'."""
     check_side(side)
     adjust = method == "coves"
-    fit = fit_rq(RegressionData(data.z, design_matrix(data, adjust)), tau)
+    rq_data = RegressionData(data.z, design_matrix(data, adjust))
+    fit = None if adjust else fit_group_quantiles(rq_data, tau)
+    if fit is None:
+        fit = fit_rq(rq_data, tau)
     sel1 = shortfall_mask(data, fit, 1)
     sel0 = shortfall_mask(data, fit, 0)
     s1 = int(np.sum(sel1))

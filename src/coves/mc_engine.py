@@ -3,8 +3,10 @@
 Every replication gets a seed derived from (master seed, size index,
 replication index), so estimates are reproducible regardless of
 execution order or worker count.  Replications whose test raises a
-numerical-degeneracy error are tolerated up to 1% of the budget and
-reported in the estimate.
+numerical-degeneracy error are counted in the estimate and tolerated
+up to max(1, floor(MAX_ERROR_FRACTION * reps)) of them: 1% of the
+budget, but at least one, so that a short run survives a single
+failure.  A run in which every replication fails is never tolerated.
 """
 
 from __future__ import annotations
@@ -123,10 +125,11 @@ def estimate_rejection_rate(
                 rejections += rej
                 errors += err
 
-    if errors > MAX_ERROR_FRACTION * reps:
+    allowed = max(1, int(MAX_ERROR_FRACTION * reps))
+    if errors > allowed or errors == reps:
         raise UnstableConfigurationError(
             f"{errors}/{reps} replications failed; configuration too degenerate "
-            f"for a trustworthy estimate (limit {MAX_ERROR_FRACTION:.0%})"
+            f"for a trustworthy estimate (at most {allowed} may fail, and never all)"
         )
     rate = rejections / reps
     return PowerEstimate(

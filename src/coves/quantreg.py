@@ -10,7 +10,9 @@ followed by a cleanup step that polishes the solution onto a vertex
 brute-force global minimizer used to validate the solver on small
 instances: an optimal vertex always exists, so enumerating all p-subsets
 of observations and solving the interpolation system for each one finds
-an exact optimum.
+an exact optimum.  ``fit_group_quantiles`` solves the two-sample
+design without a covariate, (1, d), exactly from order statistics
+whenever its optimum is unique.
 
 The optimum need not be unique.  In the two-sample design, when
 tau*N_d is an integer for a group (tau = 0.75 with 8 or 5000
@@ -20,7 +22,8 @@ Which point of the face ``fit_rq`` returns, and so the shortfall counts,
 the statistic and the p-value built on it, is fixed only by the path of
 the interior-point iterates; no tie rule picks it.  A change to the
 solver must therefore keep every iterate bit-identical, or it changes
-reported results.
+reported results.  Objectives within TIE_RTOL of each other count as
+tied, both here and in the choice between order statistics and LP.
 """
 
 from __future__ import annotations
@@ -32,10 +35,13 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateDesignError, OracleSizeError
+from .orderstats import empirical_quantile
 
 MAX_ITER = 200
 GAP_RTOL = 1e-10
 ORACLE_MAX_N = 20
+# Two objectives closer than TIE_RTOL * (1 + |objective|) count as tied.
+TIE_RTOL = 1e-9
 
 # Fraction-to-boundary damping for interior-point steps.
 _STEP_DAMP = 0.9995
@@ -174,7 +180,7 @@ def _enumerate_vertices(data: RegressionData, tau: float, subsets: np.ndarray):
     """Objective-minimizing exact-interpolation solution over the given p-subsets.
 
     Degenerate problems can tie many vertices at the optimal objective;
-    among ties (1e-9 relative) the vertex interpolating the most
+    among ties (TIE_RTOL relative) the vertex interpolating the most
     observations wins, then enumeration order, so both the oracle and
     the polish step resolve ties identically.
 
@@ -195,7 +201,7 @@ def _enumerate_vertices(data: RegressionData, tau: float, subsets: np.ndarray):
     res = y[None, :] - betas @ X.T                    # (K', n)
     objs = np.sum(res * (tau - (res < 0)), axis=1)
     best_obj = float(np.min(objs))
-    tied = np.flatnonzero(objs <= best_obj + 1e-9 * (1.0 + abs(best_obj)))
+    tied = np.flatnonzero(objs <= best_obj + TIE_RTOL * (1.0 + abs(best_obj)))
     zeros = np.sum(np.abs(res[tied]) <= _zero_tol(y), axis=1)
     pick = tied[int(np.argmax(zeros))]
     return betas[pick], float(objs[pick])
@@ -218,6 +224,51 @@ def rq_oracle(data: RegressionData, tau: float) -> QuantileFit:
     if found is None:
         raise DegenerateDesignError("no nonsingular p-subset of observations")
     beta, _ = found
+    return _make_fit(data, tau, beta)
+
+
+def fit_group_quantiles(data: RegressionData, tau: float) -> QuantileFit | None:
+    """Exact tau-th regression quantile of the two-sample design (1, d).
+
+    ``data.X`` must be the columns (intercept, 0/1 treatment indicator).
+    Then group d's fitted quantile is its ceil(tau*N_d)-th order
+    statistic, ``empirical_quantile`` (Koenker 2005, §2.2), and no LP is
+    needed.  The fit interpolates the lowest-index observation carrying
+    each group's value, the two taken in ascending index order: the
+    2x2 system the polish in ``fit_rq`` solves for that vertex, so the
+    fit is bit-identical to ``fit_rq``'s wherever that returns it.
+
+    Returns None unless the optimum is unique beyond the tie window: in
+    each group, moving the quantile to the next distinct value below or
+    above must raise the objective by more than TIE_RTOL * (1 +
+    |objective|).  An integral tau*N_d has no such margin unless the
+    order statistic is tied, nor has a float tau*N_d a hair off an
+    integer; for those designs only ``fit_rq`` decides which optimum is
+    returned.
+    """
+    _check_tau(tau)
+    y, d = data.y, data.X[:, 1]
+    pair = []
+    margin = np.inf
+    for g in (0.0, 1.0):
+        idx = np.flatnonzero(d == g)
+        v = y[idx]
+        q = empirical_quantile(v, tau)
+        tau_n = tau * v.size
+        below = v[v < q]
+        above = v[v > q]
+        # The objective is piecewise linear in q: moving to the next
+        # distinct value costs the distance times the change in slope.
+        if below.size:
+            margin = min(margin, (q - below.max()) * (tau_n - below.size))
+        if above.size:
+            margin = min(margin, (above.min() - q) * (v.size - above.size - tau_n))
+        if not margin > 0.0:
+            return None
+        pair.append(idx[np.argmax(v == q)])
+    beta, obj = _enumerate_vertices(data, tau, np.array([sorted(pair)]))
+    if margin <= TIE_RTOL * (1.0 + abs(obj)):
+        return None
     return _make_fit(data, tau, beta)
 
 
@@ -388,6 +439,6 @@ def _polish_to_vertex(
     found = _enumerate_vertices(data, tau, near[_subsets(k, data.p)])
     # Tolerance matches the tie-break window in _enumerate_vertices, so a
     # tie-preferred vertex a hair above the exact minimum is still kept.
-    if found is not None and found[1] <= obj + 1e-9 * (1.0 + abs(obj)):
+    if found is not None and found[1] <= obj + TIE_RTOL * (1.0 + abs(obj)):
         return _make_fit(data, tau, found[0])
     return _make_fit(data, tau, beta)

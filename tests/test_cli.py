@@ -169,6 +169,17 @@ class TestPower:
         row = out.read_text().strip().splitlines()[1].split(",")
         assert (row[0], row[1]) == ("60", "30")
 
+    def test_short_run_survives_one_failure(self, tmp_path):
+        # Sizes 15 and 20 each lose one of their 30 stand-in replications;
+        # a run this short tolerates one failure.
+        out = tmp_path / "p.csv"
+        assert main([
+            "power", "--targeted", "--test", "coves", "--sizes", "15:25:5",
+            "--reps", "30", "--seed", "4", "--out", str(out),
+        ]) == 0
+        errors = [row.split(",")[-1] for row in out.read_text().strip().splitlines()[1:]]
+        assert errors == ["1", "1", "0"]
+
     def test_bad_sizes_exits_2(self, tmp_path):
         assert main([
             "power", "--scenario", "1", "--test", "ttest", "--sizes", "20:10:5",

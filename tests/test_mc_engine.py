@@ -77,6 +77,22 @@ class TestEstimateRejectionRate:
         with pytest.raises(UnstableConfigurationError, match="2/100"):
             estimate_rejection_rate(FailOnSeeds(frozenset(seeds[40:42])), "coves", 10, 10, 0.05, 100, 1)
 
+    @pytest.mark.parametrize(
+        "reps,failures,tolerated",
+        [(30, 1, True), (30, 2, False), (1, 1, False), (150, 1, True), (150, 2, False),
+         (250, 2, True), (250, 3, False)],
+    )
+    def test_error_budget_at_least_one_never_all(self, reps, failures, tolerated):
+        # max(1, floor(1% of reps)) failures are tolerated, but never all of them.
+        seeds = [replication_seed(1, 0, r) for r in range(reps)]
+        sampler = FailOnSeeds(frozenset(seeds[:failures]))
+        if tolerated:
+            est = estimate_rejection_rate(sampler, "es", 10, 10, 0.05, reps, 1)
+            assert est.errors == failures
+        else:
+            with pytest.raises(UnstableConfigurationError, match=f"{failures}/{reps}"):
+                estimate_rejection_rate(sampler, "es", 10, 10, 0.05, reps, 1)
+
     def test_validates_arguments(self):
         with pytest.raises(ValueError):
             estimate_rejection_rate(NULL1, "wilcoxon", 10, 10, 0.05, 10, 1)

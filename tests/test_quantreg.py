@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from coves.coves_test import design_matrix
 from coves.errors import ConvergenceError, DegenerateDesignError, OracleSizeError
 from coves.quantreg import (
+    TIE_RTOL,
     RegressionData,
     _nearest,
     _step_length,
     check_objective,
+    fit_group_quantiles,
     fit_rq,
     rho_tau,
     rq_oracle,
@@ -223,8 +225,8 @@ class TestInteriorPointBreakdown:
 def tied_treated_shortfall_counts(data, X, tau):
     """Treated shortfall counts over every optimal vertex, by enumeration.
 
-    A vertex is optimal when its objective lies in the solver's 1e-9
-    relative tie window of the minimum.
+    A vertex is optimal when its objective lies in the solver's relative
+    tie window, TIE_RTOL, of the minimum.
     """
     y = data.z
     subsets = np.array(list(combinations(range(y.size), X.shape[1])))
@@ -234,7 +236,7 @@ def tied_treated_shortfall_counts(data, X, tau):
     res = y - betas @ X.T
     objs = np.sum(res * (tau - (res < 0)), axis=1)
     best = objs.min()
-    tied = res[objs <= best + 1e-9 * (1.0 + abs(best))]
+    tied = res[objs <= best + TIE_RTOL * (1.0 + abs(best))]
     ztol = 1e-9 * (1.0 + np.max(np.abs(y)))
     return set(np.sum(tied[:, data.d == 1] > ztol, axis=1).tolist())
 
@@ -398,3 +400,105 @@ class TestLargeDesignPins:
         assert coves.fit.objective == pytest.approx(coves_obj, rel=1e-12)
         assert es.s_counts == es_counts
         assert es.fit.objective == pytest.approx(es_obj, rel=1e-12)
+
+
+def two_sample(y, d):
+    d = np.asarray(d, dtype=float)
+    return RegressionData(np.asarray(y, dtype=float), np.column_stack([np.ones(d.size), d]))
+
+
+def assert_same_fit(a, b):
+    assert a.beta.tobytes() == b.beta.tobytes()
+    assert a.residuals.tobytes() == b.residuals.tobytes()
+    assert a.objective == b.objective
+    assert np.array_equal(a.zero_set, b.zero_set)
+    assert a.zero_tol == b.zero_tol
+
+
+class TestGroupQuantileFit:
+    @staticmethod
+    def scenario(sc, eta, m, n, seed):
+        from coves.simgen import ScenarioSpec, sample_scenario
+
+        data = sample_scenario(ScenarioSpec.from_scenario(sc, eta), m, n, seed)
+        return RegressionData(data.z, design_matrix(data, False))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        groups=st.lists(st.booleans(), min_size=2, max_size=20).filter(lambda g: 0 < sum(g) < len(g)),
+        ties=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-8, 1.0, 1e8]),
+        tau=st.sampled_from([0.01, 0.5, 0.99]),
+    )
+    def test_matches_oracle_when_taken(self, groups, ties, seed, scale, tau):
+        # Heavy ties: a handful of distinct integer outcomes, as in the
+        # stand-in design.
+        rng = np.random.default_rng(seed)
+        n = len(groups)
+        y = rng.integers(0, 4, size=n) if ties else rng.normal(size=n)
+        data = two_sample(scale * y, groups)
+        fit = fit_group_quantiles(data, tau)
+        if fit is not None:
+            oracle = rq_oracle(data, tau)
+            atol = 1e-9 * (1.0 + np.max(np.abs(data.y)))
+            assert np.allclose(fit.beta, oracle.beta, rtol=0.0, atol=atol)
+            assert fit.objective == pytest.approx(oracle.objective, rel=1e-9, abs=atol)
+
+    def test_integral_tau_n_falls_back(self):
+        # (8,8) at tau = 0.75: tau*N_d = 6, so the optimum is a face.
+        for seed in range(10):
+            assert fit_group_quantiles(self.scenario(2, 0.0, 8, 8, seed), 0.75) is None, seed
+
+    @pytest.mark.parametrize("tau,size", [(0.1, 30), (0.55, 100), (0.7, 90)])
+    def test_near_integral_tau_n_falls_back(self, tau, size):
+        # tau*N_d in floats: 0.1*30 rounds to exactly 3, while 0.55*100 and
+        # 0.7*90 land a hair above 55 and below 63.  Either way the
+        # neighbouring order statistic is within the tie window.
+        assert abs(tau * size - round(tau * size)) < 1e-13
+        for seed in range(10):
+            assert fit_group_quantiles(self.scenario(1, 0.0, size, size, seed), tau) is None, seed
+
+    def test_integral_tau_n_with_tied_order_statistic_is_taken(self):
+        # tau*N_d = 6 in both groups, and z_(6) = z_(7): the objective rises
+        # on both sides of the 6th order statistic, so the optimum is unique.
+        y1 = [5.0, 1.0, 5.0, 2.0, 6.0, 4.0, 3.0, 0.5]
+        y0 = [2.5, 7.0, 1.5, 6.5, 6.5, 0.0, 3.5, 4.5]
+        data = two_sample(y1 + y0, [1] * 8 + [0] * 8)
+        fit = fit_group_quantiles(data, 0.75)
+        assert fit is not None
+        assert tuple(fit.beta) == (6.5, 5.0 - 6.5)
+        assert np.allclose(fit.beta, rq_oracle(data, 0.75).beta, rtol=0.0, atol=1e-12)
+        assert_same_fit(fit, fit_rq(data, 0.75))
+
+    @pytest.mark.parametrize("sc", [1, 2, 3, 4])
+    def test_bit_identical_to_fit_rq(self, sc):
+        # tau*N_d = 37.5 at (50,50), tau = 0.75: the optimum is one vertex.
+        # Shuffled rows with the treated group shifted far from the control
+        # group make the bits depend on the row order of the 2x2 system.
+        for eta in (0.0, 1.35):
+            for seed in range(5):
+                data = self.scenario(sc, eta, 50, 50, seed)
+                perm = np.random.default_rng(seed).permutation(100)
+                d = data.X[perm, 1]
+                shifted = two_sample(data.y[perm] + 100.3 * d, d)
+                for rd in (data, shifted):
+                    fit = fit_group_quantiles(rd, 0.75)
+                    assert fit is not None, (eta, seed)
+                    assert_same_fit(fit, fit_rq(rd, 0.75))
+
+    def test_large_design_pin(self):
+        # Scenario 3 null at (5001, 5001), tau = 0.75, replication_seed(0, 0, 0):
+        # the run_es fit recorded from fit_rq before this path existed.
+        from coves.coves_test import run_es
+        from coves.mc_engine import replication_seed
+        from coves.simgen import ScenarioSampler, ScenarioSpec
+
+        data = ScenarioSampler(ScenarioSpec.from_scenario(3, 0.0))(5001, 5001, replication_seed(0, 0, 0))
+        assert fit_group_quantiles(RegressionData(data.z, design_matrix(data, False)), 0.75) is not None
+        es = run_es(data, 0.75)
+        assert tuple(es.fit.beta) == (8.233489113599779, 0.5389205662965058)
+        assert es.fit.objective == 3539.218795169274
+        assert es.fit.zero_set.tolist() == [2619, 5515]
+        assert es.s_counts == (1250, 1250)
+        assert es.p_value == 1.7806046322473903e-56

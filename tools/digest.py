@@ -1,0 +1,274 @@
+"""Bit-identity sweep: hash every result of a fixed set of coves calls.
+
+Run it once on each of two source trees and compare:
+
+    PYTHONPATH=OLD/src python3 tools/digest.py old.json
+    PYTHONPATH=src     python3 tools/digest.py new.json
+    python3 tools/digest.py --diff old.json new.json
+
+Everything runs in this process.  Each family of results gets one
+digest, printed as the sweep ends; the output file holds one hash per
+design, so ``--diff`` can name every design whose result moved.
+
+- ``fit_rq``: every quantile fit (beta, residuals, objective, zero set
+  and zero tolerance) or its error (class, message, gap).  The designs
+  are scenarios 1-4 at eta 0 and 1.35, the stand-in pair with and
+  without shuffled rows, (5000, 5000) and (5001, 5001), the three
+  interior-point breakdown seeds, and random designs with rounded
+  outcomes or discrete covariates at scales 1e-8, 1 and 1e8; tau from
+  0.05 to 0.99, with and without the covariate.
+- ``run_coves``, ``run_es``, ``run_ttest``, ``decompose_T``: every field
+  of the report, or the error, on the same datasets.
+- ``cli``: exit code, stdout, stderr and output files of a set of
+  ``coves`` commands run through ``coves.cli.main``.
+
+For the reports, the file also keeps the shortfall counts, objective
+and p-value, which ``--diff`` prints beside each moved design.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from coves.baselines import run_ttest
+from coves.cli import main as cli_main
+from coves.coves_test import decompose_T, design_matrix, run_coves, run_es
+from coves.errors import CovesError
+from coves.mc_engine import replication_seed
+from coves.quantreg import RegressionData, fit_rq
+from coves.simgen import ScenarioSampler, ScenarioSpec, TargetedSampler, load_standin
+
+SIZES = [(6, 6), (8, 8), (9, 7), (10, 10), (12, 12), (30, 21), (33, 33), (50, 50), (99, 50), (300, 150)]
+FIT_TAUS = (0.05, 0.5, 0.75, 0.9, 0.99)
+BREAKDOWN_SEEDS = [((7, 12, 52), 24, 12), ((9, 12, 70), 24, 12), ((8, 20, 195), 40, 20)]
+
+
+def encode(obj) -> bytes:
+    """Exact byte encoding of a result: floats by their bits, arrays by dtype, shape and bytes."""
+    if isinstance(obj, np.ndarray):
+        return b"A" + f"{obj.dtype.str}{obj.shape}".encode() + np.ascontiguousarray(obj).tobytes()
+    if isinstance(obj, (float, np.floating)):
+        return b"F" + float(obj).hex().encode()
+    if isinstance(obj, (bool, int, np.integer, str)) or obj is None:
+        return b"S" + repr(obj if not isinstance(obj, np.integer) else int(obj)).encode()
+    if isinstance(obj, (tuple, list)):
+        return b"(" + b",".join(encode(x) for x in obj) + b")"
+    if dataclasses.is_dataclass(obj):
+        return type(obj).__name__.encode() + encode(
+            [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+        )
+    if isinstance(obj, BaseException):
+        return b"E" + encode((type(obj).__name__, str(obj), getattr(obj, "gap", None)))
+    raise TypeError(f"cannot encode {type(obj).__name__}")
+
+
+def sha(obj) -> str:
+    return hashlib.sha256(encode(obj)).hexdigest()
+
+
+def call(fn, *args):
+    """fn(*args), or the package or numpy error it raises."""
+    try:
+        return fn(*args)
+    except (CovesError, ValueError, np.linalg.LinAlgError) as exc:
+        return exc
+
+
+def datasets():
+    """(name, dataset, generating (alpha, delta, gamma)) for every swept design."""
+    standin = TargetedSampler(*load_standin())
+    for sc in (1, 2, 3, 4):
+        for eta in (0.0, 1.35):
+            spec = ScenarioSpec.from_scenario(sc, eta)
+            for m, n in SIZES:
+                for seed in range(5):
+                    yield f"s{sc}e{eta}/{m}x{n}/{seed}", ScenarioSampler(spec)(m, n, seed), (5.0, 0.0, spec.gamma)
+    for m, n in [(12, 12), (50, 50), (99, 50)]:
+        for seed in range(100):
+            data = standin(m, n, seed)
+            yield f"standin/{m}x{n}/{seed}", data, (0.0, 0.0, 0.0)
+            if (m, n) == (50, 50):
+                perm = np.random.default_rng(seed).permutation(m + n)
+                shuffled = type(data)(z=data.z[perm], d=data.d[perm], c=data.c[perm])
+                yield f"standin-shuffled/{m}x{n}/{seed}", shuffled, (0.0, 0.0, 0.0)
+    for key, m, n in BREAKDOWN_SEEDS:
+        yield f"breakdown/{m}x{n}/{key}", standin(m, n, replication_seed(*key)), (0.0, 0.0, 0.0)
+    spec = ScenarioSpec.from_scenario(3, 0.0)
+    for size in (5000, 5001):
+        for rep in range(3):
+            data = ScenarioSampler(spec)(size, size, replication_seed(0, 0, rep))
+            yield f"s3e0.0/{size}x{size}/rep{rep}", data, (5.0, 0.0, spec.gamma)
+
+
+def random_designs():
+    """Small random designs, some with rounded outcomes or a discrete covariate."""
+    rng = np.random.default_rng(2024)
+    for k in range(1500):
+        n = int(rng.integers(4, 61))
+        p = int(rng.integers(1, 4))
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+        if p > 1 and k % 3 == 0:
+            X[:, -1] = rng.integers(0, 4, size=n)
+        y = rng.normal(size=n)
+        if k % 4 == 0:
+            y = np.round(y * 2.0)
+        scale = (1e-8, 1.0, 1e8)[k % 3]
+        yield f"random/{k}", scale * y, X, float(rng.choice(FIT_TAUS))
+
+
+def summary(report) -> dict | None:
+    if isinstance(report, BaseException):
+        return None
+    return {
+        "s_counts": list(report.s_counts),
+        "objective": report.fit.objective,
+        "p_value": report.p_value,
+    }
+
+
+def sweep(record):
+    for name, data, params in datasets():
+        for cov in (True, False):
+            rd = call(RegressionData, data.z, design_matrix(data, cov))
+            for tau in FIT_TAUS if data.z.size <= 1000 else (0.75,):
+                fit = rd if isinstance(rd, BaseException) else call(fit_rq, rd, tau)
+                record("fit_rq", f"{name}/cov{int(cov)}/tau{tau}", fit)
+        for tau in (0.75, 0.9):
+            coves = call(run_coves, data, tau)
+            record("run_coves", f"{name}/tau{tau}", coves, summary(coves))
+            if tau == 0.75 and not isinstance(coves, BaseException):
+                record("decompose_T", name, call(decompose_T, data, coves.fit, params))
+        for tau in (0.5, 0.75, 0.9):
+            es = call(run_es, data, tau)
+            record("run_es", f"{name}/tau{tau}", es, summary(es))
+        record("run_ttest", name, call(run_ttest, data))
+    for name, y, X, tau in random_designs():
+        rd = call(RegressionData, y, X)
+        record("fit_rq", f"{name}/tau{tau}", rd if isinstance(rd, BaseException) else call(fit_rq, rd, tau))
+
+
+def cli_commands(work: Path):
+    """(name, argv) of every swept command; later commands read earlier outputs."""
+    w = str(work)
+    cmds = []
+    inputs = []
+    for sc in (1, 2, 3, 4):
+        for eta in ("0", "1.35"):
+            out = f"{w}/s{sc}e{eta}.csv"
+            cmds.append((f"simulate/s{sc}e{eta}", ["simulate", "--scenario", str(sc), "--eta", eta,
+                                                  "--m", "40", "--n", "30", "--seed", "7", "--out", out]))
+            inputs.append(out)
+    for m, n in [(50, 50), (24, 12), (8, 8)]:
+        out = f"{w}/standin{m}x{n}.csv"
+        cmds.append((f"simulate/standin{m}x{n}", ["simulate", "--targeted", "--m", str(m), "--n", str(n),
+                                                  "--seed", "3", "--out", out]))
+        inputs.append(out)
+    for path in inputs:
+        stem = Path(path).stem
+        for method in ("coves", "es", "ttest"):
+            for side in ("two", "upper", "lower"):
+                for tau in ("0.75", "0.9"):
+                    cmds.append((f"test/{stem}/{method}/{side}/{tau}",
+                                 ["test", "--input", path, "--method", method, "--side", side,
+                                  "--tau", tau, "--out", f"{w}/{stem}-{method}-{side}-{tau}.json"]))
+        cmds.append((f"diagnose/{stem}", ["diagnose", "--input", path, "--out", f"{w}/{stem}-diag.csv"]))
+    for test in ("coves", "es", "ttest"):
+        cmds.append((f"power/s2/{test}", ["power", "--scenario", "2", "--eta", "1.35", "--test", test,
+                                          "--sizes", "20:50:15", "--reps", "40", "--seed", "5",
+                                          "--out", f"{w}/power-s2-{test}.csv"]))
+        cmds.append((f"power/targeted/{test}", ["power", "--targeted", "--test", test, "--sizes", "15:25:5",
+                                                "--reps", "30", "--seed", "4",
+                                                "--out", f"{w}/power-t-{test}.csv"]))
+    cmds.append(("power/workers2", ["power", "--scenario", "1", "--eta", "1.35", "--test", "es",
+                                    "--sizes", "30", "--reps", "60", "--seed", "9", "--workers", "2",
+                                    "--out", f"{w}/power-w2.csv"]))
+    for alloc in ("equal", "two-to-one"):
+        cmds.append((f"samplesize/{alloc}", ["samplesize", "--scenario", "1", "--eta", "1.35", "--test", "es",
+                                             "--allocation", alloc, "--reps", "60", "--seed", "2",
+                                             "--bounds", "20:80", "--out", f"{w}/ss-{alloc}.json"]))
+    return cmds
+
+
+def cli_sweep(record):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name, argv in cli_commands(work):
+            before = {p: p.read_bytes() for p in work.iterdir()}
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main(argv)
+            text = (out.getvalue() + err.getvalue()).replace(tmp, "<work>")
+            written = sorted(
+                (p.name, p.read_bytes().decode().replace(tmp, "<work>"))
+                for p in work.iterdir()
+                if before.get(p) != p.read_bytes()
+            )
+            record("cli", name, (code, text, written))
+
+
+def run(out_path: str) -> None:
+    designs: dict[str, dict] = {}
+
+    def record(family, key, result, info=None):
+        entry = {"hash": sha(result)}
+        if info is not None:
+            entry["info"] = info
+        designs[f"{family}/{key}"] = entry
+
+    sweep(record)
+    cli_sweep(record)
+    families: dict = {}
+    counts: dict[str, int] = {}
+    for key in sorted(designs):
+        family = key.split("/", 1)[0]
+        families.setdefault(family, hashlib.sha256()).update(f"{key}={designs[key]['hash']}\n".encode())
+        counts[family] = counts.get(family, 0) + 1
+    for family, h in families.items():
+        print(f"{family:12s} {counts[family]:6d} {h.hexdigest()}")
+    Path(out_path).write_text(json.dumps(designs, indent=0, sort_keys=True) + "\n")
+
+
+def diff(old_path: str, new_path: str) -> int:
+    old = json.loads(Path(old_path).read_text())
+    new = json.loads(Path(new_path).read_text())
+    moved: dict[str, int] = {}
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key), new.get(key)
+        if a is not None and b is not None and a["hash"] == b["hash"]:
+            continue
+        family = key.split("/", 1)[0]
+        moved[family] = moved.get(family, 0) + 1
+        if a is None or b is None:
+            print(f"{key}: only in {'new' if a is None else 'old'}")
+        elif "info" in a or "info" in b:
+            print(f"{key}: {a.get('info')} -> {b.get('info')}")
+        else:
+            print(key)
+    for family in sorted({k.split("/", 1)[0] for k in old.keys() | new.keys()}):
+        print(f"{family:12s} {moved.get(family, 0):6d} differ")
+    return 1 if moved else 0
+
+
+def parse_args():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", nargs="?", help="write the per-design hashes here")
+    parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"), help="compare two written sweeps")
+    args = parser.parse_args()
+    if (args.out is None) == (args.diff is None):
+        parser.error("give either OUT or --diff OLD NEW")
+    return args
+
+
+if __name__ == "__main__":
+    args = parse_args()
+    sys.exit(diff(*args.diff) if args.diff else run(args.out))
