@@ -209,12 +209,11 @@ def run_coves(data: Dataset, tau: float, side: str = "two-sided") -> CovesReport
 def run_es(data: Dataset, tau: float, side: str = "two-sided") -> CovesReport:
     """Unadjusted expected-shortfall test: covariate dropped from the design.
 
-    The fit of the design (1, d) puts each group's quantile at its
-    ceil(tau*N_d)-th order statistic.  When that optimum is unique (in
-    each group, the neighbouring distinct values cost more than the tie
-    window), the fit is taken exactly from the order statistics and no
-    LP is solved.  Otherwise, as for an integral tau*N_d without ties,
-    ``fit_rq`` picks one point of the optimal face, as for ``run_coves``.
+    The fit of the design (1, d) is each group's ceil(tau*N_d)-th order
+    statistic, ``fit_group_quantiles``; no LP is solved.  Where tau*N_d
+    is an integer the optimum is an interval, and the fit takes its
+    lower end, so the report does not depend on the row order of the
+    data beyond the rounding of its sums.
     """
     return _shortfall_test(data, tau, side, "es")
 
@@ -224,10 +223,10 @@ def _shortfall_test(data: Dataset, tau: float, side: str, method: str) -> CovesR
     the design only for method 'coves'."""
     check_side(side)
     adjust = method == "coves"
-    rq_data = RegressionData(data.z, design_matrix(data, adjust))
-    fit = None if adjust else fit_group_quantiles(rq_data, tau)
-    if fit is None:
-        fit = fit_rq(rq_data, tau)
+    if adjust:
+        fit = fit_rq(RegressionData(data.z, design_matrix(data)), tau)
+    else:
+        fit = fit_group_quantiles(data.z, data.d, tau)
     sel1 = shortfall_mask(data, fit, 1)
     sel0 = shortfall_mask(data, fit, 0)
     s1 = int(np.sum(sel1))

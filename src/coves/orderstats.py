@@ -28,7 +28,7 @@ def empirical_quantile(values, p):
     if s.size == 0:
         raise ValueError("empty sample")
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError("probability levels must lie strictly in (0, 1)")
     k = np.clip(np.ceil(p * s.size).astype(int), 1, s.size)
     out = s[k - 1]

@@ -11,8 +11,7 @@ brute-force global minimizer used to validate the solver on small
 instances: an optimal vertex always exists, so enumerating all p-subsets
 of observations and solving the interpolation system for each one finds
 an exact optimum.  ``fit_group_quantiles`` solves the two-sample
-design without a covariate, (1, d), exactly from order statistics
-whenever its optimum is unique.
+design without a covariate, (1, d), from order statistics alone.
 
 The optimum need not be unique.  In the two-sample design, when
 tau*N_d is an integer for a group (tau = 0.75 with 8 or 5000
@@ -22,8 +21,9 @@ Which point of the face ``fit_rq`` returns, and so the shortfall counts,
 the statistic and the p-value built on it, is fixed only by the path of
 the interior-point iterates; no tie rule picks it.  A change to the
 solver must therefore keep every iterate bit-identical, or it changes
-reported results.  Objectives within TIE_RTOL of each other count as
-tied, both here and in the choice between order statistics and LP.
+reported results.  ``fit_group_quantiles`` has no such freedom: it
+always returns the lower end of each group's optimal interval.
+Objectives within TIE_RTOL of each other count as tied.
 """
 
 from __future__ import annotations
@@ -154,9 +154,10 @@ def _objective(residuals: np.ndarray, tau: float) -> float:
     return float(np.sum(residuals * (tau - (residuals < 0))))
 
 
-def _make_fit(data: RegressionData, tau: float, beta: np.ndarray) -> QuantileFit:
-    residuals = data.y - data.X @ beta
-    ztol = _zero_tol(data.y)
+def _make_fit(
+    tau: float, beta: np.ndarray, y: np.ndarray, residuals: np.ndarray
+) -> QuantileFit:
+    ztol = _zero_tol(y)
     return QuantileFit(
         tau=tau,
         beta=beta,
@@ -224,52 +225,27 @@ def rq_oracle(data: RegressionData, tau: float) -> QuantileFit:
     if found is None:
         raise DegenerateDesignError("no nonsingular p-subset of observations")
     beta, _ = found
-    return _make_fit(data, tau, beta)
+    return _make_fit(tau, beta, data.y, data.y - data.X @ beta)
 
 
-def fit_group_quantiles(data: RegressionData, tau: float) -> QuantileFit | None:
+def fit_group_quantiles(z, d, tau: float) -> QuantileFit:
     """Exact tau-th regression quantile of the two-sample design (1, d).
 
-    ``data.X`` must be the columns (intercept, 0/1 treatment indicator).
-    Then group d's fitted quantile is its ceil(tau*N_d)-th order
-    statistic, ``empirical_quantile`` (Koenker 2005, §2.2), and no LP is
-    needed.  The fit interpolates the lowest-index observation carrying
-    each group's value, the two taken in ascending index order: the
-    2x2 system the polish in ``fit_rq`` solves for that vertex, so the
-    fit is bit-identical to ``fit_rq``'s wherever that returns it.
-
-    Returns None unless the optimum is unique beyond the tie window: in
-    each group, moving the quantile to the next distinct value below or
-    above must raise the objective by more than TIE_RTOL * (1 +
-    |objective|).  An integral tau*N_d has no such margin unless the
-    order statistic is tied, nor has a float tau*N_d a hair off an
-    integer; for those designs only ``fit_rq`` decides which optimum is
-    returned.
+    ``z`` is the float array of outcomes and ``d`` the 0/1 treatment
+    indicator, both groups nonempty.  Group d's fitted quantile q_d is
+    its ceil(tau*N_d)-th order statistic, ``empirical_quantile``
+    (Koenker 2005, §2.2), which also validates tau, so no LP is solved;
+    beta = (q_0, q_1 - q_0) and the residuals are z - q_d.  When
+    tau*N_d is an integer, every point of [z_(tau*N_d), z_(tau*N_d + 1)]
+    is optimal, and q_d is its lower end.  The fit depends on the data
+    only through each group's sorted values, so it does not depend on
+    the row order.
     """
-    _check_tau(tau)
-    y, d = data.y, data.X[:, 1]
-    pair = []
-    margin = np.inf
-    for g in (0.0, 1.0):
-        idx = np.flatnonzero(d == g)
-        v = y[idx]
-        q = empirical_quantile(v, tau)
-        tau_n = tau * v.size
-        below = v[v < q]
-        above = v[v > q]
-        # The objective is piecewise linear in q: moving to the next
-        # distinct value costs the distance times the change in slope.
-        if below.size:
-            margin = min(margin, (q - below.max()) * (tau_n - below.size))
-        if above.size:
-            margin = min(margin, (above.min() - q) * (v.size - above.size - tau_n))
-        if not margin > 0.0:
-            return None
-        pair.append(idx[np.argmax(v == q)])
-    beta, obj = _enumerate_vertices(data, tau, np.array([sorted(pair)]))
-    if margin <= TIE_RTOL * (1.0 + abs(obj)):
-        return None
-    return _make_fit(data, tau, beta)
+    treated = d == 1
+    q1 = empirical_quantile(z[treated], tau)
+    q0 = empirical_quantile(z[~treated], tau)
+    beta = np.array([q0, q1 - q0])
+    return _make_fit(tau, beta, z, z - np.where(treated, q1, q0))
 
 
 def _solve_normal(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -440,5 +416,5 @@ def _polish_to_vertex(
     # Tolerance matches the tie-break window in _enumerate_vertices, so a
     # tie-preferred vertex a hair above the exact minimum is still kept.
     if found is not None and found[1] <= obj + TIE_RTOL * (1.0 + abs(obj)):
-        return _make_fit(data, tau, found[0])
-    return _make_fit(data, tau, beta)
+        return _make_fit(tau, found[0], data.y, data.y - data.X @ found[0])
+    return _make_fit(tau, beta, data.y, r)

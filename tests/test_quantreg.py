@@ -378,12 +378,14 @@ class TestNearestSelection:
 class TestLargeDesignPins:
     # mc-large-shaped replications: scenario 3 null at (5000, 5000), tau =
     # 0.75, so tau*N_d = 3750 and the optimum is a whole face.  Which of its
-    # points the solver returns shows in the shortfall counts.  Recorded
-    # with the masked step length and the argsort polish selection.
+    # points fit_rq returns shows in the coves shortfall counts, recorded
+    # with the masked step length and the argsort polish selection.  The es
+    # fit is each group's 3750th order statistic, which leaves 1250 of the
+    # 5000 tie-free outcomes strictly above it.
     PINS = [
         (0, (1250, 1249), 3200.3514045774737, (1250, 1250), 3534.3985803235823),
         (1, (1250, 1249), 3174.40061438025, (1250, 1250), 3526.8385294017858),
-        (2, (1249, 1250), 3181.778818709867, (1250, 1249), 3552.433858021427),
+        (2, (1249, 1250), 3181.778818709867, (1250, 1250), 3552.433858021427),
     ]
 
     @pytest.mark.parametrize("pin", PINS, ids=lambda pin: f"rep{pin[0]}")
@@ -407,12 +409,26 @@ def two_sample(y, d):
     return RegressionData(np.asarray(y, dtype=float), np.column_stack([np.ones(d.size), d]))
 
 
+def group_fit(rd, tau):
+    """fit_group_quantiles on the outcomes and indicator of a (1, d) design."""
+    return fit_group_quantiles(rd.y, rd.X[:, 1], tau)
+
+
 def assert_same_fit(a, b):
     assert a.beta.tobytes() == b.beta.tobytes()
     assert a.residuals.tobytes() == b.residuals.tobytes()
     assert a.objective == b.objective
     assert np.array_equal(a.zero_set, b.zero_set)
     assert a.zero_tol == b.zero_tol
+
+
+def assert_lower_end(rd, fit, tau):
+    """Each group's fitted quantile q is the lower end of its optimal
+    interval: #{z < q} < tau*N_d <= #{z <= q}, with tau*N_d in floats as
+    empirical_quantile takes it.  z - q has the sign of z - q exactly."""
+    for g in (0.0, 1.0):
+        r = fit.residuals[rd.X[:, 1] == g]
+        assert np.sum(r < 0.0) < tau * r.size <= np.sum(r <= 0.0), (g, tau)
 
 
 class TestGroupQuantileFit:
@@ -431,33 +447,72 @@ class TestGroupQuantileFit:
         scale=st.sampled_from([1e-8, 1.0, 1e8]),
         tau=st.sampled_from([0.01, 0.5, 0.99]),
     )
-    def test_matches_oracle_when_taken(self, groups, ties, seed, scale, tau):
+    def test_matches_oracle_at_lower_end(self, groups, ties, seed, scale, tau):
         # Heavy ties: a handful of distinct integer outcomes, as in the
-        # stand-in design.
+        # stand-in design.  At tau = 0.5 an even group has an integral
+        # tau*N_d, and its optimum is an interval.
         rng = np.random.default_rng(seed)
         n = len(groups)
         y = rng.integers(0, 4, size=n) if ties else rng.normal(size=n)
         data = two_sample(scale * y, groups)
-        fit = fit_group_quantiles(data, tau)
-        if fit is not None:
-            oracle = rq_oracle(data, tau)
-            atol = 1e-9 * (1.0 + np.max(np.abs(data.y)))
-            assert np.allclose(fit.beta, oracle.beta, rtol=0.0, atol=atol)
-            assert fit.objective == pytest.approx(oracle.objective, rel=1e-9, abs=atol)
+        fit = group_fit(data, tau)
+        oracle = rq_oracle(data, tau)
+        atol = 1e-9 * (1.0 + np.max(np.abs(data.y)))
+        assert fit.objective == pytest.approx(oracle.objective, rel=1e-9, abs=atol)
+        assert_lower_end(data, fit, tau)
 
-    def test_integral_tau_n_falls_back(self):
-        # (8,8) at tau = 0.75: tau*N_d = 6, so the optimum is a face.
+    def test_integral_tau_n_takes_lower_end(self):
+        # (8,8) at tau = 0.75: tau*N_d = 6, so every point between the 6th
+        # and 7th order statistics is optimal; the fit takes the 6th.
         for seed in range(10):
-            assert fit_group_quantiles(self.scenario(2, 0.0, 8, 8, seed), 0.75) is None, seed
+            rd = self.scenario(2, 0.0, 8, 8, seed)
+            fit = group_fit(rd, 0.75)
+            d = rd.X[:, 1]
+            assert fit.beta[0] == np.sort(rd.y[d == 0])[5], seed
+            assert fit.beta[0] + fit.beta[1] == np.sort(rd.y[d == 1])[5], seed
+            assert fit.objective == pytest.approx(rq_oracle(rd, 0.75).objective, rel=1e-12), seed
 
     @pytest.mark.parametrize("tau,size", [(0.1, 30), (0.55, 100), (0.7, 90)])
-    def test_near_integral_tau_n_falls_back(self, tau, size):
+    def test_near_integral_tau_n_takes_ceil_order_statistic(self, tau, size):
         # tau*N_d in floats: 0.1*30 rounds to exactly 3, while 0.55*100 and
-        # 0.7*90 land a hair above 55 and below 63.  Either way the
-        # neighbouring order statistic is within the tie window.
+        # 0.7*90 land a hair above 55 and below 63.  The fit takes the
+        # ceil(tau*N_d)-th order statistic of the float product, as every
+        # quantile in the package does.
         assert abs(tau * size - round(tau * size)) < 1e-13
+        k = int(np.ceil(tau * size))
         for seed in range(10):
-            assert fit_group_quantiles(self.scenario(1, 0.0, size, size, seed), tau) is None, seed
+            rd = self.scenario(1, 0.0, size, size, seed)
+            fit = group_fit(rd, tau)
+            assert fit.beta[0] == np.sort(rd.y[rd.X[:, 1] == 0])[k - 1], seed
+            assert_lower_end(rd, fit, tau)
+
+    def test_row_order_does_not_matter(self):
+        # Scenario 2 at (50,50), tau = 0.5: tau*N_d = 25, so the optimum is
+        # an interval.  Reversing the rows once moved the p-value from
+        # 0.0565 to 0.0285, across alpha = 0.05.
+        from coves.coves_test import Dataset, run_es
+        from coves.simgen import ScenarioSpec, sample_scenario
+
+        data = sample_scenario(ScenarioSpec.from_scenario(2, 0.0), 50, 50, 0)
+        rev = Dataset(z=data.z[::-1], d=data.d[::-1], c=data.c[::-1])
+        a, b = run_es(data, 0.5), run_es(rev, 0.5)
+        assert a.fit.beta.tobytes() == b.fit.beta.tobytes()
+        assert a.s_counts == b.s_counts
+        assert a.p_value == pytest.approx(b.p_value, rel=1e-12)
+
+    def test_run_es_solves_no_lp(self, monkeypatch):
+        from coves import coves_test, quantreg
+        from coves.simgen import ScenarioSpec, sample_scenario
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("run_es reached the LP path")
+
+        monkeypatch.setattr(coves_test, "fit_rq", forbidden)
+        monkeypatch.setattr(coves_test, "RegressionData", forbidden)
+        monkeypatch.setattr(quantreg, "_enumerate_vertices", forbidden)
+        for size, tau in [(8, 0.75), (50, 0.5), (50, 0.75)]:
+            data = sample_scenario(ScenarioSpec.from_scenario(2, 0.0), size, size, 1)
+            assert 0.0 <= coves_test.run_es(data, tau).p_value <= 1.0
 
     def test_integral_tau_n_with_tied_order_statistic_is_taken(self):
         # tau*N_d = 6 in both groups, and z_(6) = z_(7): the objective rises
@@ -465,8 +520,7 @@ class TestGroupQuantileFit:
         y1 = [5.0, 1.0, 5.0, 2.0, 6.0, 4.0, 3.0, 0.5]
         y0 = [2.5, 7.0, 1.5, 6.5, 6.5, 0.0, 3.5, 4.5]
         data = two_sample(y1 + y0, [1] * 8 + [0] * 8)
-        fit = fit_group_quantiles(data, 0.75)
-        assert fit is not None
+        fit = group_fit(data, 0.75)
         assert tuple(fit.beta) == (6.5, 5.0 - 6.5)
         assert np.allclose(fit.beta, rq_oracle(data, 0.75).beta, rtol=0.0, atol=1e-12)
         assert_same_fit(fit, fit_rq(data, 0.75))
@@ -475,17 +529,21 @@ class TestGroupQuantileFit:
     def test_bit_identical_to_fit_rq(self, sc):
         # tau*N_d = 37.5 at (50,50), tau = 0.75: the optimum is one vertex.
         # Shuffled rows with the treated group shifted far from the control
-        # group make the bits depend on the row order of the 2x2 system.
+        # group make fit_rq's bits depend on the row order of its 2x2
+        # system; there beta agrees to a few ulp of its largest entry, the
+        # rounding of q_1 - q_0.
         for eta in (0.0, 1.35):
             for seed in range(5):
                 data = self.scenario(sc, eta, 50, 50, seed)
+                assert_same_fit(group_fit(data, 0.75), fit_rq(data, 0.75))
                 perm = np.random.default_rng(seed).permutation(100)
                 d = data.X[perm, 1]
                 shifted = two_sample(data.y[perm] + 100.3 * d, d)
-                for rd in (data, shifted):
-                    fit = fit_group_quantiles(rd, 0.75)
-                    assert fit is not None, (eta, seed)
-                    assert_same_fit(fit, fit_rq(rd, 0.75))
+                fit, ref = group_fit(shifted, 0.75), fit_rq(shifted, 0.75)
+                assert np.array_equal(fit.positive_mask(), ref.positive_mask()), (eta, seed)
+                assert np.array_equal(fit.zero_set, ref.zero_set), (eta, seed)
+                ulp = np.spacing(np.abs(ref.beta).max())
+                assert np.all(np.abs(fit.beta - ref.beta) <= 4 * ulp), (eta, seed)
 
     def test_large_design_pin(self):
         # Scenario 3 null at (5001, 5001), tau = 0.75, replication_seed(0, 0, 0):
@@ -495,7 +553,6 @@ class TestGroupQuantileFit:
         from coves.simgen import ScenarioSampler, ScenarioSpec
 
         data = ScenarioSampler(ScenarioSpec.from_scenario(3, 0.0))(5001, 5001, replication_seed(0, 0, 0))
-        assert fit_group_quantiles(RegressionData(data.z, design_matrix(data, False)), 0.75) is not None
         es = run_es(data, 0.75)
         assert tuple(es.fit.beta) == (8.233489113599779, 0.5389205662965058)
         assert es.fit.objective == 3539.218795169274

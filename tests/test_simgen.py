@@ -32,6 +32,12 @@ class TestEmpiricalInverseCdf:
             with pytest.raises(ValueError):
                 empirical_quantile(dist.values, u)
 
+    @pytest.mark.parametrize("p", [np.nan, np.array([0.5, np.nan])], ids=["scalar", "array"])
+    def test_nan_level_rejected(self, p):
+        # A NaN level once cast to the minimum with only a RuntimeWarning.
+        with pytest.raises(ValueError):
+            empirical_quantile([1.0, 2.0, 3.0], p)
+
     def test_vectorized(self):
         dist = EmpiricalDist(np.array([1.0, 2.0, 3.0, 4.0]))
         out = empirical_quantile(dist.values, np.array([0.1, 0.5, 0.9]))

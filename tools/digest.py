@@ -9,6 +9,7 @@ Run it once on each of two source trees and compare:
 Everything runs in this process.  Each family of results gets one
 digest, printed as the sweep ends; the output file holds one hash per
 design, so ``--diff`` can name every design whose result moved.
+``--diff`` reads only the two files and does not import the package.
 
 - ``fit_rq``: every quantile fit (beta, residuals, objective, zero set
   and zero tolerance) or its error (class, message, gap).  The designs
@@ -40,14 +41,6 @@ from pathlib import Path
 
 import numpy as np
 
-from coves.baselines import run_ttest
-from coves.cli import main as cli_main
-from coves.coves_test import decompose_T, design_matrix, run_coves, run_es
-from coves.errors import CovesError
-from coves.mc_engine import replication_seed
-from coves.quantreg import RegressionData, fit_rq
-from coves.simgen import ScenarioSampler, ScenarioSpec, TargetedSampler, load_standin
-
 SIZES = [(6, 6), (8, 8), (9, 7), (10, 10), (12, 12), (30, 21), (33, 33), (50, 50), (99, 50), (300, 150)]
 FIT_TAUS = (0.05, 0.5, 0.75, 0.9, 0.99)
 BREAKDOWN_SEEDS = [((7, 12, 52), 24, 12), ((9, 12, 70), 24, 12), ((8, 20, 195), 40, 20)]
@@ -78,6 +71,8 @@ def sha(obj) -> str:
 
 def call(fn, *args):
     """fn(*args), or the package or numpy error it raises."""
+    from coves.errors import CovesError
+
     try:
         return fn(*args)
     except (CovesError, ValueError, np.linalg.LinAlgError) as exc:
@@ -86,6 +81,9 @@ def call(fn, *args):
 
 def datasets():
     """(name, dataset, generating (alpha, delta, gamma)) for every swept design."""
+    from coves.mc_engine import replication_seed
+    from coves.simgen import ScenarioSampler, ScenarioSpec, TargetedSampler, load_standin
+
     standin = TargetedSampler(*load_standin())
     for sc in (1, 2, 3, 4):
         for eta in (0.0, 1.35):
@@ -137,6 +135,10 @@ def summary(report) -> dict | None:
 
 
 def sweep(record):
+    from coves.baselines import run_ttest
+    from coves.coves_test import decompose_T, design_matrix, run_coves, run_es
+    from coves.quantreg import RegressionData, fit_rq
+
     for name, data, params in datasets():
         for cov in (True, False):
             rd = call(RegressionData, data.z, design_matrix(data, cov))
@@ -200,6 +202,8 @@ def cli_commands(work: Path):
 
 
 def cli_sweep(record):
+    from coves.cli import main as cli_main
+
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name, argv in cli_commands(work):
