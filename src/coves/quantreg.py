@@ -146,7 +146,8 @@ class QuantileFit:
 
 
 def _zero_tol(y: np.ndarray) -> float:
-    return 1e-9 * (1.0 + float(np.max(np.abs(y))))
+    """Scale-relative: multiplying y by any factor scales the cutoff too."""
+    return 1e-9 * float(np.max(np.abs(y)))
 
 
 def _objective(residuals: np.ndarray, tau: float) -> float:

@@ -237,7 +237,7 @@ def tied_treated_shortfall_counts(data, X, tau):
     objs = np.sum(res * (tau - (res < 0)), axis=1)
     best = objs.min()
     tied = res[objs <= best + TIE_RTOL * (1.0 + abs(best))]
-    ztol = 1e-9 * (1.0 + np.max(np.abs(y)))
+    ztol = 1e-9 * np.max(np.abs(y))
     return set(np.sum(tied[:, data.d == 1] > ztol, axis=1).tolist())
 
 
