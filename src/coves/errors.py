@@ -23,11 +23,7 @@ class DegenerateDesignError(NumericalError):
 
 
 class ConvergenceError(NumericalError):
-    """Solver failed to reach its tolerance within the iteration cap."""
-
-    def __init__(self, message: str, gap: float):
-        super().__init__(message)
-        self.gap = gap
+    """The simplex of ``quantreg.fit_rq`` exceeded its pivot cap."""
 
 
 class OracleSizeError(CovesError):

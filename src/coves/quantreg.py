@@ -1,35 +1,35 @@
 """Linear regression quantiles for small dense designs.
 
-``fit_rq`` minimizes the check-function objective via a primal-dual
-interior-point iteration on the equivalent linear program
+``fit_rq`` minimizes the check-function objective sum rho_tau(y - X beta)
+with an exact simplex (Barrodale & Roberts 1974; Koenker & d'Orey 1987,
+AS 229) on the equivalent linear program
 
-    min  tau*1'u + (1-tau)*1'v   s.t.  y = X beta + u - v,  u, v >= 0,
+    min  tau*1'u + (1-tau)*1'v   s.t.  y = X beta + u - v,  u, v >= 0.
 
-followed by a cleanup step that polishes the solution onto a vertex
-(a subset of p exactly interpolated observations).  ``rq_oracle`` is a
-brute-force global minimizer used to validate the solver on small
-instances: an optimal vertex always exists, so enumerating all p-subsets
-of observations and solving the interpolation system for each one finds
-an exact optimum.  ``fit_group_quantiles`` solves the two-sample
-design without a covariate, (1, d), from order statistics alone.
+It moves from vertex to vertex (p exactly interpolated observations)
+and stops when no edge descends, so it ends on an exact optimum with no
+gap tolerance.  ``rq_oracle`` is a brute-force minimizer used to
+validate the solver on small instances: it enumerates every vertex.
+``fit_group_quantiles`` solves the two-sample design without a
+covariate, (1, d), from order statistics alone.
 
 The optimum need not be unique.  In the two-sample design, when
 tau*N_d is an integer for a group (tau = 0.75 with 8 or 5000
 observations per group), the optimal set is a whole face of the LP, and
-its vertices can disagree on which observations lie above the plane.
-Which point of the face ``fit_rq`` returns, and so the shortfall counts,
-the statistic and the p-value built on it, is fixed only by the path of
-the interior-point iterates; no tie rule picks it.  A change to the
-solver must therefore keep every iterate bit-identical, or it changes
-reported results.  ``fit_group_quantiles`` has no such freedom: it
-always returns the lower end of each group's optimal interval.
-Objectives within TIE_RTOL of each other count as tied.
+its vertices can disagree on which observations lie above the plane, so
+on the shortfall counts, the statistic and the p-value.  All three fits
+therefore return one canonical point: the lexicographic minimum over
+the optimal face of the key, the coefficients in the column order 2,
+..., p-1, then 0, then 1.  On (1, d, c) that is (gamma, q_0, q_1), with
+q_d = beta_0 + beta_1*d group d's intercept; on (1, d) it is the lower
+end of each group's optimal interval.  The minimum of a linear order
+over a polytope is a vertex, and it depends on the data alone, not on
+their row order.  Objectives within TIE_RTOL of each other count as tied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -37,14 +37,13 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateDesignError, OracleSizeError
 from .orderstats import empirical_quantile
 
+# Cap on the number of simplex pivots.
 MAX_ITER = 200
-GAP_RTOL = 1e-10
 ORACLE_MAX_N = 20
-# Two objectives closer than TIE_RTOL * (1 + |objective|) count as tied.
+# Two objectives closer than TIE_RTOL * |objective| count as tied.
 TIE_RTOL = 1e-9
-
-# Fraction-to-boundary damping for interior-point steps.
-_STEP_DAMP = 0.9995
+# Residuals and entries of XB within this of their rounding scale are zero.
+_NOISE_RTOL = 1e-12
 
 
 def rho_tau(u, tau: float):
@@ -169,63 +168,58 @@ def _make_fit(
     )
 
 
-@lru_cache(maxsize=64)
-def _subsets(k: int, p: int) -> np.ndarray:
-    """Read-only (C(k, p), p) table of the p-subsets of range(k), in
-    itertools.combinations order."""
-    table = np.array(list(combinations(range(k), p)), dtype=int)
-    table.flags.writeable = False
-    return table
+def _key_columns(p: int) -> list[int]:
+    """Column order of the canonical key: 2, ..., p-1, then 0, then 1."""
+    return [*range(2, p), *range(min(p, 2))]
 
 
-def _enumerate_vertices(data: RegressionData, tau: float, subsets: np.ndarray):
-    """Objective-minimizing exact-interpolation solution over the given p-subsets.
+def _enumerate_vertices(data: RegressionData, tau: float):
+    """The canonical optimum over every vertex, or None when every
+    p-subset of observations is singular.
 
-    Degenerate problems can tie many vertices at the optimal objective;
-    among ties (TIE_RTOL relative) the vertex interpolating the most
-    observations wins, then enumeration order, so both the oracle and
-    the polish step resolve ties identically.
-
-    Returns (beta, objective) or None when every subset system is singular.
+    Vertices whose objective lies within TIE_RTOL (relative) of the least
+    are tied; among them the key's lexicographic minimum wins.  Two values
+    of a coefficient count as equal when their largest effects on a
+    fitted value differ by at most TIE_RTOL times the larger of max|y|
+    and the largest such effect among the tied; remaining ties, the same
+    point from several bases, go to enumeration order.
     """
     y, X = data.y, data.X
+    subsets = np.array(list(combinations(range(data.n), data.p)))
     mats = X[subsets]                      # (K, p, p)
-    rhs = y[subsets]                       # (K, p)
     # Hadamard bound gives a scale for the singularity cutoff.
-    row_norms = np.linalg.norm(mats, axis=2)
-    hadamard = np.prod(row_norms, axis=1)
-    dets = np.linalg.det(mats)
-    ok = np.abs(dets) > 1e-12 * hadamard
-    ok &= hadamard > 0
+    hadamard = np.prod(np.linalg.norm(mats, axis=2), axis=1)
+    ok = (np.abs(np.linalg.det(mats)) > 1e-12 * hadamard) & (hadamard > 0)
     if not np.any(ok):
         return None
-    betas = np.linalg.solve(mats[ok], rhs[ok][..., None])[..., 0]   # (K', p)
-    res = y[None, :] - betas @ X.T                    # (K', n)
+    betas = np.linalg.solve(mats[ok], y[subsets[ok]][..., None])[..., 0]
+    res = y[None, :] - betas @ X.T
     objs = np.sum(res * (tau - (res < 0)), axis=1)
-    best_obj = float(np.min(objs))
-    tied = np.flatnonzero(objs <= best_obj + TIE_RTOL * (1.0 + abs(best_obj)))
-    zeros = np.sum(np.abs(res[tied]) <= _zero_tol(y), axis=1)
-    pick = tied[int(np.argmax(zeros))]
-    return betas[pick], float(objs[pick])
+    best = float(np.min(objs))
+    tied = np.flatnonzero(objs <= best + TIE_RTOL * abs(best))
+    weight = np.abs(X).max(axis=0)
+    for j in _key_columns(data.p):
+        v = betas[tied, j] * weight[j]
+        tied = tied[v <= v.min() + TIE_RTOL * max(np.max(np.abs(y)), np.max(np.abs(v)))]
+    return betas[tied[0]]
 
 
 def rq_oracle(data: RegressionData, tau: float) -> QuantileFit:
-    """Exact regression quantile by enumerating all candidate vertices.
+    """Canonical regression quantile by enumerating all candidate vertices.
 
     Solves the p-point interpolation system for every nonsingular
-    p-subset of observations and returns a global minimizer of the
-    check objective.  Guarded to n <= 20; intended as a correctness
-    oracle, not a production path.
+    p-subset of observations and returns the key's lexicographic minimum
+    over the optimal ones, the point ``fit_rq`` returns.  Guarded to
+    n <= 20; intended as a correctness oracle, not a production path.
     """
     _check_tau(tau)
     if data.n > ORACLE_MAX_N:
         raise OracleSizeError(
             f"oracle enumeration limited to n <= {ORACLE_MAX_N}, got n = {data.n}"
         )
-    found = _enumerate_vertices(data, tau, _subsets(data.n, data.p))
-    if found is None:
+    beta = _enumerate_vertices(data, tau)
+    if beta is None:
         raise DegenerateDesignError("no nonsingular p-subset of observations")
-    beta, _ = found
     return _make_fit(tau, beta, data.y, data.y - data.X @ beta)
 
 
@@ -249,173 +243,119 @@ def fit_group_quantiles(z, d, tau: float) -> QuantileFit:
     return _make_fit(tau, beta, z, z - np.where(treated, q1, q0))
 
 
-def _solve_normal(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        sol = np.linalg.solve(M, rhs)
-        if np.all(np.isfinite(sol)):
-            return sol
-    except np.linalg.LinAlgError:
-        pass
-    return np.linalg.lstsq(M, rhs, rcond=None)[0]
+def _start_basis(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
+    """p linearly independent rows near the tau-quantile plane of the data.
 
-
-def _step_length(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha in [0, 1] with x + alpha*dx >= 0.
-
-    The ratio x/max(-dx, 0) has no branch, so it is fast on any sign
-    pattern of dx.  It is exactly the masked form kept as the fallback:
-    where dx < 0, x/(-dx) is the same float as -(x/dx), and every other
-    entry divides a positive slack by zero and gives +inf, which the cap
-    at 1 absorbs.  A slack that is zero, negative or NaN, or a NaN step,
-    makes the minimum NaN or -inf; only then does the masked form run.
-    (Were max(-0.0, 0.0) to keep the sign of -0.0, its -inf would only
-    send the call to the fallback.)  The caller suppresses numpy's divide and invalid warnings.
+    The OLS fit shifted by the tau-quantile of its residuals ranks the
+    rows by distance.  The nearest rows are taken greedily, each only if
+    its component orthogonal to the rows already taken is at least 1e-6
+    of the largest such component.
     """
-    alpha = float((x / np.maximum(-dx, 0.0)).min(initial=1.0))
-    if not alpha > -np.inf:
-        alpha = -float(np.where(dx < 0, x / dx, -1.0).max(initial=-1.0))
-    return alpha
+    r = y - X @ np.linalg.lstsq(X, y, rcond=None)[0]
+    order = np.argsort(np.abs(r - empirical_quantile(r, tau)), kind="stable")
+    R = X[order]
+    rows = []
+    for _ in range(X.shape[1]):
+        left = np.einsum("ij,ij->i", R, R)
+        j = int(np.argmax(left >= 1e-12 * left.max()))
+        rows.append(order[j])
+        q = R[j] / np.sqrt(left[j])
+        R = R - np.outer(R @ q, q)
+    return np.array(rows)
 
 
 def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
-    """Fit the tau-th linear regression quantile.
+    """Fit the tau-th linear regression quantile: the canonical optimum.
 
-    Runs a Mehrotra-style predictor-corrector interior-point iteration
-    on the LP formulation (primal and dual kept exactly feasible, so
-    only complementarity is driven to zero), then polishes the result
-    to an exactly interpolating vertex whenever that does not worsen
-    the objective.
+    An exact simplex (Barrodale & Roberts 1974; Koenker & d'Orey 1987).
+    Its state is a basis h of p rows on the fitted plane and a side label
+    for every other row, the sign of its residual; a row on the plane but
+    outside the basis keeps its last label, which keeps degenerate
+    vertices exact.  With B = X_h^-1, edge (k, s) moves beta along
+    s * B e_k, taking basis row k below (s = +1) or above (s = -1) the
+    plane; the slopes of all 2p edges come from one product w'XB.  Each
+    pivot follows an edge to the minimum of the objective along it: the
+    kinks where rows cross the plane are sorted by step length, ties by
+    row index, and the step stops at the first kink where the slope,
+    raised by |x_i' delta| at each kink, is no longer negative.  The rows
+    passed change sides, and the row at that kink enters the basis.
 
-    The primal slacks are kept stacked as U = [u; v] and the dual
-    slacks as W = [w; q] = [tau - d; (1 - tau) + d], so each update of
-    a pair is one array operation.
+    An edge is flat when its slope is within TIE_RTOL * sum |x_i' delta|
+    of zero.  Once no edge descends, flat edges that lower the key (see
+    the module docstring) are followed to their first kink, so the fit
+    ends on the key's lexicographic minimum over the optimal face.
+    After a zero-length step the entering edge is the improving one with
+    the lowest row index (Bland's rule), which rules out cycling on
+    degenerate vertices.  Residuals and entries of XB within 1e-12 of
+    their rounding scale count as zero.  Beta is solved from the final
+    basis rows in ascending index order.
 
     Raises
     ------
     DegenerateDesignError
         If the design is rank deficient (via RegressionData validation).
     ConvergenceError
-        If the relative duality gap fails to reach tolerance within the
-        iteration cap, or a dual slack rounds to zero before it does;
-        carries the last gap.
+        If the simplex exceeds MAX_ITER pivots, or, in rounding, finds
+        no kink to stop at along an edge.
     """
     _check_tau(tau)
     y, X = data.y, data.X
-    n = data.n
-    neg_XT = -X.T
-    base = np.array([[tau], [1.0 - tau]])
-    # W = base + sgn*d, so a change dd of d moves W by sgn*dd.
-    sgn = np.array([[-1.0], [1.0]])
-
-    beta = np.linalg.lstsq(X, y, rcond=None)[0]
-    r = y - X @ beta
-    pad = 1.0 + float(np.mean(np.abs(r)))
-    U = np.maximum(np.array([r, -r]), 0.0) + pad
-    d = np.zeros(n)
-
-    converged = False
-    rel_gap = np.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(MAX_ITER):
-            W = base + sgn * d
-            gap = float(U[0] @ W[0] + U[1] @ W[1])
-            sum_u, sum_v = U.sum(axis=1)
-            lp_obj = tau * float(sum_u) + (1.0 - tau) * float(sum_v)
-            rel_gap = gap / (1.0 + abs(lp_obj))
-            if rel_gap <= GAP_RTOL:
-                converged = True
+    p = data.p
+    weight = np.abs(X).max(axis=0)
+    key = _key_columns(p)
+    h = _start_basis(X, y, tau)
+    up = None
+    bland = False
+    for _ in range(MAX_ITER):
+        # Row i of A = X B holds x_i's coordinates in the basis rows.
+        B = np.linalg.inv(X[h])
+        A = X @ B
+        yh = y[h]
+        r = y - A @ yh
+        if up is None:
+            up = r > 0.0
+        absA = np.abs(A)
+        w = np.where(up, -tau, 1.0 - tau)
+        w[h] = 0.0
+        c = w @ A
+        slope = np.concatenate((c + (1.0 - tau), tau - c))
+        spread = TIE_RTOL * absA.sum(axis=0)
+        flat_tol = np.concatenate((spread, spread))
+        descend = slope < -flat_tol
+        if bland or not descend.any():
+            # Sign of each edge's move of the key: its leading entry, weighted
+            # by the largest effect of the coefficient on a fitted value.
+            V = (B * weight[:, None])[key]
+            big = np.abs(V) > TIE_RTOL * np.abs(V).sum(axis=0)
+            lead = V[np.argmax(big, axis=0), np.arange(p)]
+            lower = np.concatenate((lead < 0.0, lead > 0.0))
+            edges = np.flatnonzero(descend | ((slope <= flat_tol) & lower))
+            if edges.size == 0:
                 break
+            e = int(edges[np.argmin(h[edges % p])])
+        else:
+            e = int(np.argmin(slope))
+        k, s = e % p, 1.0 if e < p else -1.0
 
-            mu = gap / (2.0 * n)
-            UW = U / W
-            theta = UW[0] + UW[1]
-            if not np.isfinite(theta).all():
-                # A dual slack rounded to zero; every later iterate would be NaN.
-                raise ConvergenceError(
-                    "interior-point iteration broke down: a dual slack reached zero "
-                    f"(relative duality gap {rel_gap:.3e})",
-                    gap=rel_gap,
-                )
-            itheta = 1.0 / theta
+        a = s * A[:, k]
+        a[h] = 0.0
+        noise = _NOISE_RTOL * absA.sum(axis=1)
+        cross = np.flatnonzero(np.where(up, a > noise, a < -noise))
+        rc, ac = r[cross], a[cross]
+        on_plane = np.abs(rc) <= _NOISE_RTOL * (np.abs(y[cross]) + absA[cross] @ np.abs(yh))
+        t = np.where(on_plane, 0.0, np.maximum(rc / ac, 0.0))
+        order = np.argsort(t, kind="stable")
+        stop = np.flatnonzero(slope[e] + np.cumsum(np.abs(ac[order])) >= -flat_tol[e])
+        if stop.size == 0:
+            raise ConvergenceError("simplex found no kink to stop at along an edge")
+        passed = cross[order[: stop[0]]]
+        up[passed] = ~up[passed]
+        up[h[k]] = s < 0.0
+        h[k] = cross[order[stop[0]]]
+        bland = t[order[stop[0]]] == 0.0
+    else:
+        raise ConvergenceError(f"simplex did not finish within MAX_ITER = {MAX_ITER} pivots")
 
-            # Predictor (affine scaling) direction.
-            g_aff = U[1] - U[0]
-            M = X.T @ (itheta[:, None] * X)
-            dbeta_aff = _solve_normal(M, neg_XT @ (itheta * g_aff))
-            dd_aff = -itheta * (X @ dbeta_aff + g_aff)
-            dW_aff = sgn * dd_aff
-            # Linearised complementarity: w*du + u*dw = -u*w per pair.
-            dU_aff = -U - UW * dW_aff
-
-            ap = _step_length(U, dU_aff)
-            ad = _step_length(W, dW_aff)
-            U_aff = U + ap * dU_aff
-            W_aff = W + ad * dW_aff
-            gap_aff = float(U_aff[0] @ W_aff[0] + U_aff[1] @ W_aff[1])
-            sigma = min(max((max(gap_aff, 0.0) / gap) ** 3, 1e-10), 1.0 - 1e-10)
-
-            # Corrector direction with Mehrotra's second-order term.
-            smu = sigma * mu
-            iW = 1.0 / W
-            second = (dU_aff * dW_aff) / W
-            g = smu * (iW[0] - iW[1]) - second[0] + second[1] - U[0] + U[1]
-            dbeta = _solve_normal(M, neg_XT @ (itheta * g))
-            dd = -itheta * (X @ dbeta + g)
-            dW = sgn * dd
-            dU = smu / W - U - second - UW * dW
-
-            ap = _STEP_DAMP * _step_length(U, dU)
-            ad = _STEP_DAMP * _step_length(W, dW)
-            beta = beta + ap * dbeta
-            U = U + ap * dU
-            d = d + ad * dd
-
-    if not converged:
-        raise ConvergenceError(
-            f"interior-point iteration exceeded {MAX_ITER} iterations "
-            f"(relative duality gap {rel_gap:.3e})",
-            gap=rel_gap,
-        )
-
-    return _polish_to_vertex(data, tau, beta)
-
-
-def _nearest(a: np.ndarray, k: int) -> np.ndarray:
-    """Ascending indices of the k smallest entries of a NaN-free array.
-
-    The same set as np.argsort(a, kind="stable")[:k]: every entry below
-    the k-th smallest value, plus the lowest-index entries equal to it.
-    A partition finds that value in linear time; only when it is tied
-    past the k-th place are the highest-index ties dropped.
-    """
-    kth = np.partition(a, k - 1)[k - 1]
-    near = np.flatnonzero(a <= kth)
-    if near.size > k:
-        keep = a[near] < kth
-        keep[np.flatnonzero(~keep)[: k - np.count_nonzero(keep)]] = True
-        near = near[keep]
-    return near
-
-
-def _polish_to_vertex(
-    data: RegressionData, tau: float, beta: np.ndarray
-) -> QuantileFit:
-    """Snap an interior-point solution onto the best nearby vertex.
-
-    Candidate bases are the p-subsets of the p+3 observations with the
-    smallest absolute residuals; the polished solution is kept only if
-    its objective does not exceed the unpolished one.  ``_nearest``
-    picks those points in linear time, and it picks the same set as a
-    stable argsort of |r|, ties included, so the candidate bases, their
-    order and hence the vertex kept are exactly what sorting would give.
-    """
-    r = data.y - data.X @ beta
-    obj = _objective(r, tau)
-    k = min(data.n, data.p + 3)
-    near = _nearest(np.abs(r), k)
-    found = _enumerate_vertices(data, tau, near[_subsets(k, data.p)])
-    # Tolerance matches the tie-break window in _enumerate_vertices, so a
-    # tie-preferred vertex a hair above the exact minimum is still kept.
-    if found is not None and found[1] <= obj + TIE_RTOL * (1.0 + abs(obj)):
-        return _make_fit(tau, found[0], data.y, data.y - data.X @ found[0])
-    return _make_fit(tau, beta, data.y, r)
+    rows = np.sort(h)
+    beta = np.linalg.solve(X[rows], y[rows])
+    return _make_fit(tau, beta, y, y - X @ beta)

@@ -77,17 +77,18 @@ class TestTest:
         path.write_text("\n".join(rows) + "\n")
         assert main(["test", "--input", str(path), "--tau", "0.5", "--out", str(tmp_path / "r.json")]) == 3
 
-    def test_solver_breakdown_exits_3(self, tmp_path):
-        from coves.cli import write_dataset_csv
-        from coves.mc_engine import replication_seed
-        from coves.simgen import TargetedSampler, load_standin
+    def test_solver_breakdown_exits_3(self, fixture_csv, tmp_path, monkeypatch):
+        # A fit that hits the simplex's pivot cap raises ConvergenceError,
+        # a NumericalError; the es test solves no LP.
+        from coves import coves_test
+        from coves.errors import ConvergenceError
 
-        # A stand-in replication on which the interior-point fit breaks down.
-        path = tmp_path / "breakdown.csv"
-        write_dataset_csv(str(path), TargetedSampler(*load_standin())(24, 12, replication_seed(7, 12, 52)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            assert main(["test", "--input", str(path), "--out", str(tmp_path / "r.json")]) == 3
-        assert main(["test", "--input", str(path), "--method", "es", "--out", str(tmp_path / "r.json")]) == 0
+        def capped(*args, **kwargs):
+            raise ConvergenceError("simplex did not finish within MAX_ITER = 200 pivots")
+
+        monkeypatch.setattr(coves_test, "fit_rq", capped)
+        assert main(["test", "--input", str(fixture_csv), "--out", str(tmp_path / "r.json")]) == 3
+        assert main(["test", "--input", str(fixture_csv), "--method", "es", "--out", str(tmp_path / "r.json")]) == 0
 
     def test_unknown_method_exits_2(self, fixture_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -401,6 +401,29 @@ class TestInvariances:
         assert swapped.z_score == pytest.approx(-base.z_score, rel=1e-7)
         assert swapped.p_value == pytest.approx(base.p_value, rel=1e-7)
 
+    def test_row_order(self):
+        # Scenario 2 at (50,50), tau = 0.5: tau*N_d = 25, so the optimum is
+        # a face.  The former interior-point fit gave s_counts (24, 24) and
+        # p = 0.737 as generated, (25, 24) and p = 0.839 with the rows
+        # reversed.
+        data = sample_scenario(ScenarioSpec.from_scenario(2, 0.0), 50, 50, 3)
+        rev = Dataset(z=data.z[::-1], d=data.d[::-1], c=data.c[::-1])
+        a, b = run_coves(data, 0.5), run_coves(rev, 0.5)
+        assert a.s_counts == b.s_counts
+        assert a.p_value == pytest.approx(b.p_value, rel=1e-12)
+
+    @pytest.mark.parametrize("sc", [1, 2, 3, 4])
+    @pytest.mark.parametrize("scale", [1e-9, 1e9])
+    def test_outcome_scale(self, sc, scale):
+        # Scaling the outcomes scales the fit and its zero tolerance alike,
+        # so the shortfall sets and the p-value do not move.
+        data = sample_scenario(ScenarioSpec.from_scenario(sc, 0.0), 50, 50, 0)
+        scaled = Dataset(z=scale * data.z, d=data.d, c=data.c)
+        for run in (run_coves, run_es):
+            base, rep = run(data, 0.75), run(scaled, 0.75)
+            assert rep.s_counts == base.s_counts, run.__name__
+            assert rep.p_value == pytest.approx(base.p_value, rel=1e-12), run.__name__
+
 
 class TestPValue:
     # A grid through 0 and far into both tails, where the tail mass

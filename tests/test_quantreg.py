@@ -1,10 +1,9 @@
-import struct
 import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coves.coves_test import design_matrix
@@ -12,8 +11,6 @@ from coves.errors import ConvergenceError, DegenerateDesignError, OracleSizeErro
 from coves.quantreg import (
     TIE_RTOL,
     RegressionData,
-    _nearest,
-    _step_length,
     check_objective,
     fit_group_quantiles,
     fit_rq,
@@ -199,33 +196,76 @@ class TestRegressionData:
             RegressionData(np.array([1.0]), np.ones((1, 2)))
 
 
-class TestInteriorPointBreakdown:
-    # Stand-in replications on which a dual slack of the covariate-adjusted
-    # fit rounds to exactly zero a step short of convergence.
-    SEEDS = [((7, 12, 52), 24, 12), ((9, 12, 70), 24, 12), ((8, 20, 195), 40, 20)]
+def highs_objective(X, y, tau):
+    """Optimal check objective from HiGHS, by the dual of the LP:
+    max y'a  s.t.  X'a = 0,  tau - 1 <= a <= tau."""
+    from scipy.optimize import linprog
 
-    @pytest.mark.parametrize("key,m,n", SEEDS)
-    def test_raises_convergence_error(self, key, m, n):
-        from coves.coves_test import run_coves, run_es
+    sol = linprog(-y, A_eq=X.T, b_eq=np.zeros(X.shape[1]), bounds=(tau - 1.0, tau), method="highs")
+    assert sol.status == 0, sol.message
+    return float(y @ sol.x)
+
+
+class TestInteriorPointBreakdown:
+    # Stand-in replications on which the former interior-point solver
+    # broke down a step short of convergence: a dual slack of the
+    # covariate-adjusted fit rounded to exactly zero.
+    SEEDS = [((7, 12, 52), 24, 12), ((9, 12, 70), 24, 12), ((8, 20, 195), 40, 20)]
+    # run_coves p-values at tau = 0.75, as an independent prototype of the
+    # simplex gave them to four digits.
+    P_VALUES = {(7, 12, 52): 0.0312, (9, 12, 70): 0.1004, (8, 20, 195): 0.0123}
+
+    @staticmethod
+    def problem(key, m, n):
         from coves.mc_engine import replication_seed
         from coves.simgen import TargetedSampler, load_standin
 
-        data = TargetedSampler(*load_standin())(m, n, replication_seed(*key))
-        # The breakdown is reported by the error alone, with no numpy warning.
+        return TargetedSampler(*load_standin())(m, n, replication_seed(*key))
+
+    @pytest.mark.parametrize("key,m,n", SEEDS)
+    def test_reaches_lp_optimum(self, key, m, n):
+        from coves.coves_test import run_coves
+
+        data = self.problem(key, m, n)
+        X = design_matrix(data, True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConvergenceError) as info:
+            fit = fit_rq(RegressionData(data.z, X), 0.75)
+            report = run_coves(data, 0.75)
+        best = highs_objective(X, data.z, 0.75)
+        assert fit.objective == pytest.approx(best, rel=1e-12)
+        assert report.p_value == pytest.approx(self.P_VALUES[key], abs=5e-5)
+
+    @pytest.mark.parametrize("key,m,n", SEEDS)
+    def test_raises_convergence_error(self, key, m, n, monkeypatch):
+        # More pivots than the cap allows end in ConvergenceError, with no
+        # numpy warning; the es test solves no LP and is not affected.
+        from coves import quantreg
+        from coves.coves_test import run_coves, run_es
+
+        data = self.problem(key, m, n)
+        monkeypatch.setattr(quantreg, "MAX_ITER", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="MAX_ITER = 1 pivots"):
                 fit_rq(RegressionData(data.z, design_matrix(data, True)), 0.75)
             with pytest.raises(ConvergenceError):
                 run_coves(data, 0.75)
-        assert np.isfinite(info.value.gap) and info.value.gap > 0.0
         assert 0.0 <= run_es(data, 0.75).p_value <= 1.0
+
+
+def beta_gap(rd, beta, ref):
+    """Distance of beta from ref, relative to the data: the larger of the
+    gap in fitted values over max|y| and the gap in coefficients over
+    max|ref| (a zero scale counts as 1)."""
+    fitted = np.max(np.abs(rd.X @ (beta - ref))) / (np.max(np.abs(rd.y)) or 1.0)
+    return max(fitted, np.max(np.abs(beta - ref)) / (np.max(np.abs(ref)) or 1.0))
 
 
 def tied_treated_shortfall_counts(data, X, tau):
     """Treated shortfall counts over every optimal vertex, by enumeration.
 
-    A vertex is optimal when its objective lies in the solver's relative
+    A vertex is optimal when its objective lies in the oracle's relative
     tie window, TIE_RTOL, of the minimum.
     """
     y = data.z
@@ -236,7 +276,7 @@ def tied_treated_shortfall_counts(data, X, tau):
     res = y - betas @ X.T
     objs = np.sum(res * (tau - (res < 0)), axis=1)
     best = objs.min()
-    tied = res[objs <= best + TIE_RTOL * (1.0 + abs(best))]
+    tied = res[objs <= best + TIE_RTOL * abs(best)]
     ztol = 1e-9 * np.max(np.abs(y))
     return set(np.sum(tied[:, data.d == 1] > ztol, axis=1).tolist())
 
@@ -246,9 +286,9 @@ class TestDegenerateDesigns:
     # so the LP optimum is a whole face rather than a single vertex.
     SEEDS = range(40)
     CASES = [(0.5, True), (0.5, False), (0.75, True), (0.75, False)]
-    # On an optimal face the polish can keep the interior-point iterate:
-    # no p-subset of the p+3 nearest points is an optimal vertex.
-    NOT_A_VERTEX = {(0.75, True): {27, 31}, (0.75, False): {27}}
+    # Faces on which the former interior-point solver's polish kept a
+    # point that was not a vertex.
+    KNOWN_FACES = {(0.75, True): {27, 31}, (0.75, False): {27}}
 
     @staticmethod
     def problem(seed, cov, size=8):
@@ -260,22 +300,23 @@ class TestDegenerateDesigns:
 
     @pytest.mark.parametrize("tau,cov", CASES)
     def test_objective_matches_oracle(self, tau, cov):
+        # The objective, and beta itself: both return the canonical point.
         for seed in self.SEEDS:
             _, _, rd = self.problem(seed, cov)
             fo = rq_oracle(rd, tau)
-            assert fit_rq(rd, tau).objective == pytest.approx(fo.objective, rel=1e-9), seed
+            fit = fit_rq(rd, tau)
+            assert fit.objective == pytest.approx(fo.objective, rel=1e-9), seed
+            assert beta_gap(rd, fit.beta, fo.beta) <= 1e-9, seed
 
     @pytest.mark.parametrize("tau,cov", CASES)
     def test_fit_is_vertex(self, tau, cov):
         for seed in self.SEEDS:
-            if seed not in self.NOT_A_VERTEX.get((tau, cov), ()):
-                _, X, rd = self.problem(seed, cov)
-                assert len(fit_rq(rd, tau).zero_set) >= X.shape[1], seed
+            _, X, rd = self.problem(seed, cov)
+            assert len(fit_rq(rd, tau).zero_set) >= X.shape[1], seed
 
-    @pytest.mark.xfail(strict=True, reason="polish keeps a non-vertex on an optimal face")
     @pytest.mark.parametrize(
         "tau,cov,seed",
-        [(*case, seed) for case, seeds in NOT_A_VERTEX.items() for seed in sorted(seeds)],
+        [(*case, seed) for case, seeds in KNOWN_FACES.items() for seed in sorted(seeds)],
     )
     def test_fit_is_vertex_on_known_faces(self, tau, cov, seed):
         _, X, rd = self.problem(seed, cov)
@@ -284,7 +325,7 @@ class TestDegenerateDesigns:
     @pytest.mark.parametrize("tau,cov", CASES)
     def test_optimal_vertices_disagree_on_treated_shortfall(self, tau, cov):
         # Which optimal vertex the solver returns fixes s_1, and so the
-        # statistic; only the path of the iterates decides it.
+        # statistic; the canonical rule decides it.
         assert any(
             len(tied_treated_shortfall_counts(data, X, tau)) > 1
             for data, X, _ in (self.problem(seed, cov) for seed in self.SEEDS)
@@ -297,111 +338,55 @@ class TestDegenerateDesigns:
             assert len(tied_treated_shortfall_counts(data, X, 0.75)) == 1, seed
 
 
-def masked_step_length(x, dx):
-    """The masked step length that _step_length must reproduce bit for bit."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return -float(np.where(dx < 0, x / dx, -1.0).max(initial=-1.0))
-
-
-def bits(a):
-    return struct.pack("<d", a)
-
-
-class TestStepLength:
-    # Signed zeros, subnormals, the smallest normal, huge, infinite and NaN
-    # values, as slacks and as steps.
-    SPECIAL = [
-        s * v
-        for v in (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.5, 1.0, 3.0, 1e300, np.inf)
-        for s in (1.0, -1.0)
-    ] + [np.nan]
-
-    @staticmethod
-    def check(x, dx):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            fast = _step_length(x, dx)
-        assert bits(fast) == bits(masked_step_length(x, dx)), (x, dx)
-
-    def test_special_values(self):
-        # Each pair alone, then beside an ordinary blocking ratio of 0.25
-        # and beside an entry that blocks nothing.
-        for x0 in self.SPECIAL:
-            for dx0 in self.SPECIAL:
-                self.check(np.array([[x0], [1.0]]), np.array([[dx0], [0.5]]))
-                self.check(np.array([[x0, 1.0], [2.0, 1.0]]), np.array([[dx0, -4.0], [0.5, 0.0]]))
-                self.check(np.array([[1.0, x0]]), np.array([[-0.0, dx0]]))
-
-    def test_random_arrays(self):
-        rng = np.random.default_rng(20)
-        for _ in range(3000):
-            k = int(rng.integers(1, 40))
-            x = np.exp(rng.normal(0.0, 8.0, size=(2, k)))
-            dx = rng.normal(size=(2, k)) * np.exp(rng.normal(0.0, 8.0, size=(2, k)))
-            # Sprinkle exact zeros and, now and then, non-positive slacks.
-            dx[rng.random((2, k)) < 0.05] = 0.0
-            if rng.random() < 0.2:
-                x[rng.random((2, k)) < 0.1] = rng.choice([0.0, -0.0, -1.0])
-            self.check(x, dx)
-
-
-def stable_nearest(a, k):
-    """The selection _nearest must reproduce: the k first of a stable argsort."""
-    return np.sort(np.argsort(a, kind="stable")[:k])
-
-
-class TestNearestSelection:
-    # Integer-valued |r| with heavy ties, like the stand-in outcome, which
-    # takes 41 distinct values in 150.
-    def test_tie_heavy_integers(self):
-        rng = np.random.default_rng(41)
-        for _ in range(400):
-            n = int(rng.integers(1, 151))
-            a = np.abs(rng.integers(-20, 21, size=n) - rng.integers(0, 3)).astype(float)
-            for k in {1, min(n, 6), int(rng.integers(1, n + 1)), n}:
-                got = _nearest(a, k)
-                assert np.array_equal(got, stable_nearest(a, k)), (a, k)
-
-    def test_all_tied(self):
-        a = np.full(9, 2.5)
-        for k in range(1, 10):
-            assert np.array_equal(_nearest(a, k), np.arange(k))
-
-    def test_standin_residuals(self):
-        from coves.simgen import load_standin
-
-        f, _ = load_standin()
-        a = np.abs(np.random.default_rng(3).permutation(f.values) - np.median(f.values))
-        for k in range(1, a.size + 1):
-            assert np.array_equal(_nearest(a, k), stable_nearest(a, k)), k
-
-
 class TestLargeDesignPins:
     # mc-large-shaped replications: scenario 3 null at (5000, 5000), tau =
-    # 0.75, so tau*N_d = 3750 and the optimum is a whole face.  Which of its
-    # points fit_rq returns shows in the coves shortfall counts, recorded
-    # with the masked step length and the argsort polish selection.  The es
-    # fit is each group's 3750th order statistic, which leaves 1250 of the
-    # 5000 tie-free outcomes strictly above it.
+    # 0.75, so tau*N_d = 3750 and the optimum is a whole face.  The coves
+    # pins are the canonical point: the least optimal gamma, checked with
+    # HiGHS by minimizing and maximizing gamma over the optimal face, and
+    # as intercepts each group's 3750th order statistic of z - gamma*c.
+    # In rep 1 gamma is not unique, and its least value leaves a pair of
+    # treated points on the plane, so 1249 treated points lie above it.
+    # The es fit is each group's 3750th order statistic, which leaves 1250
+    # of the 5000 tie-free outcomes strictly above it.
     PINS = [
         (0, (1250, 1249), 3200.3514045774737, (1250, 1250), 3534.3985803235823),
-        (1, (1250, 1249), 3174.40061438025, (1250, 1250), 3526.8385294017858),
+        (1, (1249, 1250), 3174.4006143355546, (1250, 1250), 3526.8385294017858),
         (2, (1249, 1250), 3181.778818709867, (1250, 1250), 3552.433858021427),
     ]
+
+    @staticmethod
+    def data(rep):
+        from coves.mc_engine import replication_seed
+        from coves.simgen import ScenarioSampler, ScenarioSpec
+
+        return ScenarioSampler(ScenarioSpec.from_scenario(3, 0.0))(5000, 5000, replication_seed(0, 0, rep))
 
     @pytest.mark.parametrize("pin", PINS, ids=lambda pin: f"rep{pin[0]}")
     def test_shortfall_counts_and_objective(self, pin):
         rep, coves_counts, coves_obj, es_counts, es_obj = pin
         from coves.coves_test import run_coves, run_es
-        from coves.mc_engine import replication_seed
-        from coves.simgen import ScenarioSampler, ScenarioSpec
 
-        data = ScenarioSampler(ScenarioSpec.from_scenario(3, 0.0))(5000, 5000, replication_seed(0, 0, rep))
+        data = self.data(rep)
         coves = run_coves(data, 0.75)
         es = run_es(data, 0.75)
         assert coves.s_counts == coves_counts
         assert coves.fit.objective == pytest.approx(coves_obj, rel=1e-12)
         assert es.s_counts == es_counts
         assert es.fit.objective == pytest.approx(es_obj, rel=1e-12)
+
+    @pytest.mark.parametrize("rep", [0, 1, 2])
+    def test_optimal_with_order_statistic_intercepts(self, rep):
+        from coves.orderstats import empirical_quantile
+
+        data = self.data(rep)
+        X = design_matrix(data, True)
+        fit = fit_rq(RegressionData(data.z, X), 0.75)
+        assert fit.objective == pytest.approx(highs_objective(X, data.z, 0.75), rel=1e-12)
+        adjusted = data.z - fit.beta[2] * data.c
+        q0 = empirical_quantile(adjusted[data.d == 0], 0.75)
+        q1 = empirical_quantile(adjusted[data.d == 1], 0.75)
+        assert fit.beta[0] == pytest.approx(q0, rel=1e-12)
+        assert fit.beta[0] + fit.beta[1] == pytest.approx(q1, rel=1e-12)
 
 
 def two_sample(y, d):
@@ -559,3 +544,97 @@ class TestGroupQuantileFit:
         assert es.fit.zero_set.tolist() == [2619, 5515]
         assert es.s_counts == (1250, 1250)
         assert es.p_value == 1.7806046322473903e-56
+
+
+class TestCanonicalFit:
+    # fit_rq returns the lexicographic minimum of the key (columns 2, ...,
+    # p-1, then 0, then 1) over the optimal face, as rq_oracle does by
+    # enumeration: one point, whatever the row order.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(4, 16),
+        p=st.integers(1, 3),
+        ties=st.booleans(),
+        discrete=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-8, 1.0, 1e8]),
+        tau=st.sampled_from([0.01, 0.25, 0.5, 0.75, 0.99]),
+    )
+    def test_matches_oracle_on_tie_heavy_designs(self, n, p, ties, discrete, seed, scale, tau):
+        # Like the stand-in design: few distinct outcomes, a treatment
+        # indicator and a covariate with 4 distinct values.
+        rng = np.random.default_rng(seed)
+        c = rng.integers(0, 4, size=n) if discrete else rng.normal(size=n)
+        X = np.column_stack([np.ones(n), rng.integers(0, 2, size=n), c])[:, :p]
+        assume(np.linalg.matrix_rank(X) == p)
+        y = scale * (rng.integers(0, 5, size=n) if ties else rng.normal(size=n))
+        rd = RegressionData(y, X)
+        fit, oracle = fit_rq(rd, tau), rq_oracle(rd, tau)
+        assert beta_gap(rd, fit.beta, oracle.beta) <= 1e-9
+        assert np.array_equal(fit.positive_mask(), oracle.positive_mask())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(6, 16),
+        ties=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-8, 1.0, 1e8]),
+        tau=st.sampled_from([0.01, 0.5, 0.99]),
+        eps=st.sampled_from([1e-3, 1e-5, 1e-7]),
+    )
+    def test_matches_oracle_on_near_collinear_designs(self, n, ties, seed, scale, tau, eps):
+        # The covariate is a combination of the intercept and the
+        # indicator plus eps * noise.
+        rng = np.random.default_rng(seed)
+        d = rng.integers(0, 2, size=n)
+        assume(0 < d.sum() < n)
+        c = rng.normal() + rng.normal() * d + eps * rng.normal(size=n)
+        y = scale * (rng.integers(0, 5, size=n) if ties else rng.normal(size=n))
+        rd = RegressionData(y, np.column_stack([np.ones(n), d, c]))
+        fit, oracle = fit_rq(rd, tau), rq_oracle(rd, tau)
+        # Coefficients of order max|y|/eps cancel in the fitted values, so
+        # beta is compared with its own scale.
+        gap = np.max(np.abs(fit.beta - oracle.beta))
+        assert gap <= (1e-9 if eps >= 1e-5 else 1e-6) * np.max(np.abs(oracle.beta))
+
+    @staticmethod
+    def datasets(sizes, seeds):
+        """Scenarios 1-4 under the null and the stand-in, at each size and seed."""
+        from coves.simgen import ScenarioSpec, TargetedSampler, load_standin, sample_scenario
+
+        standin = TargetedSampler(*load_standin())
+        for source in (1, 2, 3, 4, "standin"):
+            for m, n in sizes:
+                for seed in seeds:
+                    if source == "standin":
+                        yield (source, m, n, seed), standin(m, n, seed)
+                    else:
+                        spec = ScenarioSpec.from_scenario(source, 0.0)
+                        yield (source, m, n, seed), sample_scenario(spec, m, n, seed)
+
+    def test_two_sample_design_gives_group_quantiles(self):
+        # On (1, d) the canonical point is each group's lower end, the
+        # ceil(tau*N_d)-th order statistic, also where tau*N_d is an integer.
+        sizes = [(8, 8), (10, 6), (12, 12), (20, 20), (50, 50), (9, 7)]
+        for name, data in self.datasets(sizes, range(5)):
+            for tau in (0.5, 0.75, 0.9):
+                fit = fit_rq(RegressionData(data.z, design_matrix(data, False)), tau)
+                ref = fit_group_quantiles(data.z, data.d, tau)
+                assert np.array_equal(fit.positive_mask(), ref.positive_mask()), (name, tau)
+                assert np.array_equal(fit.zero_set, ref.zero_set), (name, tau)
+                ulp = np.spacing(np.abs(ref.beta).max())
+                assert np.all(np.abs(fit.beta - ref.beta) <= 4 * ulp), (name, tau)
+
+    def test_row_order_does_not_matter(self):
+        # 2000 designs, each fitted as generated and with its rows permuted.
+        for name, data in self.datasets([(8, 8), (10, 6), (12, 12), (50, 50)], range(25)):
+            perm = np.random.default_rng(name[3]).permutation(data.z.size)
+            for cov in (True, False):
+                X = design_matrix(data, cov)
+                for tau in (0.5, 0.75):
+                    fit = fit_rq(RegressionData(data.z, X), tau)
+                    ref = fit_rq(RegressionData(data.z[perm], X[perm]), tau)
+                    case = (name, cov, tau)
+                    assert np.array_equal(fit.positive_mask()[perm], ref.positive_mask()), case
+                    gap = np.max(np.abs(fit.beta - ref.beta))
+                    assert gap <= 1e-12 * np.max(np.abs(fit.beta)), case

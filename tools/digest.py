@@ -12,12 +12,13 @@ design, so ``--diff`` can name every design whose result moved.
 ``--diff`` reads only the two files and does not import the package.
 
 - ``fit_rq``: every quantile fit (beta, residuals, objective, zero set
-  and zero tolerance) or its error (class, message, gap).  The designs
+  and zero tolerance) or its error (class and message).  The designs
   are scenarios 1-4 at eta 0 and 1.35, the stand-in pair with and
   without shuffled rows, (5000, 5000) and (5001, 5001), the three
-  interior-point breakdown seeds, and random designs with rounded
-  outcomes or discrete covariates at scales 1e-8, 1 and 1e8; tau from
-  0.05 to 0.99, with and without the covariate.
+  stand-in seeds on which the former interior-point solver broke down,
+  and random designs with rounded outcomes or discrete covariates at
+  scales 1e-8, 1 and 1e8; tau from 0.05 to 0.99, with and without the
+  covariate.
 - ``run_coves``, ``run_es``, ``run_ttest``, ``decompose_T``: every field
   of the report, or the error, on the same datasets.
 - ``cli``: exit code, stdout, stderr and output files of a set of
@@ -61,7 +62,7 @@ def encode(obj) -> bytes:
             [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
         )
     if isinstance(obj, BaseException):
-        return b"E" + encode((type(obj).__name__, str(obj), getattr(obj, "gap", None)))
+        return b"E" + encode((type(obj).__name__, str(obj)))
     raise TypeError(f"cannot encode {type(obj).__name__}")
 
 
