@@ -23,7 +23,7 @@ from .baselines import run_ttest
 from .coves_test import Dataset, run_coves, run_es
 from .diagnostics import adjusted_quantile_curves
 from .errors import DataError, NumericalError
-from .mc_engine import allocate, power_curve, sample_size_search
+from .mc_engine import ALLOCATIONS, TEST_IDS, allocate, power_curve, sample_size_search
 from .simgen import (
     EmpiricalDist,
     ScenarioSampler,
@@ -221,11 +221,8 @@ def cmd_power(args) -> int:
 
 def cmd_samplesize(args) -> int:
     generator = _make_generator(args)
-    lo_hi = args.bounds.split(":")
-    if len(lo_hi) != 2:
-        raise DataError(f"bad --bounds {args.bounds!r}; expected LO:HI")
     try:
-        bounds = (int(lo_hi[0]), int(lo_hi[1]))
+        lo, hi = (int(x) for x in args.bounds.split(":"))
     except ValueError:
         raise DataError(f"bad --bounds {args.bounds!r}; expected LO:HI") from None
     result = sample_size_search(
@@ -236,7 +233,7 @@ def cmd_samplesize(args) -> int:
         args.alpha,
         args.reps,
         args.seed,
-        bounds,
+        (lo, hi),
         tau=args.tau,
         side=_SIDE_NAMES[args.side],
         workers=args.workers,
@@ -272,11 +269,8 @@ def _parse_float_list(spec: str) -> list[float]:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise DataError(f"bad --grid {spec!r}; expected START:STOP:STEP")
     try:
-        start, stop, step = (float(x) for x in parts)
+        start, stop, step = (float(x) for x in spec.split(":"))
     except ValueError:
         raise DataError(f"bad --grid {spec!r}; expected START:STOP:STEP") from None
     if step <= 0 or not (0.0 < start <= stop < 1.0):
@@ -325,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("test", help="run a test on a z,d,c CSV dataset")
     p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=("coves", "es", "ttest"), default="coves")
+    p.add_argument("--method", choices=TEST_IDS, default="coves")
     _add_test_args(p)
     p.add_argument("--out", required=True, help="JSON report path")
     p.set_defaults(func=cmd_test)
@@ -340,9 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("power", help="rejection-rate curve over sample sizes")
     _add_generator_args(p)
-    p.add_argument("--test", choices=("coves", "es", "ttest"), required=True)
+    p.add_argument("--test", choices=TEST_IDS, required=True)
     p.add_argument("--sizes", required=True, help="N or START:STOP:STEP (control-group size)")
-    p.add_argument("--allocation", choices=("equal", "two-to-one"), default="equal")
+    p.add_argument("--allocation", choices=ALLOCATIONS, default="equal")
     _add_test_args(p)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -352,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("samplesize", help="search for the size reaching a target power")
     _add_generator_args(p)
-    p.add_argument("--test", choices=("coves", "es", "ttest"), required=True)
+    p.add_argument("--test", choices=TEST_IDS, required=True)
     p.add_argument("--target", type=float, default=0.9)
-    p.add_argument("--allocation", choices=("equal", "two-to-one"), default="equal")
+    p.add_argument("--allocation", choices=ALLOCATIONS, default="equal")
     _add_test_args(p)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)

@@ -51,7 +51,7 @@ class Dataset:
         if not (np.all(np.isfinite(self.z)) and np.all(np.isfinite(self.c))):
             raise DataError("z and c must be finite")
         dv = np.asarray(d, dtype=float)
-        if not np.all(np.isfinite(dv)) or not np.all((dv == 0.0) | (dv == 1.0)):
+        if not np.all((dv == 0.0) | (dv == 1.0)):
             raise DataError("treatment indicator d must contain only 0 or 1")
         self.d = dv.astype(int)
         if self.n_treat < 1 or self.n_control < 1:

@@ -11,6 +11,7 @@ failure.  A run in which every replication fails is never tolerated.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -97,9 +98,11 @@ def estimate_rejection_rate(
     """Rejection rate of a test over seeded replications of a generator.
 
     ``generator`` is any picklable callable (m, n, seed) -> Dataset.
-    Results are identical whether run serially (``workers=None``) or on
-    a process pool, because each replication depends only on its
-    derived seed and the counts merge commutatively.
+    The seeds are cut into at most ``workers`` chunks (one when
+    ``workers`` is None or <= 1); a single chunk runs in this process,
+    more run on a process pool, one process per chunk.  Results do not
+    depend on the worker count, because each replication depends only on
+    its derived seed and the counts merge commutatively.
     """
     if test_id not in TEST_IDS:
         raise ValueError(f"test_id must be one of {TEST_IDS}, got {test_id!r}")
@@ -109,21 +112,17 @@ def estimate_rejection_rate(
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
 
     seeds = [replication_seed(seed, size_index, r) for r in range(reps)]
-    if workers is None or workers <= 1:
-        rejections, errors = _run_chunk(
-            (generator, test_id, m, n, seeds, tau, side, alpha)
-        )
+    chunk_size = -(-reps // max(1, workers or 1))
+    chunks = [
+        (generator, test_id, m, n, seeds[i : i + chunk_size], tau, side, alpha)
+        for i in range(0, reps, chunk_size)
+    ]
+    if len(chunks) == 1:
+        counts = [_run_chunk(chunks[0])]
     else:
-        chunk_size = max(1, (reps + workers - 1) // workers)
-        chunks = [
-            (generator, test_id, m, n, seeds[i : i + chunk_size], tau, side, alpha)
-            for i in range(0, reps, chunk_size)
-        ]
-        rejections = errors = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rej, err in pool.map(_run_chunk, chunks):
-                rejections += rej
-                errors += err
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            counts = list(pool.map(_run_chunk, chunks))
+    rejections, errors = map(sum, zip(*counts))
 
     allowed = max(1, int(MAX_ERROR_FRACTION * reps))
     if errors > allowed or errors == reps:
@@ -217,25 +216,22 @@ def sample_size_search(
     if not (1 <= lo < hi):
         raise ValueError(f"bounds must satisfy 1 <= lo < hi, got {bounds}")
 
-    cache: dict[int, PowerEstimate] = {}
-
+    @functools.cache
     def probe(size: int) -> PowerEstimate:
-        if size not in cache:
-            m, n = allocate(size, allocation)
-            cache[size] = estimate_rejection_rate(
-                generator,
-                test_id,
-                m,
-                n,
-                alpha,
-                reps,
-                seed,
-                tau=tau,
-                side=side,
-                size_index=size,
-                workers=workers,
-            )
-        return cache[size]
+        m, n = allocate(size, allocation)
+        return estimate_rejection_rate(
+            generator,
+            test_id,
+            m,
+            n,
+            alpha,
+            reps,
+            seed,
+            tau=tau,
+            side=side,
+            size_index=size,
+            workers=workers,
+        )
 
     def passes(size: int) -> bool:
         est = probe(size)

@@ -30,6 +30,6 @@ def empirical_quantile(values, p):
     p = np.asarray(p, dtype=float)
     if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError("probability levels must lie strictly in (0, 1)")
-    k = np.clip(np.ceil(p * s.size).astype(int), 1, s.size)
-    out = s[k - 1]
+    # For p in (0, 1) the float product p*n lies in (0, n]: its ceil is in [1, n].
+    out = s[np.ceil(p * s.size).astype(int) - 1]
     return float(out) if out.ndim == 0 else out

@@ -40,7 +40,8 @@ from .orderstats import empirical_quantile
 # Cap on the number of simplex pivots.
 MAX_ITER = 200
 ORACLE_MAX_N = 20
-# Two objectives closer than TIE_RTOL * |objective| count as tied.
+# Two objectives closer than TIE_RTOL * |objective| count as tied, and a
+# residual within TIE_RTOL * max|y| lies on the plane.
 TIE_RTOL = 1e-9
 # Residuals and entries of XB within this of their rounding scale are zero.
 _NOISE_RTOL = 1e-12
@@ -146,12 +147,7 @@ class QuantileFit:
 
 def _zero_tol(y: np.ndarray) -> float:
     """Scale-relative: multiplying y by any factor scales the cutoff too."""
-    return 1e-9 * float(np.max(np.abs(y)))
-
-
-def _objective(residuals: np.ndarray, tau: float) -> float:
-    """check_objective for a float array and a validated tau."""
-    return float(np.sum(residuals * (tau - (residuals < 0))))
+    return TIE_RTOL * float(np.max(np.abs(y)))
 
 
 def _make_fit(
@@ -162,7 +158,7 @@ def _make_fit(
         tau=tau,
         beta=beta,
         residuals=residuals,
-        objective=_objective(residuals, tau),
+        objective=check_objective(residuals, tau),
         zero_set=np.flatnonzero(np.abs(residuals) <= ztol),
         zero_tol=ztol,
     )
@@ -189,12 +185,12 @@ def _enumerate_vertices(data: RegressionData, tau: float):
     mats = X[subsets]                      # (K, p, p)
     # Hadamard bound gives a scale for the singularity cutoff.
     hadamard = np.prod(np.linalg.norm(mats, axis=2), axis=1)
-    ok = (np.abs(np.linalg.det(mats)) > 1e-12 * hadamard) & (hadamard > 0)
+    ok = (np.abs(np.linalg.det(mats)) > _NOISE_RTOL * hadamard) & (hadamard > 0)
     if not np.any(ok):
         return None
     betas = np.linalg.solve(mats[ok], y[subsets[ok]][..., None])[..., 0]
     res = y[None, :] - betas @ X.T
-    objs = np.sum(res * (tau - (res < 0)), axis=1)
+    objs = np.sum(rho_tau(res, tau), axis=1)
     best = float(np.min(objs))
     tied = np.flatnonzero(objs <= best + TIE_RTOL * abs(best))
     weight = np.abs(X).max(axis=0)
@@ -257,7 +253,7 @@ def _start_basis(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
     rows = []
     for _ in range(X.shape[1]):
         left = np.einsum("ij,ij->i", R, R)
-        j = int(np.argmax(left >= 1e-12 * left.max()))
+        j = int(np.argmax(left >= _NOISE_RTOL * left.max()))
         rows.append(order[j])
         q = R[j] / np.sqrt(left[j])
         R = R - np.outer(R @ q, q)
@@ -286,8 +282,8 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     ends on the key's lexicographic minimum over the optimal face.
     After a zero-length step the entering edge is the improving one with
     the lowest row index (Bland's rule), which rules out cycling on
-    degenerate vertices.  Residuals and entries of XB within 1e-12 of
-    their rounding scale count as zero.  Beta is solved from the final
+    degenerate vertices.  Residuals and entries of XB within _NOISE_RTOL
+    of their rounding scale count as zero.  Beta is solved from the final
     basis rows in ascending index order.
 
     Raises

@@ -232,3 +232,69 @@ class TestDiagnose:
 
     def test_bad_grid_exits_2(self, tmp_path, fixture_csv):
         assert main(["diagnose", "--input", str(fixture_csv), "--grid", "0:1:0.1", "--out", str(tmp_path / "c.csv")]) == 2
+
+
+def assert_input_error(capsys, argv, message):
+    """main(argv) exits 2 with ``error: message`` as the last line of stderr."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+
+
+class TestInputErrors:
+    GEN = ["--scenario", "1", "--eta", "1.35"]
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "empty file"),
+            ("z,d,c\n", "no data rows"),
+            ("z,d,c\n1.0,1\n", "line 2: expected 3 fields, got 2"),
+            ("z,d,c\n1.0,1,0.5\n2.0,1,0.6\n", "both treatment groups must be nonempty"),
+        ],
+        ids=["empty", "header-only", "two-fields", "one-group"],
+    )
+    def test_bad_csv(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert_input_error(capsys, ["test", "--input", str(path), "--out", str(tmp_path / "r.json")],
+                           f"{path}: {message}")
+
+    def test_blank_data_line_is_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(FIXTURE_CSV.replace("\n0,0,1\n", "\n\n0,0,1\n"))
+        out = tmp_path / "r.json"
+        assert main(["test", "--input", str(path), "--tau", "0.5", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["t_stat"] == 6.0
+
+    @pytest.mark.parametrize("bounds", ["5", "5:a", "1:2:3"])
+    def test_bad_bounds(self, capsys, bounds):
+        argv = ["samplesize", *self.GEN, "--test", "ttest", "--reps", "10", "--seed", "1", "--bounds", bounds]
+        assert_input_error(capsys, argv, f"bad --bounds {bounds!r}; expected LO:HI")
+
+    @pytest.mark.parametrize("sizes", ["10:20:0", "a"])
+    def test_bad_sizes(self, tmp_path, capsys, sizes):
+        argv = ["power", *self.GEN, "--test", "ttest", "--sizes", sizes, "--reps", "10", "--seed", "1",
+                "--out", str(tmp_path / "p.csv")]
+        assert_input_error(capsys, argv, f"bad --sizes {sizes!r}; expected N or START:STOP:STEP")
+
+    def test_power_needs_generator(self, tmp_path, capsys):
+        argv = ["power", "--test", "ttest", "--sizes", "10", "--reps", "10", "--seed", "1",
+                "--out", str(tmp_path / "p.csv")]
+        assert_input_error(capsys, argv, "either --scenario or --targeted is required")
+
+    def test_targeted_needs_both_files(self, tmp_path, capsys):
+        f = tmp_path / "f.txt"
+        f.write_text("1\n2\n3\n")
+        argv = ["simulate", "--targeted", "--f", str(f), "--m", "5", "--n", "5", "--seed", "1",
+                "--out", str(tmp_path / "x.csv")]
+        assert_input_error(capsys, argv, "--targeted needs both --f and --g (or neither)")
+
+    @pytest.mark.parametrize("grid", ["0.1:0.5", "a:b:c"])
+    def test_bad_grid(self, tmp_path, capsys, fixture_csv, grid):
+        argv = ["diagnose", "--input", str(fixture_csv), "--grid", grid, "--out", str(tmp_path / "c.csv")]
+        assert_input_error(capsys, argv, f"bad --grid {grid!r}; expected START:STOP:STEP")
+
+    def test_bad_float_list(self, tmp_path, capsys, fixture_csv):
+        argv = ["diagnose", "--input", str(fixture_csv), "--tau-fit", "0.5,x", "--out", str(tmp_path / "c.csv")]
+        assert_input_error(capsys, argv, "bad float list '0.5,x'")

@@ -100,6 +100,11 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset(z=np.array([1.0, np.inf]), d=np.array([0, 1]), c=np.ones(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_nonfinite_indicator(self, bad):
+        with pytest.raises(DataError, match=r"^treatment indicator d must contain only 0 or 1$"):
+            Dataset(z=np.ones(3), d=np.array([0.0, 1.0, bad]), c=np.ones(3))
+
     def test_group_sizes(self, fixture_data):
         assert fixture_data.n_treat == 4
         assert fixture_data.n_control == 4

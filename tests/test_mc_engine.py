@@ -60,6 +60,20 @@ class TestEstimateRejectionRate:
         parallel = estimate_rejection_rate(ALT1, "ttest", 30, 30, 0.05, 60, 13, workers=2)
         assert serial == parallel
 
+    @pytest.mark.parametrize("reps", [1, 2, 7])
+    @pytest.mark.parametrize(
+        "sampler,test_id",
+        # Replication 1 fails, so each run of two or more counts one error.
+        [(ALT1, "coves"), (ALT1, "ttest"), (FailOnSeeds(frozenset([replication_seed(13, 0, 1)])), "coves")],
+        ids=["coves", "ttest", "fail-on-seeds"],
+    )
+    def test_worker_count_does_not_matter(self, sampler, test_id, reps):
+        # Covers one chunk with workers > 1 and more workers than replications.
+        serial = estimate_rejection_rate(sampler, test_id, 20, 20, 0.05, reps, 13)
+        assert serial.errors == (sampler is not ALT1 and reps > 1)
+        for workers in (1, 2, 3, reps, reps + 3):
+            assert estimate_rejection_rate(sampler, test_id, 20, 20, 0.05, reps, 13, workers=workers) == serial
+
     def test_seed_derivation_is_positional(self):
         s1 = replication_seed(7, 0, 3)
         assert s1 == replication_seed(7, 0, 3)

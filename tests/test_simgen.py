@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp, norm
 
 from coves.errors import DataError
@@ -37,6 +41,23 @@ class TestEmpiricalInverseCdf:
         # A NaN level once cast to the minimum with only a RuntimeWarning.
         with pytest.raises(ValueError):
             empirical_quantile([1.0, 2.0, 3.0], p)
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-300, 0.5, np.nextafter(1.0, 0.0)])
+    @pytest.mark.parametrize("n", [1, 2, 7, 10_000])
+    def test_extreme_levels_stay_in_range(self, p, n):
+        # The float product p*n lies in (0, n] for every p in (0, 1).
+        s = np.random.default_rng(n).permutation(n).astype(float)
+        assert empirical_quantile(s, p) == np.sort(s)[math.ceil(p * n) - 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 10_000),
+        p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_ceil_order_statistic(self, n, p):
+        s = np.random.default_rng(n).permutation(n).astype(float)
+        assert empirical_quantile(s, p) == np.sort(s)[math.ceil(p * n) - 1]
+        assert empirical_quantile(s, np.array([p, p]))[1] == np.sort(s)[math.ceil(p * n) - 1]
 
     def test_vectorized(self):
         dist = EmpiricalDist(np.array([1.0, 2.0, 3.0, 4.0]))

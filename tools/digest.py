@@ -19,6 +19,8 @@ design, so ``--diff`` can name every design whose result moved.
   and random designs with rounded outcomes or discrete covariates at
   scales 1e-8, 1 and 1e8; tau from 0.05 to 0.99, with and without the
   covariate.
+- ``rq_oracle``: the enumeration oracle's fit or error, hashed the same
+  way, on every one of those designs with at most ``ORACLE_MAX_N`` rows.
 - ``run_coves``, ``run_es``, ``run_ttest``, ``decompose_T``: every field
   of the report, or the error, on the same datasets.
 - ``cli``: exit code, stdout, stderr and output files of a set of
@@ -135,17 +137,26 @@ def summary(report) -> dict | None:
     }
 
 
+def record_fits(record, key, rd, n, tau):
+    """fit_rq on one design, and rq_oracle where n <= ORACLE_MAX_N."""
+    from coves.quantreg import ORACLE_MAX_N, fit_rq, rq_oracle
+
+    failed = isinstance(rd, BaseException)
+    record("fit_rq", key, rd if failed else call(fit_rq, rd, tau))
+    if n <= ORACLE_MAX_N:
+        record("rq_oracle", key, rd if failed else call(rq_oracle, rd, tau))
+
+
 def sweep(record):
     from coves.baselines import run_ttest
     from coves.coves_test import decompose_T, design_matrix, run_coves, run_es
-    from coves.quantreg import RegressionData, fit_rq
+    from coves.quantreg import RegressionData
 
     for name, data, params in datasets():
         for cov in (True, False):
             rd = call(RegressionData, data.z, design_matrix(data, cov))
             for tau in FIT_TAUS if data.z.size <= 1000 else (0.75,):
-                fit = rd if isinstance(rd, BaseException) else call(fit_rq, rd, tau)
-                record("fit_rq", f"{name}/cov{int(cov)}/tau{tau}", fit)
+                record_fits(record, f"{name}/cov{int(cov)}/tau{tau}", rd, data.z.size, tau)
         for tau in (0.75, 0.9):
             coves = call(run_coves, data, tau)
             record("run_coves", f"{name}/tau{tau}", coves, summary(coves))
@@ -156,8 +167,7 @@ def sweep(record):
             record("run_es", f"{name}/tau{tau}", es, summary(es))
         record("run_ttest", name, call(run_ttest, data))
     for name, y, X, tau in random_designs():
-        rd = call(RegressionData, y, X)
-        record("fit_rq", f"{name}/tau{tau}", rd if isinstance(rd, BaseException) else call(fit_rq, rd, tau))
+        record_fits(record, f"{name}/tau{tau}", call(RegressionData, y, X), y.size, tau)
 
 
 def cli_commands(work: Path):
