@@ -12,7 +12,7 @@ from .coves_test import (
     run_es,
     variance_est,
 )
-from .density import DensityEstimate, bandwidth_rot, kde_at_zero
+from .density import bandwidth_rot, kde_at_zero
 from .diagnostics import QuantileCurves, adjusted_quantile_curves
 from .mc_engine import (
     PowerEstimate,
@@ -37,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CovesReport",
     "Dataset",
-    "DensityEstimate",
     "EmpiricalDist",
     "OlsReport",
     "PowerEstimate",

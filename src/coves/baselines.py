@@ -13,7 +13,7 @@ from functools import partial
 import numpy as np
 from scipy.special import stdtr
 
-from .coves_test import Dataset, check_side, design_matrix, p_value
+from .coves_test import Dataset, check_outcome_scale, check_side, design_matrix, p_value
 from .errors import DegenerateDesignError
 
 
@@ -30,6 +30,7 @@ class OlsReport:
 def run_ttest(data: Dataset, side: str = "two-sided") -> OlsReport:
     """Least-squares fit of z on (1, d, c); t-test on the d coefficient."""
     check_side(side)
+    check_outcome_scale(data.z)
     X = design_matrix(data, True)
     n, p = X.shape
     if n < p + 1:

@@ -7,20 +7,12 @@ quantile-regression residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateSpreadError
 from .orderstats import empirical_quantile
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-
-
-@dataclass
-class DensityEstimate:
-    bandwidth: float
-    f_at_zero: float
 
 
 def bandwidth_rot(samples) -> float:
@@ -59,7 +51,6 @@ def kde_at_zero(samples, h: float) -> float:
     return float(np.sum(np.exp(-0.5 * t * t) / _SQRT_2PI) / (x.size * h))
 
 
-def group_density_at_zero(samples) -> DensityEstimate:
-    """Bandwidth and density-at-zero for one treatment group's residuals."""
-    h = bandwidth_rot(samples)
-    return DensityEstimate(bandwidth=h, f_at_zero=kde_at_zero(samples, h))
+def group_density_at_zero(samples) -> float:
+    """Density at zero of one treatment group's residuals, rule-of-thumb bandwidth."""
+    return kde_at_zero(samples, bandwidth_rot(samples))

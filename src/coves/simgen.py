@@ -79,37 +79,27 @@ class EmpiricalDist:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Parameters of the normal model under one covariate scenario."""
+    """Parameters of the normal model under one covariate scenario.
+
+    ``sample_scenario`` reads the scenario's covariate law from
+    ``_SCENARIO_TABLE``.
+    """
 
     scenario: int
     gamma: float
     eta: float
-    c_mean_control: float
-    c_sd_control: float
-    c_mean_treat: float
-    c_sd_treat: float
 
     def __post_init__(self):
         if self.eta < 0.0:
             raise ValueError("eta must be nonnegative")
-        if self.c_sd_control <= 0.0 or self.c_sd_treat <= 0.0:
-            raise ValueError("covariate standard deviations must be positive")
 
     @classmethod
     def from_scenario(cls, scenario: int, eta: float, gamma: float | None = None):
         """Fixed scenario-to-parameter mapping; gamma may be overridden."""
         if scenario not in _SCENARIO_TABLE:
             raise ValueError(f"scenario must be 1..4, got {scenario}")
-        g, (m0, s0), (m1, s1) = _SCENARIO_TABLE[scenario]
-        return cls(
-            scenario=scenario,
-            gamma=g if gamma is None else float(gamma),
-            eta=float(eta),
-            c_mean_control=m0,
-            c_sd_control=s0,
-            c_mean_treat=m1,
-            c_sd_treat=s1,
-        )
+        g = _SCENARIO_TABLE[scenario][0] if gamma is None else float(gamma)
+        return cls(scenario=scenario, gamma=g, eta=float(eta))
 
 
 def _open_uniforms(seed: int, size: int) -> np.ndarray:
@@ -128,8 +118,9 @@ def sample_scenario(spec: ScenarioSpec, m: int, n: int, seed: int) -> Dataset:
     total = m + n
     u = _open_uniforms(seed, 2 * total)
     d = np.concatenate([np.ones(m, dtype=int), np.zeros(n, dtype=int)])
-    mean = np.where(d == 1, spec.c_mean_treat, spec.c_mean_control)
-    sd = np.where(d == 1, spec.c_sd_treat, spec.c_sd_control)
+    _, (mu0, sd0), (mu1, sd1) = _SCENARIO_TABLE[spec.scenario]
+    mean = np.where(d == 1, mu1, mu0)
+    sd = np.where(d == 1, sd1, sd0)
     c = mean + sd * ndtri(u[:total])
     e = ndtri(u[total:])
     inflate = 1.0 + spec.eta * ((e > 0.0) & (d == 0))
@@ -161,8 +152,7 @@ def sample_targeted(
 def load_standin() -> tuple[EmpiricalDist, EmpiricalDist]:
     """The shipped stand-in (outcome, covariate) empirical pair."""
     pkg = resources.files("coves.data")
-    f = EmpiricalDist(np.loadtxt(str(pkg / "standin_f.txt")))
-    g = EmpiricalDist(np.loadtxt(str(pkg / "standin_g.txt")))
+    f, g = (EmpiricalDist.from_file(pkg / f"standin_{x}.txt") for x in "fg")
     return f, g
 
 

@@ -90,6 +90,17 @@ class TestTest:
         assert main(["test", "--input", str(fixture_csv), "--out", str(tmp_path / "r.json")]) == 3
         assert main(["test", "--input", str(fixture_csv), "--method", "es", "--out", str(tmp_path / "r.json")]) == 0
 
+    @pytest.mark.parametrize("method", ["coves", "es", "ttest"])
+    def test_outcome_scale_outside_window_exits_3(self, tmp_path, capsys, method):
+        rows = [f"{float(z) * 1e160!r},{d},{c}" for z, d, c in
+                (line.split(",") for line in FIXTURE_CSV.splitlines()[1:])]
+        path = tmp_path / "huge.csv"
+        path.write_text("z,d,c\n" + "\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert main(["test", "--input", str(path), "--tau", "0.5", "--method", method,
+                     "--out", str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: outcome scale max|z| = 1e+161")
+
     def test_unknown_method_exits_2(self, fixture_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["test", "--input", str(fixture_csv), "--method", "wilcoxon", "--out", str(tmp_path / "r.json")])
@@ -272,7 +283,7 @@ class TestInputErrors:
         argv = ["samplesize", *self.GEN, "--test", "ttest", "--reps", "10", "--seed", "1", "--bounds", bounds]
         assert_input_error(capsys, argv, f"bad --bounds {bounds!r}; expected LO:HI")
 
-    @pytest.mark.parametrize("sizes", ["10:20:0", "a"])
+    @pytest.mark.parametrize("sizes", ["10:20:0", "a", "10:20"])
     def test_bad_sizes(self, tmp_path, capsys, sizes):
         argv = ["power", *self.GEN, "--test", "ttest", "--sizes", sizes, "--reps", "10", "--seed", "1",
                 "--out", str(tmp_path / "p.csv")]

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from coves.baselines import run_ttest
 from coves.coves_test import (
+    OUTCOME_SCALE,
     Dataset,
     adjusted_outcomes,
     coves_stat,
@@ -18,6 +22,7 @@ from coves.errors import (
     DegenerateDensityError,
     DegenerateDesignError,
     EmptyShortfallError,
+    NumericalError,
 )
 from coves.quantreg import QuantileFit, RegressionData, fit_rq
 from coves.simgen import ScenarioSpec, sample_scenario
@@ -100,6 +105,14 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset(z=np.array([1.0, np.inf]), d=np.array([0, 1]), c=np.ones(2))
 
+    def test_rejects_two_dimensional(self):
+        with pytest.raises(DataError, match=r"^z, d, c must be one-dimensional$"):
+            Dataset(z=np.ones((2, 2)), d=np.array([[0, 1], [0, 1]]), c=np.ones((2, 2)))
+
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(DataError, match=r"^z, d, c must have equal length$"):
+            Dataset(z=np.ones(4), d=np.array([0, 1, 0, 1]), c=np.ones(3))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_rejects_nonfinite_indicator(self, bad):
         with pytest.raises(DataError, match=r"^treatment indicator d must contain only 0 or 1$"):
@@ -113,6 +126,11 @@ class TestDataset:
 class TestAdjustedOutcomes:
     def test_golden(self, fixture_data, fixture_fit):
         assert np.array_equal(adjusted_outcomes(fixture_data, fixture_fit), GOLD["adjusted"])
+
+    def test_rejects_other_datasets_fit(self, fixture_fit):
+        other = sample_scenario(ScenarioSpec.from_scenario(2, 0.0), 5, 5, 0)
+        with pytest.raises(ValueError, match=r"^fit does not match the dataset$"):
+            adjusted_outcomes(other, fixture_fit)
 
     def test_zero_gamma_returns_z(self, fixture_data):
         fit = QuantileFit(
@@ -175,6 +193,10 @@ class TestCovesStat:
     def test_golden(self, fixture_data, fixture_fit):
         assert coves_stat(fixture_data, fixture_fit, 1) == GOLD["coves"][0]
         assert coves_stat(fixture_data, fixture_fit, 0) == GOLD["coves"][1]
+
+    def test_rejects_unknown_group(self, fixture_data, fixture_fit):
+        with pytest.raises(ValueError, match=r"^group must be 0 or 1$"):
+            coves_stat(fixture_data, fixture_fit, 2)
 
 
 class TestOrthogonalizedCovariate:
@@ -428,6 +450,41 @@ class TestInvariances:
             base, rep = run(data, 0.75), run(scaled, 0.75)
             assert rep.s_counts == base.s_counts, run.__name__
             assert rep.p_value == pytest.approx(base.p_value, rel=1e-12), run.__name__
+
+
+class TestOutcomeScaleWindow:
+    # Scenario 2 at (50,50): max|z| is about 10, so z*1e150 sits just
+    # inside the window and z*1e160 beyond it.
+    RUNS = {
+        "coves": lambda data: run_coves(data, 0.75),
+        "es": lambda data: run_es(data, 0.75),
+        "ttest": run_ttest,
+    }
+
+    @staticmethod
+    def scaled(scale):
+        data = sample_scenario(ScenarioSpec.from_scenario(2, 0.0), 50, 50, 3)
+        return data, Dataset(z=scale * data.z, d=data.d, c=data.c)
+
+    @pytest.mark.parametrize("method", RUNS)
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_outside_raises_numerical_error(self, method, scale):
+        _, data = self.scaled(scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"^outcome scale max\|z\| = "):
+                self.RUNS[method](data)
+
+    @pytest.mark.parametrize("method", RUNS)
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_inside_keeps_p_value(self, method, scale):
+        data, scaled = self.scaled(scale)
+        lo, hi = OUTCOME_SCALE
+        assert lo <= np.max(np.abs(scaled.z)) <= hi
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = self.RUNS[method](scaled).p_value
+        assert abs(p - self.RUNS[method](data).p_value) <= 1e-12
 
 
 class TestPValue:

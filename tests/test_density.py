@@ -93,6 +93,10 @@ class TestKdeAtZero:
     def test_nonnegative(self):
         assert kde_at_zero([50.0, 60.0], 0.5) >= 0.0
 
+    def test_empty_sample(self):
+        with pytest.raises(ValueError, match=r"^need at least one sample$"):
+            kde_at_zero([], 1.0)
+
 
 class TestConsistency:
     def test_error_shrinks_with_sample_size(self):
@@ -111,6 +115,8 @@ class TestConsistency:
 
 
 def test_group_density_record():
-    est = group_density_at_zero(PINNED_DRAWS)
-    assert est.bandwidth == pytest.approx(PINNED_H, rel=1e-12)
-    assert est.f_at_zero == pytest.approx(PINNED_KDE, rel=1e-12)
+    # The kernel estimate at the rule-of-thumb bandwidth, whose value
+    # test_pinned_hundred_draws pins to PINNED_H.
+    f = group_density_at_zero(PINNED_DRAWS)
+    assert f == kde_at_zero(PINNED_DRAWS, bandwidth_rot(PINNED_DRAWS))
+    assert f == pytest.approx(PINNED_KDE, rel=1e-12)

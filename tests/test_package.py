@@ -21,6 +21,13 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_all_names_resolve():
+    assert [name for name in coves.__all__ if not hasattr(coves, name)] == []
+    namespace = {}
+    exec("from coves import *", namespace)
+    assert set(coves.__all__) <= namespace.keys()
+
+
 def test_bench_trace_targets_resolve(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     tracer = importlib.import_module("tracer")

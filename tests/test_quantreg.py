@@ -46,6 +46,16 @@ def random_instance(seed, n_max=12):
     return RegressionData(y, X), tau
 
 
+class TestRegressionData:
+    def test_rejects_two_dimensional_y(self):
+        with pytest.raises(ValueError, match=r"^y must be 1-d and X 2-d$"):
+            RegressionData(np.ones((3, 1)), np.ones((3, 1)))
+
+    def test_rejects_row_mismatch(self):
+        with pytest.raises(ValueError, match=r"^y and X disagree on the number of observations$"):
+            RegressionData(np.ones(3), np.ones((4, 1)))
+
+
 class TestRhoTau:
     def test_positive_branch(self):
         assert rho_tau(2.0, 0.75) == 1.5

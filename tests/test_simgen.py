@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import ks_2samp, norm
 
 from coves.errors import DataError
@@ -11,6 +13,7 @@ from coves.orderstats import empirical_quantile
 from coves.simgen import (
     EmpiricalDist,
     ScenarioSpec,
+    _open_uniforms,
     load_standin,
     sample_scenario,
     sample_targeted,
@@ -85,19 +88,41 @@ class TestEmpiricalInverseCdf:
         with pytest.raises(DataError):
             EmpiricalDist(np.array([]))
 
+    def test_file_with_inf_rejected(self, tmp_path):
+        path = tmp_path / "inf.txt"
+        path.write_text("1.0\ninf\n")
+        with pytest.raises(DataError, match=r"^empirical distribution values must be finite$"):
+            EmpiricalDist.from_file(path)
+
+    def test_empty_sample_quantile(self):
+        with pytest.raises(ValueError, match=r"^empty sample$"):
+            empirical_quantile([], 0.5)
+
 
 class TestScenarioSpec:
     def test_fixed_mapping(self):
-        s1 = ScenarioSpec.from_scenario(1, 0.0)
-        assert (s1.gamma, s1.c_mean_control, s1.c_sd_control) == (0.0, 2.5, 0.5)
-        assert (s1.c_mean_treat, s1.c_sd_treat) == (2.5, 0.5)
+        # Each scenario's gamma and covariate law, (mean, sd) per group,
+        # read back from the draws: c = mean + sd*x and z = 5 + gamma*c + e,
+        # with x and e the normal scores of the seed's uniforms.
+        laws = {
+            1: (0.0, (2.5, 0.5), (2.5, 0.5)),
+            2: (1.0, (2.5, 0.5), (2.5, 0.5)),
+            3: (1.0, (2.5, 0.5), (3.0, 0.5)),
+            4: (1.0, (2.5, 0.5), (2.5, 1.0)),
+        }
+        m, n, seed = 7, 5, 11
+        u = _open_uniforms(seed, 2 * (m + n))
+        x, e = ndtri(u[: m + n]), ndtri(u[m + n :])
+        for scenario, (gamma, (mu0, sd0), (mu1, sd1)) in laws.items():
+            spec = ScenarioSpec.from_scenario(scenario, 0.0)
+            assert (spec.scenario, spec.gamma, spec.eta) == (scenario, gamma, 0.0)
+            data = sample_scenario(spec, m, n, seed)
+            assert np.array_equal(data.c[:m], mu1 + sd1 * x[:m]), scenario
+            assert np.array_equal(data.c[m:], mu0 + sd0 * x[m:]), scenario
+            assert np.array_equal(data.z, 5.0 + gamma * data.c + e), scenario
         s2 = ScenarioSpec.from_scenario(2, 1.35)
         assert s2.gamma == 1.0 and s2.eta == 1.35
-        s3 = ScenarioSpec.from_scenario(3, 0.0)
-        assert (s3.c_mean_treat, s3.c_sd_treat) == (3.0, 0.5)
-        assert (s3.c_mean_control, s3.c_sd_control) == (2.5, 0.5)
-        s4 = ScenarioSpec.from_scenario(4, 0.0)
-        assert (s4.c_mean_treat, s4.c_sd_treat) == (2.5, 1.0)
+        assert [f.name for f in dataclasses.fields(ScenarioSpec)] == ["scenario", "gamma", "eta"]
 
     def test_gamma_override(self):
         assert ScenarioSpec.from_scenario(1, 0.0, gamma=2.0).gamma == 2.0
@@ -129,6 +154,10 @@ class TestSampleScenario:
     def test_group_layout(self):
         data = sample_scenario(ScenarioSpec.from_scenario(1, 0.0), 7, 5, 3)
         assert np.array_equal(data.d, [1] * 7 + [0] * 5)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer$"):
+            sample_scenario(ScenarioSpec.from_scenario(1, 0.0), 7, 5, -1)
 
     def test_null_groups_share_law(self):
         spec = ScenarioSpec.from_scenario(2, 0.0)
@@ -166,6 +195,11 @@ class TestTargeted:
         assert tail_shift(0.65) == 0.0
         assert tail_shift(0.9) == pytest.approx(8.0 * 0.25**0.25, rel=1e-12)
         assert tail_shift(0.9) == pytest.approx(5.65685, abs=1e-4)
+
+    def test_empty_group_rejected(self):
+        f, g = load_standin()
+        with pytest.raises(ValueError, match=r"^need m >= 1 and n >= 1$"):
+            sample_targeted(f, g, 0, 5, 1)
 
     def test_treatment_outcomes_on_support(self):
         f, g = load_standin()
