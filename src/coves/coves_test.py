@@ -15,6 +15,8 @@ fit is each group's tau-quantile.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +33,14 @@ from .quantreg import QuantileFit, RegressionData, fit_group_quantiles, fit_rq
 
 SIDES = ("two-sided", "one-sided-upper", "one-sided-lower")
 
-# Window for max|z|.  Beyond it the squares the variances form overflow,
-# or fall into the subnormal range and lose digits, and the tests refuse
-# the data.  Inside it, a p-value of scaled data stayed within 6e-12
-# relative of the unscaled one, as at moderate scales (scenarios 2 and 3
-# at (50,50) and (5000,5000)).
+# Window for max|z| and max|c|.  Beyond it the squares the variances
+# form overflow, or fall into the subnormal range and lose digits, and
+# the tests refuse the data.  Inside it, a p-value of scaled data stayed
+# within 6e-12 relative of the unscaled one, as at moderate scales
+# (scenarios 2 and 3 at (50,50) and (5000,5000)).  check_scale lowers the
+# upper end for groups of more than 67 observations.
 OUTCOME_SCALE = (1e-150, 1e152)
+_ROOT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass
@@ -208,14 +212,24 @@ def check_side(side: str) -> None:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
 
 
-def check_outcome_scale(z: np.ndarray) -> None:
-    """NumericalError when max|z| is nonzero and outside OUTCOME_SCALE."""
-    top = float(np.abs(z).max())
-    lo, hi = OUTCOME_SCALE
-    if top > hi or 0.0 < top < lo:
-        raise NumericalError(
-            f"outcome scale max|z| = {top:.3g} lies outside [{lo:g}, {hi:g}]; rescale z"
-        )
+def check_scale(data: Dataset) -> None:
+    """NumericalError when max|z| or max|c| is nonzero and outside the window.
+
+    The window is OUTCOME_SCALE, with its upper end lowered where the
+    groups are large: the largest square a report forms is a group's
+    (sum of its residuals above the plane)^2 in V_d, at most
+    (N_d * 2 * max|z|)^2, and it must stay below the largest float.
+    """
+    n1 = int(np.count_nonzero(data.d))
+    lo = OUTCOME_SCALE[0]
+    hi = min(OUTCOME_SCALE[1], _ROOT_FLOAT_MAX / (2 * max(n1, data.d.size - n1)))
+    for name, label, x in (("outcome", "z", data.z), ("covariate", "c", data.c)):
+        top = float(np.abs(x).max())
+        if top > hi or 0.0 < top < lo:
+            raise NumericalError(
+                f"{name} scale max|{label}| = {top:.3g} lies outside "
+                f"[{lo:.3g}, {hi:.3g}]; rescale {label}"
+            )
 
 
 def run_coves(data: Dataset, tau: float, side: str = "two-sided") -> CovesReport:
@@ -226,9 +240,10 @@ def run_coves(data: Dataset, tau: float, side: str = "two-sided") -> CovesReport
 def run_es(data: Dataset, tau: float, side: str = "two-sided") -> CovesReport:
     """Unadjusted expected-shortfall test: covariate dropped from the design.
 
-    The fit of the design (1, d) is each group's ceil(tau*N_d)-th order
-    statistic, ``fit_group_quantiles``; no LP is solved.  Where tau*N_d
-    is an integer the optimum is an interval, and the fit takes its
+    The fit of the design (1, d) is ``fit_group_quantiles``, the fit
+    ``fit_rq`` returns there, from each group's order statistics; no LP
+    is solved.  Where tau*N_d is an integer, or within fit_rq's flat-edge
+    window of one, the optimum is an interval, and the fit takes its
     lower end, so the report does not depend on the row order of the
     data beyond the rounding of its sums.
     """
@@ -239,7 +254,7 @@ def _shortfall_test(data: Dataset, tau: float, side: str, method: str) -> CovesR
     """Fit, shortfall summaries, variance and p-value; the covariate enters
     the design only for method 'coves'."""
     check_side(side)
-    check_outcome_scale(data.z)
+    check_scale(data)
     adjust = method == "coves"
     if adjust:
         fit = fit_rq(RegressionData(data.z, design_matrix(data)), tau)

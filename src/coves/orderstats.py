@@ -1,7 +1,9 @@
 """Left-continuous empirical quantiles (generalized inverse CDF).
 
-The whole package uses one quantile convention: the p-th quantile of a
-sample of size n is the ceil(p*n)-th order statistic.  No interpolation.
+The generators, the bandwidth and the diagnostic use one quantile
+convention: the p-th quantile of a sample of size n is the
+ceil(p*n)-th order statistic.  No interpolation.  Fitted quantile
+planes follow the fit rule of ``quantreg`` instead.
 """
 
 from __future__ import annotations

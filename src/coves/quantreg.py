@@ -223,20 +223,28 @@ def fit_group_quantiles(z, d, tau: float) -> QuantileFit:
     """Exact tau-th regression quantile of the two-sample design (1, d).
 
     ``z`` is the float array of outcomes and ``d`` the 0/1 treatment
-    indicator, both groups nonempty.  Group d's fitted quantile q_d is
-    its ceil(tau*N_d)-th order statistic, ``empirical_quantile``
-    (Koenker 2005, §2.2), which also validates tau, so no LP is solved;
-    beta = (q_0, q_1 - q_0) and the residuals are z - q_d.  When
-    tau*N_d is an integer, every point of [z_(tau*N_d), z_(tau*N_d + 1)]
-    is optimal, and q_d is its lower end.  The fit depends on the data
-    only through each group's sorted values, so it does not depend on
-    the row order.
+    indicator, both groups nonempty.  This is the fit ``fit_rq`` returns
+    on (1, d), from order statistics alone, so no LP is solved.  Group
+    d's fitted quantile q_d is its k_d-th order statistic, with
+    k_d = max(1, ceil(tau*N_d - TIE_RTOL*N_d)): the lower end of the
+    optimal interval under ``fit_rq``'s flat-edge window, TIE_RTOL*N_d on
+    this design, so a tau*N_d at or a hair above an integer k in floats
+    (0.55*100) takes the k-th.  beta = (q_0, q_1 - q_0) and the residuals
+    are z - q_d.  The fit depends on the data only through each group's
+    sorted values, so not on their row order.
     """
+    _check_tau(tau)
     treated = d == 1
-    q1 = empirical_quantile(z[treated], tau)
-    q0 = empirical_quantile(z[~treated], tau)
+    q1, q0 = (_lower_end(z[sel], tau) for sel in (treated, ~treated))
     beta = np.array([q0, q1 - q0])
     return _make_fit(tau, beta, z, z - np.where(treated, q1, q0))
+
+
+def _lower_end(values: np.ndarray, tau: float) -> float:
+    """The max(1, ceil(tau*n - TIE_RTOL*n))-th smallest of n values."""
+    n = values.size
+    k = max(1, int(np.ceil(tau * n - TIE_RTOL * n)))
+    return float(np.sort(values)[k - 1])
 
 
 def _start_basis(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
@@ -245,11 +253,14 @@ def _start_basis(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
     The OLS fit shifted by the tau-quantile of its residuals ranks the
     rows by distance.  The nearest rows are taken greedily, each only if
     its component orthogonal to the rows already taken is at least 1e-6
-    of the largest such component.
+    of the largest such component.  The rows are divided by each
+    column's max|x| first, so a column far smaller than the others (a
+    covariate of order 1e-10 beside the intercept) is not lost below the
+    rounding residue of a row already taken.
     """
     r = y - X @ np.linalg.lstsq(X, y, rcond=None)[0]
     order = np.argsort(np.abs(r - empirical_quantile(r, tau)), kind="stable")
-    R = X[order]
+    R = X[order] / np.abs(X).max(axis=0)
     rows = []
     for _ in range(X.shape[1]):
         left = np.einsum("ij,ij->i", R, R)

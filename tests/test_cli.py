@@ -101,6 +101,31 @@ class TestTest:
                      "--out", str(tmp_path / "r.json")]) == 3
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: outcome scale max|z| = 1e+161")
 
+    @pytest.mark.parametrize("method", ["coves", "es", "ttest"])
+    def test_covariate_scale_outside_window_exits_3(self, tmp_path, capsys, method):
+        rows = [f"{z},{d},{float(c) * 1e160!r}" for z, d, c in
+                (line.split(",") for line in FIXTURE_CSV.splitlines()[1:])]
+        path = tmp_path / "huge.csv"
+        path.write_text("z,d,c\n" + "\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert main(["test", "--input", str(path), "--tau", "0.5", "--method", method,
+                     "--out", str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: covariate scale max|c| = 4e+160")
+
+    def test_tiny_covariate_exits_0(self, tmp_path):
+        # Scenario 1, eta = 1.35, (50,50), seed 1 with c*1e-10: the fit's
+        # start basis once took one row twice, and the command exited 2
+        # with "error: Singular matrix".
+        from coves.simgen import ScenarioSpec, sample_scenario
+
+        data = sample_scenario(ScenarioSpec.from_scenario(1, 1.35), 50, 50, 1)
+        rows = [f"{float(z)!r},{d},{float(c) * 1e-10!r}" for z, d, c in zip(data.z, data.d, data.c)]
+        path = tmp_path / "tiny.csv"
+        path.write_text("z,d,c\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "r.json"
+        assert main(["test", "--input", str(path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["s_counts"] == {"treatment": 12, "control": 12}
+
     def test_unknown_method_exits_2(self, fixture_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["test", "--input", str(fixture_csv), "--method", "wilcoxon", "--out", str(tmp_path / "r.json")])

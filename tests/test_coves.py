@@ -451,10 +451,29 @@ class TestInvariances:
             assert rep.s_counts == base.s_counts, run.__name__
             assert rep.p_value == pytest.approx(base.p_value, rel=1e-12), run.__name__
 
+    @pytest.mark.parametrize("k", range(-13, 13))
+    def test_covariate_scale(self, k):
+        # Scaling the covariate scales gamma alone.  At c*1e-10 the start
+        # basis of the simplex once took one row twice, and run_coves
+        # raised a bare LinAlgError (scenario 1, eta = 1.35, seed 1).
+        for sc in (1, 2, 3, 4):
+            for seed in range(3):
+                data = sample_scenario(ScenarioSpec.from_scenario(sc, 1.35), 50, 50, seed)
+                scaled = Dataset(z=data.z, d=data.d, c=10.0**k * data.c)
+                base, rep = run_coves(data, 0.75), run_coves(scaled, 0.75)
+                assert rep.s_counts == base.s_counts, (sc, seed)
+                assert rep.p_value == pytest.approx(base.p_value, rel=1e-12), (sc, seed)
+
+    @pytest.mark.parametrize("k", [-14, 13])
+    def test_covariate_scale_beyond_rank_tolerance(self, k):
+        data = sample_scenario(ScenarioSpec.from_scenario(1, 1.35), 50, 50, 1)
+        with pytest.raises(DegenerateDesignError, match="numerically rank deficient"):
+            run_coves(Dataset(z=data.z, d=data.d, c=10.0**k * data.c), 0.75)
+
 
 class TestOutcomeScaleWindow:
     # Scenario 2 at (50,50): max|z| is about 10, so z*1e150 sits just
-    # inside the window and z*1e160 beyond it.
+    # inside the window and z*1e160 beyond it; the same holds for c.
     RUNS = {
         "coves": lambda data: run_coves(data, 0.75),
         "es": lambda data: run_es(data, 0.75),
@@ -474,6 +493,47 @@ class TestOutcomeScaleWindow:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match=r"^outcome scale max\|z\| = "):
                 self.RUNS[method](data)
+
+    @pytest.mark.parametrize("method", RUNS)
+    @pytest.mark.parametrize("scale", [1e-160, 1e155, 1e160])
+    def test_covariate_outside_raises_numerical_error(self, method, scale):
+        # At c*1e155 run_es once overflowed to cstar_sumsq = inf with
+        # only a RuntimeWarning.
+        data, _ = self.scaled(1.0)
+        scaled = Dataset(z=data.z, d=data.d, c=scale * data.c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"^covariate scale max\|c\| = "):
+                self.RUNS[method](scaled)
+
+    @pytest.mark.parametrize("method", RUNS)
+    def test_upper_end_falls_with_group_size(self, method):
+        # Scenario 3 at (100000,100000): at max|z| = 8e151 a group's
+        # (sum of residuals)^2 in V_d overflowed, and run_es warned twice
+        # before "variance not positive".  The window's upper end there
+        # is sqrt(float max) / (2 * 100000), about 6.7e148.
+        data = sample_scenario(ScenarioSpec.from_scenario(3, 0.0), 100000, 100000, 0)
+        hi = np.sqrt(np.finfo(float).max) / 200000
+        top = np.max(np.abs(data.z))
+        for scale in (8e151, np.nextafter(hi, np.inf)):
+            scaled = Dataset(z=data.z * (scale / top), d=data.d, c=data.c)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalError, match=r"^outcome scale max\|z\| = .* 6\.7e\+148\]"):
+                    self.RUNS[method](scaled)
+
+    @pytest.mark.parametrize("method", ["es", "ttest"])
+    def test_upper_end_keeps_every_square_finite(self, method):
+        # At the upper end itself the report is finite and nothing warns.
+        data = sample_scenario(ScenarioSpec.from_scenario(3, 0.0), 100000, 100000, 0)
+        hi = np.sqrt(np.finfo(float).max) / 200000
+        scaled = Dataset(z=data.z * (hi / np.max(np.abs(data.z))), d=data.d, c=data.c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = self.RUNS[method](scaled)
+        assert 0.0 <= report.p_value <= 1.0
+        if method == "es":
+            assert np.all(np.isfinite(report.v)) and np.isfinite(report.s2)
 
     @pytest.mark.parametrize("method", RUNS)
     @pytest.mark.parametrize("scale", [1e-150, 1e150])

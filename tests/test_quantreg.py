@@ -419,11 +419,28 @@ def assert_same_fit(a, b):
 
 def assert_lower_end(rd, fit, tau):
     """Each group's fitted quantile q is the lower end of its optimal
-    interval: #{z < q} < tau*N_d <= #{z <= q}, with tau*N_d in floats as
-    empirical_quantile takes it.  z - q has the sign of z - q exactly."""
+    interval under fit_rq's flat-edge window, TIE_RTOL*N_d on (1, d):
+    raising q does not descend, #{z <= q} - tau*N_d >= -TIE_RTOL*N_d, and
+    lowering q ascends, tau*N_d - #{z < q} > TIE_RTOL*N_d, unless q is
+    the group's least value.  z - q has the sign of z - q exactly."""
     for g in (0.0, 1.0):
         r = fit.residuals[rd.X[:, 1] == g]
-        assert np.sum(r < 0.0) < tau * r.size <= np.sum(r <= 0.0), (g, tau)
+        window = TIE_RTOL * r.size
+        below = np.sum(r < 0.0)
+        assert np.sum(r <= 0.0) - tau * r.size >= -window, (g, tau)
+        assert below == 0 or tau * r.size - below > window, (g, tau)
+
+
+def hair_above_designs():
+    """(tau, N_0, N_1) with tau = k/100, N_0 <= 160 and N_1 in {N_0, N_0 + 7},
+    where some group's tau*N_d is a float a hair above an integer, inside
+    fit_rq's flat-edge window TIE_RTOL*N_d (0.55*100 = 55.000000000000007)."""
+    for k in range(1, 100):
+        tau = k / 100
+        for n0 in range(1, 161):
+            for n1 in (n0, n0 + 7):
+                if any(0.0 < tau * n - round(tau * n) <= TIE_RTOL * n for n in (n0, n1)):
+                    yield tau, n0, n1
 
 
 class TestGroupQuantileFit:
@@ -467,19 +484,42 @@ class TestGroupQuantileFit:
             assert fit.beta[0] + fit.beta[1] == np.sort(rd.y[d == 1])[5], seed
             assert fit.objective == pytest.approx(rq_oracle(rd, 0.75).objective, rel=1e-12), seed
 
-    @pytest.mark.parametrize("tau,size", [(0.1, 30), (0.55, 100), (0.7, 90)])
-    def test_near_integral_tau_n_takes_ceil_order_statistic(self, tau, size):
-        # tau*N_d in floats: 0.1*30 rounds to exactly 3, while 0.55*100 and
-        # 0.7*90 land a hair above 55 and below 63.  The fit takes the
-        # ceil(tau*N_d)-th order statistic of the float product, as every
-        # quantile in the package does.
-        assert abs(tau * size - round(tau * size)) < 1e-13
-        k = int(np.ceil(tau * size))
-        for seed in range(10):
-            rd = self.scenario(1, 0.0, size, size, seed)
-            fit = group_fit(rd, tau)
-            assert fit.beta[0] == np.sort(rd.y[rd.X[:, 1] == 0])[k - 1], seed
+    def test_near_integral_tau_n_matches_fit_rq(self):
+        # One tau*N_d rule on both paths: fit_rq counts a slope within
+        # TIE_RTOL*N_d of zero as flat, so a tau*N_d a hair above an
+        # integer k takes the k-th order statistic, the lower end.  The
+        # float product once took the (k+1)-th on all 54 such designs.
+        designs = list(hair_above_designs())
+        assert len(designs) == 54
+        for i, (tau, n0, n1) in enumerate(designs):
+            z = np.random.default_rng(i).normal(size=n0 + n1)
+            rd = two_sample(z, [1] * n1 + [0] * n0)
+            fit, ref = group_fit(rd, tau), fit_rq(rd, tau)
+            case = (tau, n0, n1)
+            assert np.array_equal(fit.positive_mask(), ref.positive_mask()), case
+            assert np.array_equal(fit.zero_set, ref.zero_set), case
+            ulp = np.spacing(np.abs(ref.beta).max())
+            assert np.all(np.abs(fit.beta - ref.beta) <= 4 * ulp), case
             assert_lower_end(rd, fit, tau)
+        # 0.1*30 rounds to exactly 3, 0.55*100 lands a hair above 55 and
+        # 0.7*90 a hair below 63: each takes that order statistic.
+        for tau, size, k in [(0.1, 30, 3), (0.55, 100, 55), (0.7, 90, 63)]:
+            for seed in range(10):
+                rd = self.scenario(1, 0.0, size, size, seed)
+                fit = group_fit(rd, tau)
+                assert fit.beta[0] == np.sort(rd.y[rd.X[:, 1] == 0])[k - 1], (tau, seed)
+                assert np.array_equal(fit.positive_mask(), fit_rq(rd, tau).positive_mask()), (tau, seed)
+
+    @pytest.mark.parametrize("tau", [5e-324, 1e-10, TIE_RTOL])
+    def test_tau_inside_tie_window_takes_least_value(self, tau):
+        # tau*N_d - TIE_RTOL*N_d <= 0: k_d clamps to 1, each group's least
+        # value, the oracle's point.  fit_rq finds no kink to stop at here.
+        z = np.random.default_rng(0).normal(size=12)
+        rd = two_sample(z, [1] * 6 + [0] * 6)
+        fit = group_fit(rd, tau)
+        assert tuple(fit.beta) == (z[6:].min(), z[:6].min() - z[6:].min())
+        assert np.array_equal(fit.beta, rq_oracle(rd, tau).beta)
+        assert_lower_end(rd, fit, tau)
 
     def test_row_order_does_not_matter(self):
         # Scenario 2 at (50,50), tau = 0.5: tau*N_d = 25, so the optimum is

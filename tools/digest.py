@@ -18,13 +18,19 @@ design, so ``--diff`` can name every design whose result moved.
   stand-in seeds on which the former interior-point solver broke down,
   and random designs with rounded outcomes or discrete covariates at
   scales 1e-8, 1 and 1e8; tau from 0.05 to 0.99, with and without the
-  covariate.
+  covariate.  Near-integral two-sample designs add their (1, d) fits:
+  scenarios 1-4 at eta 0 and 1.35, seeds 0-4, at (25, 25) with tau 0.28
+  and 0.56 and at (100, 100) with tau 0.55, where tau*N_d is a float a
+  hair above an integer.
 - ``rq_oracle``: the enumeration oracle's fit or error, hashed the same
   way, on every one of those designs with at most ``ORACLE_MAX_N`` rows.
 - ``run_coves``, ``run_es``, ``run_ttest``, ``decompose_T``: every field
-  of the report, or the error, on the same datasets.
+  of the report, or the error, on the same datasets.  ``run_coves`` and
+  ``run_es`` also run on the near-integral designs, and ``run_coves`` on
+  each scenario dataset of ``SIZES`` with its covariate times 1e-10.
 - ``cli``: exit code, stdout, stderr and output files of a set of
-  ``coves`` commands run through ``coves.cli.main``.
+  ``coves`` commands run through ``coves.cli.main``, among them
+  ``test --method es --tau 0.55`` on a (100, 100) file.
 
 For the reports, the file also keeps the shortfall counts, objective
 and p-value, which ``--diff`` prints beside each moved design.
@@ -47,6 +53,8 @@ import numpy as np
 SIZES = [(6, 6), (8, 8), (9, 7), (10, 10), (12, 12), (30, 21), (33, 33), (50, 50), (99, 50), (300, 150)]
 FIT_TAUS = (0.05, 0.5, 0.75, 0.9, 0.99)
 BREAKDOWN_SEEDS = [((7, 12, 52), 24, 12), ((9, 12, 70), 24, 12), ((8, 20, 195), 40, 20)]
+# (size per group, taus) where some tau*N_d is a float a hair above an integer.
+NEAR_INTEGRAL = [(25, (0.28, 0.56)), (100, (0.55,))]
 
 
 def encode(obj) -> bytes:
@@ -111,6 +119,27 @@ def datasets():
             yield f"s3e0.0/{size}x{size}/rep{rep}", data, (5.0, 0.0, spec.gamma)
 
 
+def near_integral_datasets():
+    """(name, dataset, taus) for the near-integral designs."""
+    from coves.simgen import ScenarioSampler, ScenarioSpec
+
+    for sc in (1, 2, 3, 4):
+        for eta in (0.0, 1.35):
+            sampler = ScenarioSampler(ScenarioSpec.from_scenario(sc, eta))
+            for size, taus in NEAR_INTEGRAL:
+                for seed in range(5):
+                    yield f"near/s{sc}e{eta}/{size}x{size}/{seed}", sampler(size, size, seed), taus
+
+
+def tiny_covariate_datasets():
+    """Every scenario dataset of SIZES with its covariate multiplied by 1e-10."""
+    from coves.coves_test import Dataset
+
+    for name, data, _ in datasets():
+        if name.startswith(("s1e", "s2e", "s3e", "s4e")) and data.z.size <= 1000:
+            yield f"tinyc/{name}", Dataset(z=data.z, d=data.d, c=1e-10 * data.c)
+
+
 def random_designs():
     """Small random designs, some with rounded outcomes or a discrete covariate."""
     rng = np.random.default_rng(2024)
@@ -166,6 +195,17 @@ def sweep(record):
             es = call(run_es, data, tau)
             record("run_es", f"{name}/tau{tau}", es, summary(es))
         record("run_ttest", name, call(run_ttest, data))
+    for name, data, taus in near_integral_datasets():
+        rd = call(RegressionData, data.z, design_matrix(data, False))
+        for tau in taus:
+            record_fits(record, f"{name}/cov0/tau{tau}", rd, data.z.size, tau)
+            for family, test in (("run_coves", run_coves), ("run_es", run_es)):
+                report = call(test, data, tau)
+                record(family, f"{name}/tau{tau}", report, summary(report))
+    for name, data in tiny_covariate_datasets():
+        for tau in (0.75, 0.9):
+            coves = call(run_coves, data, tau)
+            record("run_coves", f"{name}/tau{tau}", coves, summary(coves))
     for name, y, X, tau in random_designs():
         record_fits(record, f"{name}/tau{tau}", call(RegressionData, y, X), y.size, tau)
 
@@ -181,6 +221,11 @@ def cli_commands(work: Path):
             cmds.append((f"simulate/s{sc}e{eta}", ["simulate", "--scenario", str(sc), "--eta", eta,
                                                   "--m", "40", "--n", "30", "--seed", "7", "--out", out]))
             inputs.append(out)
+    near = f"{w}/s1e0-100x100.csv"
+    cmds.append(("simulate/s1e0-100x100", ["simulate", "--scenario", "1", "--eta", "0", "--m", "100",
+                                          "--n", "100", "--seed", "0", "--out", near]))
+    cmds.append(("test/s1e0-100x100/es/two/0.55", ["test", "--input", near, "--method", "es", "--tau", "0.55",
+                                                   "--out", f"{w}/s1e0-100x100-es.json"]))
     for m, n in [(50, 50), (24, 12), (8, 8)]:
         out = f"{w}/standin{m}x{n}.csv"
         cmds.append((f"simulate/standin{m}x{n}", ["simulate", "--targeted", "--m", str(m), "--n", str(n),
