@@ -501,14 +501,21 @@ class TestGroupQuantileFit:
             ulp = np.spacing(np.abs(ref.beta).max())
             assert np.all(np.abs(fit.beta - ref.beta) <= 4 * ulp), case
             assert_lower_end(rd, fit, tau)
-        # 0.1*30 rounds to exactly 3, 0.55*100 lands a hair above 55 and
-        # 0.7*90 a hair below 63: each takes that order statistic.
-        for tau, size, k in [(0.1, 30, 3), (0.55, 100, 55), (0.7, 90, 63)]:
-            for seed in range(10):
-                rd = self.scenario(1, 0.0, size, size, seed)
-                fit = group_fit(rd, tau)
-                assert fit.beta[0] == np.sort(rd.y[rd.X[:, 1] == 0])[k - 1], (tau, seed)
-                assert np.array_equal(fit.positive_mask(), fit_rq(rd, tau).positive_mask()), (tau, seed)
+
+    @pytest.mark.parametrize("tau,size", [(0.1, 30), (0.55, 100), (0.7, 90)])
+    def test_near_integral_tau_n_takes_ceil_order_statistic(self, tau, size):
+        # tau*N_d in floats: 0.1*30 rounds to exactly 3, 0.55*100 lands a
+        # hair above 55 and 0.7*90 a hair below 63.  The fit takes the
+        # ceil(tau*N_d - TIE_RTOL*N_d)-th order statistic: 3, 55 and 63.
+        assert abs(tau * size - round(tau * size)) < 1e-13
+        k = {30: 3, 100: 55, 90: 63}[size]
+        assert k == int(np.ceil(tau * size - TIE_RTOL * size))
+        for seed in range(10):
+            rd = self.scenario(1, 0.0, size, size, seed)
+            fit = group_fit(rd, tau)
+            assert fit.beta[0] == np.sort(rd.y[rd.X[:, 1] == 0])[k - 1], seed
+            assert np.array_equal(fit.positive_mask(), fit_rq(rd, tau).positive_mask()), seed
+            assert_lower_end(rd, fit, tau)
 
     @pytest.mark.parametrize("tau", [5e-324, 1e-10, TIE_RTOL])
     def test_tau_inside_tie_window_takes_least_value(self, tau):
