@@ -183,15 +183,26 @@ def variance_est(
     nominal ((1 - tau) N_d)^2.  The two agree asymptotically, but the
     fit puts p points on the plane, so s_d falls short of (1 - tau) N_d
     and the nominal count understates the variance in small samples.
-    tau enters only the covariate-adjustment term.
+    tau enters only the covariate-adjustment term.  When u_f**-2 is not
+    a normal float, that term would lose its digits, vanish without
+    notice or overflow, so NumericalError is raised instead.
     """
     if u_f <= 0.0:
         raise DegenerateDensityError(
             f"density-weighted curvature sum must be positive, got {u_f}"
         )
+    try:
+        inv_sq = float(u_f) ** -2
+    except OverflowError:
+        inv_sq = math.inf
+    if not sys.float_info.min <= inv_sq < math.inf:
+        raise NumericalError(
+            f"density-weighted curvature sum u_f = {u_f:.3g} is out of range: "
+            f"u_f**-2 = {inv_sq:.3g} is not a normal float; rescale z or c"
+        )
     return _tail_term(v1, v0, s1, s0) + tau * (1.0 - tau) * (
         cbar1 - cbar0
-    ) ** 2 * u_f**-2 * cstar_sumsq
+    ) ** 2 * inv_sq * cstar_sumsq
 
 
 def p_value(stat: float, side: str, cdf) -> float:

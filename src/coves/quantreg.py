@@ -45,6 +45,10 @@ ORACLE_MAX_N = 20
 TIE_RTOL = 1e-9
 # Residuals and entries of XB within this of their rounding scale are zero.
 _NOISE_RTOL = 1e-12
+# Kinks sorted at first along an edge step.  Over 20 fits of scenario 3
+# at (5000,5000), 132 pivots crossed about 4100 kinks each and stopped at
+# kink 4 in the median and 19 at the 90th percentile; one went past 64.
+KINK_WINDOW = 64
 
 
 def rho_tau(u, tau: float):
@@ -247,28 +251,74 @@ def _lower_end(values: np.ndarray, tau: float) -> float:
     return float(np.sort(values)[k - 1])
 
 
+def _col_absmax(X: np.ndarray) -> np.ndarray:
+    """max|x| of each column: np.abs(X).max(axis=0), one column at a time."""
+    return np.array([np.abs(col).max() for col in X.T])
+
+
 def _start_basis(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
     """p linearly independent rows near the tau-quantile plane of the data.
 
-    The OLS fit shifted by the tau-quantile of its residuals ranks the
-    rows by distance.  The nearest rows are taken greedily, each only if
-    its component orthogonal to the rows already taken is at least 1e-6
-    of the largest such component.  The rows are divided by each
-    column's max|x| first, so a column far smaller than the others (a
-    covariate of order 1e-10 beside the intercept) is not lost below the
-    rounding residue of a row already taken.
+    The OLS fit shifted by the tau-quantile of its residuals gives each
+    row a distance.  Rows are taken greedily: at each step the row with
+    the least (distance, row index) among those whose component
+    orthogonal to the rows already taken is at least 1e-6 of the largest
+    such component, found by an argmin over the passing rows, so no sort
+    of all n distances is needed.  The rows are divided by each column's
+    max|x| first, so a column far smaller than the others (a covariate
+    of order 1e-10 beside the intercept) is not lost below the rounding
+    residue of a row already taken.
     """
     r = y - X @ np.linalg.lstsq(X, y, rcond=None)[0]
-    order = np.argsort(np.abs(r - empirical_quantile(r, tau)), kind="stable")
-    R = X[order] / np.abs(X).max(axis=0)
+    dist = np.abs(r - empirical_quantile(r, tau))
+    R = X / _col_absmax(X)
+    p = X.shape[1]
     rows = []
-    for _ in range(X.shape[1]):
+    for step in range(p):
         left = np.einsum("ij,ij->i", R, R)
-        j = int(np.argmax(left >= _NOISE_RTOL * left.max()))
-        rows.append(order[j])
-        q = R[j] / np.sqrt(left[j])
-        R = R - np.outer(R @ q, q)
+        passing = np.flatnonzero(left >= _NOISE_RTOL * left.max())
+        j = int(passing[np.argmin(dist[passing])])
+        rows.append(j)
+        if step + 1 < p:
+            q = R[j] / np.sqrt(left[j])
+            Rq = R @ q
+            # Column by column: the same products and differences as
+            # R - np.outer(Rq, q), without a length-p inner loop.
+            for col in range(p):
+                R[:, col] -= Rq * q[col]
     return np.array(rows)
+
+
+def _kinks_to_stop(t, gain, slope, tol):
+    """Positions of the kinks an edge step passes, then the one it stops at.
+
+    The kinks run in ascending step length t, ties by position: the
+    stable order of t.  The slope after kink j is slope plus the running
+    sum of gain along that order, and the step stops at the first kink
+    where it reaches tol.  Returns None when no kink gets there.
+
+    Only a prefix of that order is sorted.  It holds the KINK_WINDOW
+    smallest t, and every kink tied with the largest of them, in
+    position order: np.partition finds the cut and a stable sort orders
+    the prefix.  These are the first entries of the stable order of all
+    of t, and the running sum is sequential, so the stop is the one the
+    full sort finds.  When the stop lies beyond the prefix, the window
+    doubles until the prefix is all of t.
+    """
+    window = KINK_WINDOW
+    while True:
+        if t.size <= window:
+            order = np.argsort(t, kind="stable")
+        else:
+            cut = np.partition(t, window - 1)[window - 1]
+            prefix = np.flatnonzero(t <= cut)
+            order = prefix[np.argsort(t[prefix], kind="stable")]
+        stop = np.flatnonzero(slope + np.cumsum(gain[order]) >= tol)
+        if stop.size:
+            return order[: stop[0] + 1]
+        if order.size == t.size:
+            return None
+        window *= 2
 
 
 def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
@@ -282,15 +332,23 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     s * B e_k, taking basis row k below (s = +1) or above (s = -1) the
     plane; the slopes of all 2p edges come from one product w'XB.  Each
     pivot follows an edge to the minimum of the objective along it: the
-    kinks where rows cross the plane are sorted by step length, ties by
-    row index, and the step stops at the first kink where the slope,
-    raised by |x_i' delta| at each kink, is no longer negative.  The rows
-    passed change sides, and the row at that kink enters the basis.
+    kinks where rows cross the plane are taken in order of step length,
+    ties by row index, and the step stops at the first kink where the
+    slope, raised by |x_i' delta| at each kink, is no longer negative.
+    The rows passed change sides, and the row at that kink enters the
+    basis.  Only a prefix of that order is sorted: np.partition picks
+    the KINK_WINDOW shortest steps (with every step tied with the
+    longest of them), and the window doubles while the stop lies beyond
+    it, so a pivot at large n sorts a few dozen kinks, not thousands.
+    The prefix is the head of the full stable order, so the stop is the
+    same.
 
     An edge is flat when its slope is within TIE_RTOL * sum |x_i' delta|
     of zero.  Once no edge descends, flat edges that lower the key (see
     the module docstring) are followed to their first kink, so the fit
-    ends on the key's lexicographic minimum over the optimal face.
+    ends on the key's lexicographic minimum over the optimal face.  A
+    flat edge with no kink ahead (every downward edge of (1, d) when tau
+    is at most TIE_RTOL) is skipped, and the next candidate is tried.
     After a zero-length step the entering edge is the improving one with
     the lowest row index (Bland's rule), which rules out cycling on
     degenerate vertices.  Residuals and entries of XB within _NOISE_RTOL
@@ -303,30 +361,43 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
         If the design is rank deficient (via RegressionData validation).
     ConvergenceError
         If the simplex exceeds MAX_ITER pivots, or, in rounding, finds
-        no kink to stop at along an edge.
+        no kink to stop at along a descending edge.
     """
     _check_tau(tau)
     y, X = data.y, data.X
     p = data.p
-    weight = np.abs(X).max(axis=0)
+    weight = _col_absmax(X)
     key = _key_columns(p)
     h = _start_basis(X, y, tau)
-    up = None
+    side = None
     bland = False
+    # The (n, p) arrays of every pivot are written into buffers made once
+    # per fit: a fresh array of that size costs its page faults each time.
+    A, absA, runs = (np.empty_like(X) for _ in range(3))
     for _ in range(MAX_ITER):
         # Row i of A = X B holds x_i's coordinates in the basis rows.
         B = np.linalg.inv(X[h])
-        A = X @ B
+        np.matmul(X, B, out=A)
         yh = y[h]
         r = y - A @ yh
-        if up is None:
-            up = r > 0.0
-        absA = np.abs(A)
-        w = np.where(up, -tau, 1.0 - tau)
+        if side is None:
+            # side is +1 above the plane and -1 below; w is each row's
+            # weight in the objective's slope, 0 on the basis rows.  Both
+            # change only where a row changes sides or leaves the basis.
+            above = r > 0.0
+            side = np.where(above, 1.0, -1.0)
+            w = np.where(above, -tau, 1.0 - tau)
         w[h] = 0.0
+        np.abs(A, out=absA)
         c = w @ A
         slope = np.concatenate((c + (1.0 - tau), tau - c))
-        spread = TIE_RTOL * absA.sum(axis=0)
+        # Column and row sums of |A| in the order of absA.sum(axis=0) and
+        # absA.sum(axis=1), without their length-p inner loops.
+        spread = TIE_RTOL * np.add.accumulate(absA, axis=0, out=runs)[-1]
+        noise = absA[:, 0].copy()
+        for col in range(1, p):
+            noise += absA[:, col]
+        noise *= _NOISE_RTOL
         flat_tol = np.concatenate((spread, spread))
         descend = slope < -flat_tol
         if bland or not descend.any():
@@ -337,29 +408,35 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
             lead = V[np.argmax(big, axis=0), np.arange(p)]
             lower = np.concatenate((lead < 0.0, lead > 0.0))
             edges = np.flatnonzero(descend | ((slope <= flat_tol) & lower))
-            if edges.size == 0:
-                break
-            e = int(edges[np.argmin(h[edges % p])])
+            edges = edges[np.lexsort((edges, h[edges % p]))]
         else:
-            e = int(np.argmin(slope))
-        k, s = e % p, 1.0 if e < p else -1.0
-
-        a = s * A[:, k]
-        a[h] = 0.0
-        noise = _NOISE_RTOL * absA.sum(axis=1)
-        cross = np.flatnonzero(np.where(up, a > noise, a < -noise))
-        rc, ac = r[cross], a[cross]
-        on_plane = np.abs(rc) <= _NOISE_RTOL * (np.abs(y[cross]) + absA[cross] @ np.abs(yh))
-        t = np.where(on_plane, 0.0, np.maximum(rc / ac, 0.0))
-        order = np.argsort(t, kind="stable")
-        stop = np.flatnonzero(slope[e] + np.cumsum(np.abs(ac[order])) >= -flat_tol[e])
-        if stop.size == 0:
-            raise ConvergenceError("simplex found no kink to stop at along an edge")
-        passed = cross[order[: stop[0]]]
-        up[passed] = ~up[passed]
-        up[h[k]] = s < 0.0
-        h[k] = cross[order[stop[0]]]
-        bland = t[order[stop[0]]] == 0.0
+            edges = [int(np.argmin(slope))]
+        for e in edges:
+            k, s = e % p, 1.0 if e < p else -1.0
+            a = s * A[:, k]
+            a[h] = 0.0
+            cross = np.flatnonzero(a * side > noise)
+            rc, ac = r[cross], a[cross]
+            on_plane = np.abs(rc) <= _NOISE_RTOL * (np.abs(y[cross]) + absA.take(cross, axis=0) @ np.abs(yh))
+            t = np.maximum(rc / ac, 0.0)
+            t[on_plane] = 0.0
+            reached = _kinks_to_stop(t, np.abs(ac), slope[e], -flat_tol[e])
+            if reached is not None:
+                break
+            if descend[e]:
+                raise ConvergenceError("simplex found no kink to stop at along an edge")
+            # A flat edge with no kink ahead is a ray that ascends, if at
+            # all, by less than the tie window (tau below TIE_RTOL on (1, d)):
+            # it is not followed, and the next candidate edge is tried.
+        else:
+            break
+        passed = cross[reached[:-1]]
+        side[passed] = -side[passed]
+        w[passed] = np.where(side[passed] > 0.0, -tau, 1.0 - tau)
+        side[h[k]] = -s
+        w[h[k]] = -tau if s < 0.0 else 1.0 - tau
+        h[k] = cross[reached[-1]]
+        bland = t[reached[-1]] == 0.0
     else:
         raise ConvergenceError(f"simplex did not finish within MAX_ITER = {MAX_ITER} pivots")
 

@@ -112,6 +112,23 @@ class TestTest:
                      "--out", str(tmp_path / "r.json")]) == 3
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: covariate scale max|c| = 4e+160")
 
+    @pytest.mark.parametrize("z_scale,c_scale,u_f", [(1e-150, 1e6, "8.74e+162"), (1e150, 1e-10, "8.74e-170")])
+    def test_covariate_term_out_of_range_exits_3(self, tmp_path, capsys, z_scale, c_scale, u_f):
+        # Scenario 2, (50,50), seed 3, both arrays inside the scale window:
+        # u_f**-2 underflowed to 0 and the command reported p = 0.84823,
+        # or overflowed and the command ended in a bare OverflowError.
+        from coves.simgen import ScenarioSpec, sample_scenario
+
+        data = sample_scenario(ScenarioSpec.from_scenario(2, 0.0), 50, 50, 3)
+        rows = [f"{float(z) * z_scale!r},{d},{float(c) * c_scale!r}" for z, d, c in zip(data.z, data.d, data.c)]
+        path = tmp_path / "scaled.csv"
+        path.write_text("z,d,c\n" + "\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert main(["test", "--input", str(path), "--out", str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith(f"error: density-weighted curvature sum u_f = {u_f} is out of range")
+        assert err.endswith("rescale z or c")
+
     def test_tiny_covariate_exits_0(self, tmp_path):
         # Scenario 1, eta = 1.35, (50,50), seed 1 with c*1e-10: the fit's
         # start basis once took one row twice, and the command exited 2

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -545,6 +546,37 @@ class TestOutcomeScaleWindow:
             warnings.simplefilter("error")
             p = self.RUNS[method](scaled).p_value
         assert abs(p - self.RUNS[method](data).p_value) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "z_scale,c_scale,u_f",
+        [(1e-150, 1e6, "8.74e+162"), (1e-140, 1e12, "8.74e+164"), (1e150, 1e-10, "8.74e-170"), (1e140, 1e-12, "8.74e-164")],
+    )
+    def test_covariate_term_out_of_range_raises(self, z_scale, c_scale, u_f):
+        # Both arrays inside the window, but u_f**-2 is not a normal
+        # float.  At u_f = 8.74e162 and 8.74e164 it was 0 and the
+        # covariate term of the variance vanished: p = 0.84823 in place of
+        # 0.85004, without a warning.  At 8.74e-170 and 8.74e-164 it
+        # raised a bare OverflowError.
+        data, _ = self.scaled(1.0)
+        scaled = Dataset(z=z_scale * data.z, d=data.d, c=c_scale * data.c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=rf"^density-weighted curvature sum u_f = {re.escape(u_f)} is out of range: .*; rescale z or c$"):
+                run_coves(scaled, 0.75)
+
+    @pytest.mark.parametrize("u_f", [1e155, 1e-155, np.float64(1e155), np.float64(1e-155)])
+    def test_variance_est_refuses_u_f_out_of_range(self, u_f):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="rescale z or c$"):
+                variance_est(1.0, 1.0, 0.5, 0.1, u_f, 10.0, 0.75, 5, 5)
+
+    def test_covariate_term_kept_at_window_edge(self):
+        # z*1e-150 alone: u_f is about 8.7e150, u_f**-2 about 1.3e-302.
+        data, scaled = self.scaled(1e-150)
+        report = run_coves(scaled, 0.75)
+        assert report.u_f**-2 >= np.finfo(float).tiny
+        assert abs(report.p_value - run_coves(data, 0.75).p_value) <= 1e-12
 
 
 class TestPValue:

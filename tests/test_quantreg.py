@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 
 from coves.coves_test import design_matrix
 from coves.errors import ConvergenceError, DegenerateDesignError, OracleSizeError
+from coves.orderstats import empirical_quantile
 from coves.quantreg import (
+    KINK_WINDOW,
     TIE_RTOL,
     RegressionData,
+    _kinks_to_stop,
+    _start_basis,
     check_objective,
     fit_group_quantiles,
     fit_rq,
@@ -517,16 +521,20 @@ class TestGroupQuantileFit:
             assert np.array_equal(fit.positive_mask(), fit_rq(rd, tau).positive_mask()), seed
             assert_lower_end(rd, fit, tau)
 
-    @pytest.mark.parametrize("tau", [5e-324, 1e-10, TIE_RTOL])
+    @pytest.mark.parametrize("tau", [5e-324, 1e-10, TIE_RTOL, 2e-9, 1e-6])
     def test_tau_inside_tie_window_takes_least_value(self, tau):
-        # tau*N_d - TIE_RTOL*N_d <= 0: k_d clamps to 1, each group's least
-        # value, the oracle's point.  fit_rq finds no kink to stop at here.
+        # tau*N_d - TIE_RTOL*N_d <= 0 (or tau*N_d < 1): k_d clamps to 1,
+        # each group's least value, the oracle's point.  For tau up to
+        # TIE_RTOL every downward edge of fit_rq is flat with no kink
+        # ahead; it once raised ConvergenceError there, and now skips
+        # those edges and returns the same fit bit for bit.
         z = np.random.default_rng(0).normal(size=12)
         rd = two_sample(z, [1] * 6 + [0] * 6)
         fit = group_fit(rd, tau)
         assert tuple(fit.beta) == (z[6:].min(), z[:6].min() - z[6:].min())
         assert np.array_equal(fit.beta, rq_oracle(rd, tau).beta)
         assert_lower_end(rd, fit, tau)
+        assert_same_fit(fit_rq(rd, tau), fit)
 
     def test_row_order_does_not_matter(self):
         # Scenario 2 at (50,50), tau = 0.5: tau*N_d = 25, so the optimum is
@@ -695,3 +703,130 @@ class TestCanonicalFit:
                     assert np.array_equal(fit.positive_mask()[perm], ref.positive_mask()), case
                     gap = np.max(np.abs(fit.beta - ref.beta))
                     assert gap <= 1e-12 * np.max(np.abs(fit.beta)), case
+
+
+def full_sort_stop(t, gain, slope, tol):
+    """The kinks up to the stop by a full stable sort and a full running
+    sum, as every pivot of fit_rq once found them; None for no stop."""
+    order = np.argsort(t, kind="stable")
+    stop = np.flatnonzero(slope + np.cumsum(gain[order]) >= tol)
+    return None if stop.size == 0 else order[: stop[0] + 1]
+
+
+class TestKinkPrefix:
+    # _kinks_to_stop sorts only the prefix of the stable order that holds
+    # the KINK_WINDOW smallest step lengths, widening it while the stop
+    # lies beyond; it must pass the same rows and stop at the same kink.
+    @settings(max_examples=400, deadline=None)
+    @given(
+        size=st.integers(1, 3 * KINK_WINDOW + 5),
+        kind=st.sampled_from(["ties", "continuous", "equal"]),
+        zeros=st.floats(0.0, 1.0),
+        reach=st.floats(0.0, 1.2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_prefix_matches_full_sort(self, size, kind, zeros, reach, seed):
+        # Few distinct step lengths tie at the window's cut; zeros stand
+        # for rows on the plane; reach places the stop anywhere from the
+        # first kink to past the last one (no stop).
+        rng = np.random.default_rng(seed)
+        if kind == "ties":
+            t = rng.integers(0, 4, size=size).astype(float)
+        elif kind == "continuous":
+            t = rng.exponential(size=size)
+        else:
+            t = np.full(size, 0.5)
+        t[rng.random(size) < zeros] = 0.0
+        gain = rng.integers(1, 4, size=size) * 0.25 if kind == "ties" else rng.uniform(0.01, 2.0, size)
+        slope = -reach * gain.sum()
+        tol = -TIE_RTOL * gain.sum()
+        got, ref = _kinks_to_stop(t, gain, slope, tol), full_sort_stop(t, gain, slope, tol)
+        if ref is None:
+            assert got is None
+        else:
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("size", [KINK_WINDOW - 1, KINK_WINDOW, KINK_WINDOW + 1, 5 * KINK_WINDOW])
+    @pytest.mark.parametrize("stop", [0, KINK_WINDOW - 1, KINK_WINDOW, 2 * KINK_WINDOW + 3, None])
+    def test_stop_around_window(self, size, stop):
+        # Step lengths tied in pairs around the window's cut; the stop is
+        # placed exactly at a given kink of the stable order, or nowhere.
+        t = np.repeat(np.arange(size // 2 + 1, dtype=float)[::-1], 2)[:size]
+        gain = np.ones(size)
+        if stop is not None and stop >= size:
+            stop = None
+        slope = -float(size + 1 if stop is None else stop) - 0.5
+        got, ref = _kinks_to_stop(t, gain, slope, 0.0), full_sort_stop(t, gain, slope, 0.0)
+        if stop is None:
+            assert got is None and ref is None
+        else:
+            assert got.size == stop + 1
+            assert np.array_equal(got, ref)
+
+    def test_no_stop_on_descending_edge_raises(self, monkeypatch):
+        # A descending edge must reach a kink; if rounding leaves none, the
+        # fit raises, where a flat edge would be skipped.
+        from coves import quantreg
+
+        monkeypatch.setattr(quantreg, "_kinks_to_stop", lambda *args: None)
+        with pytest.raises(ConvergenceError, match="no kink to stop at"):
+            fit_rq(pin10_data(), 0.75)
+
+
+def argsort_start_basis(X, y, tau):
+    """_start_basis as it was: a full stable argsort of the distances and
+    a gather of the scaled rows, then a Gram-Schmidt pass in that order."""
+    r = y - X @ np.linalg.lstsq(X, y, rcond=None)[0]
+    order = np.argsort(np.abs(r - empirical_quantile(r, tau)), kind="stable")
+    R = X[order] / np.abs(X).max(axis=0)
+    rows = []
+    for _ in range(X.shape[1]):
+        left = np.einsum("ij,ij->i", R, R)
+        j = int(np.argmax(left >= 1e-12 * left.max()))
+        rows.append(order[j])
+        q = R[j] / np.sqrt(left[j])
+        R = R - np.outer(R @ q, q)
+    return np.array(rows)
+
+
+class TestStartBasis:
+    # The argmin over the passing rows takes the row the stable order of
+    # the distances took, so the start basis, and every pivot after it,
+    # is the same.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(3, 80),
+        p=st.integers(1, 3),
+        ties=st.booleans(),
+        covariate=st.sampled_from(["normal", "discrete", "tiny"]),
+        duplicates=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        tau=st.sampled_from([0.05, 0.25, 0.5, 0.75, 0.99]),
+    )
+    def test_same_rows_as_argsort(self, n, p, ties, covariate, duplicates, seed, tau):
+        rng = np.random.default_rng(seed)
+        c = {
+            "normal": rng.normal(size=n),
+            "discrete": rng.integers(0, 4, size=n).astype(float),
+            "tiny": 1e-10 * rng.normal(size=n),
+        }[covariate]
+        X = np.column_stack([np.ones(n), rng.integers(0, 2, size=n), c])[:, :p]
+        y = rng.integers(0, 5, size=n).astype(float) if ties else rng.normal(size=n)
+        if duplicates:
+            dup = rng.integers(0, n, size=n // 2)
+            X = np.vstack([X, X[dup]])
+            y = np.concatenate([y, y[dup]])
+        assume(np.linalg.matrix_rank(X) == p)
+        assert np.array_equal(_start_basis(X, y, tau), argsort_start_basis(X, y, tau))
+
+    def test_same_rows_on_scenario_designs(self):
+        from coves.simgen import ScenarioSpec, sample_scenario
+
+        for sc in (1, 2, 3, 4):
+            for m, n in [(50, 50), (500, 500)]:
+                data = sample_scenario(ScenarioSpec.from_scenario(sc, 1.35), m, n, sc)
+                for cov in (True, False):
+                    X = design_matrix(data, cov)
+                    for tau in (0.5, 0.75, 0.9):
+                        rows = _start_basis(X, data.z, tau)
+                        assert np.array_equal(rows, argsort_start_basis(X, data.z, tau)), (sc, m, cov, tau)

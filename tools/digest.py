@@ -21,7 +21,9 @@ design, so ``--diff`` can name every design whose result moved.
   covariate.  Near-integral two-sample designs add their (1, d) fits:
   scenarios 1-4 at eta 0 and 1.35, seeds 0-4, at (25, 25) with tau 0.28
   and 0.56 and at (100, 100) with tau 0.55, where tau*N_d is a float a
-  hair above an integer.
+  hair above an integer.  Tiny-tau two-sample designs add (1, d) fits at
+  five levels from 5e-324 to 1e-6, below and above TIE_RTOL, under
+  which every downward edge is flat.
 - ``rq_oracle``: the enumeration oracle's fit or error, hashed the same
   way, on every one of those designs with at most ``ORACLE_MAX_N`` rows.
 - ``run_coves``, ``run_es``, ``run_ttest``, ``decompose_T``: every field
@@ -33,7 +35,12 @@ design, so ``--diff`` can name every design whose result moved.
   ``test --method es --tau 0.55`` on a (100, 100) file.
 
 For the reports, the file also keeps the shortfall counts, objective
-and p-value, which ``--diff`` prints beside each moved design.
+and p-value, and for the fits the objective or the error class, which
+``--diff`` prints beside each moved design.
+
+The sweep also counts the pivots of ``fit_rq`` whose kinks outnumber
+the sort window, and how many of those found no stop in the first
+window and widened it (when the package has that window).
 """
 
 from __future__ import annotations
@@ -55,6 +62,8 @@ FIT_TAUS = (0.05, 0.5, 0.75, 0.9, 0.99)
 BREAKDOWN_SEEDS = [((7, 12, 52), 24, 12), ((9, 12, 70), 24, 12), ((8, 20, 195), 40, 20)]
 # (size per group, taus) where some tau*N_d is a float a hair above an integer.
 NEAR_INTEGRAL = [(25, (0.28, 0.56)), (100, (0.55,))]
+# Levels at and below TIE_RTOL, where a downward edge of (1, d) is flat.
+TINY_TAUS = (5e-324, 1e-10, 1e-9, 2e-9, 1e-6)
 
 
 def encode(obj) -> bytes:
@@ -131,6 +140,18 @@ def near_integral_datasets():
                     yield f"near/s{sc}e{eta}/{size}x{size}/{seed}", sampler(size, size, seed), taus
 
 
+def tiny_tau_datasets():
+    """Scenario datasets at (6, 6) and (50, 50) for the tiny-tau (1, d) fits."""
+    from coves.simgen import ScenarioSampler, ScenarioSpec
+
+    for sc in (1, 2, 3, 4):
+        for eta in (0.0, 1.35):
+            sampler = ScenarioSampler(ScenarioSpec.from_scenario(sc, eta))
+            for size in (6, 50):
+                for seed in range(3):
+                    yield f"tinytau/s{sc}e{eta}/{size}x{size}/{seed}", sampler(size, size, seed)
+
+
 def tiny_covariate_datasets():
     """Every scenario dataset of SIZES with its covariate multiplied by 1e-10."""
     from coves.coves_test import Dataset
@@ -171,9 +192,15 @@ def record_fits(record, key, rd, n, tau):
     from coves.quantreg import ORACLE_MAX_N, fit_rq, rq_oracle
 
     failed = isinstance(rd, BaseException)
-    record("fit_rq", key, rd if failed else call(fit_rq, rd, tau))
+    fit = rd if failed else call(fit_rq, rd, tau)
+    record("fit_rq", key, fit, fit_summary(fit))
     if n <= ORACLE_MAX_N:
-        record("rq_oracle", key, rd if failed else call(rq_oracle, rd, tau))
+        oracle = rd if failed else call(rq_oracle, rd, tau)
+        record("rq_oracle", key, oracle, fit_summary(oracle))
+
+
+def fit_summary(fit):
+    return type(fit).__name__ if isinstance(fit, BaseException) else fit.objective
 
 
 def sweep(record):
@@ -202,6 +229,10 @@ def sweep(record):
             for family, test in (("run_coves", run_coves), ("run_es", run_es)):
                 report = call(test, data, tau)
                 record(family, f"{name}/tau{tau}", report, summary(report))
+    for name, data in tiny_tau_datasets():
+        rd = call(RegressionData, data.z, design_matrix(data, False))
+        for tau in TINY_TAUS:
+            record_fits(record, f"{name}/cov0/tau{tau}", rd, data.z.size, tau)
     for name, data in tiny_covariate_datasets():
         for tau in (0.75, 0.9):
             coves = call(run_coves, data, tau)
@@ -276,8 +307,34 @@ def cli_sweep(record):
             record("cli", name, (code, text, written))
 
 
+def count_kink_windows():
+    """Wrap quantreg._kinks_to_stop to count the pivots whose kinks
+    outnumber KINK_WINDOW, and those whose stop lay beyond the first
+    window (or nowhere), so the window was widened.  None for a package
+    without the window."""
+    from coves import quantreg
+
+    if not hasattr(quantreg, "_kinks_to_stop"):
+        return None
+    counts = {"pivots": 0, "windowed": 0, "widened": 0}
+    kinks_to_stop, window = quantreg._kinks_to_stop, quantreg.KINK_WINDOW
+
+    def counted(t, gain, slope, tol):
+        reached = kinks_to_stop(t, gain, slope, tol)
+        counts["pivots"] += 1
+        if t.size > window:
+            counts["windowed"] += 1
+            first = np.count_nonzero(t <= np.partition(t, window - 1)[window - 1])
+            counts["widened"] += reached is None or reached.size > first
+        return reached
+
+    quantreg._kinks_to_stop = counted
+    return counts
+
+
 def run(out_path: str) -> None:
     designs: dict[str, dict] = {}
+    kinks = count_kink_windows()
 
     def record(family, key, result, info=None):
         entry = {"hash": sha(result)}
@@ -295,6 +352,9 @@ def run(out_path: str) -> None:
         counts[family] = counts.get(family, 0) + 1
     for family, h in families.items():
         print(f"{family:12s} {counts[family]:6d} {h.hexdigest()}")
+    if kinks is not None:
+        print(f"kink sorts: {kinks['pivots']} pivots, {kinks['windowed']} over the window, "
+              f"{kinks['widened']} widened it")
     Path(out_path).write_text(json.dumps(designs, indent=0, sort_keys=True) + "\n")
 
 
