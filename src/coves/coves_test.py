@@ -59,22 +59,24 @@ class Dataset:
             raise DataError("z, d, c must be one-dimensional")
         if not (self.z.size == d.size == self.c.size):
             raise DataError("z, d, c must have equal length")
-        if not (np.all(np.isfinite(self.z)) and np.all(np.isfinite(self.c))):
+        if not (np.isfinite(self.z).all() and np.isfinite(self.c).all()):
             raise DataError("z and c must be finite")
         dv = np.asarray(d, dtype=float)
-        if not np.all((dv == 0.0) | (dv == 1.0)):
+        n_treat = np.count_nonzero(dv == 1.0)
+        n_control = np.count_nonzero(dv == 0.0)
+        if n_treat + n_control != dv.size:
             raise DataError("treatment indicator d must contain only 0 or 1")
         self.d = dv.astype(int)
-        if self.n_treat < 1 or self.n_control < 1:
+        if n_treat < 1 or n_control < 1:
             raise DataError("both treatment groups must be nonempty")
 
     @property
     def n_treat(self) -> int:
-        return int(np.sum(self.d == 1))
+        return int(np.count_nonzero(self.d == 1))
 
     @property
     def n_control(self) -> int:
-        return int(np.sum(self.d == 0))
+        return int(np.count_nonzero(self.d == 0))
 
 
 @dataclass
@@ -104,10 +106,13 @@ class CovesReport:
 
 
 def design_matrix(data: Dataset, with_covariate: bool = True) -> np.ndarray:
-    cols = [np.ones(data.z.size), data.d.astype(float)]
+    """The columns (1, d, c), or (1, d) without the covariate."""
+    X = np.empty((data.z.size, 3 if with_covariate else 2))
+    X[:, 0] = 1.0
+    X[:, 1] = data.d
     if with_covariate:
-        cols.append(data.c)
-    return np.column_stack(cols)
+        X[:, 2] = data.c
+    return X
 
 
 def adjusted_outcomes(data: Dataset, fit: QuantileFit) -> np.ndarray:
@@ -118,34 +123,56 @@ def adjusted_outcomes(data: Dataset, fit: QuantileFit) -> np.ndarray:
     return data.z - gamma * data.c
 
 
+def _mean(x: np.ndarray) -> float:
+    """np.mean(x): its own reduce, then the division by the count."""
+    return float(x.sum() / x.size)
+
+
+def _require_shortfall(sel: np.ndarray, group: int) -> int:
+    """The size of a group's shortfall set; EmptyShortfallError when it is 0."""
+    s = int(np.count_nonzero(sel))
+    if s == 0:
+        raise EmptyShortfallError(
+            f"no observation above the fitted quantile plane in group {group} "
+            "(tau too high or data degenerate)"
+        )
+    return s
+
+
 def shortfall_mask(data: Dataset, fit: QuantileFit, group: int) -> np.ndarray:
     """Mask of the group's observations strictly above the fitted plane.
 
     Raises EmptyShortfallError when the group has none.
     """
     sel = fit.positive_mask() & (data.d == group)
-    if not np.any(sel):
-        raise EmptyShortfallError(
-            f"no observation above the fitted quantile plane in group {group} "
-            "(tau too high or data degenerate)"
-        )
+    _require_shortfall(sel, group)
     return sel
+
+
+def _shortfall_sets(fit: QuantileFit, groups) -> tuple[tuple, tuple]:
+    """Masks and sizes of the (treated, control) shortfall sets, from the
+    (treated, control) group masks; an empty treated set is reported first."""
+    pos = fit.positive_mask()
+    sels = tuple(pos & in_g for in_g in groups)
+    return sels, tuple(_require_shortfall(sel, g) for sel, g in zip(sels, (1, 0)))
 
 
 def coves_stat(data: Dataset, fit: QuantileFit, group: int) -> float:
     """Mean adjusted outcome over the group's strictly positive residuals."""
     if group not in (0, 1):
         raise ValueError("group must be 0 or 1")
-    return float(np.mean(adjusted_outcomes(data, fit)[shortfall_mask(data, fit, group)]))
+    return _mean(adjusted_outcomes(data, fit)[shortfall_mask(data, fit, group)])
+
+
+def _centred(c: np.ndarray, groups) -> np.ndarray:
+    """c minus the mean of its own group, from the (treated, control) masks."""
+    m1, m0 = (_mean(c[in_g]) for in_g in groups)
+    return c - np.where(groups[0], m1, m0)
 
 
 def orthogonalized_covariate(data: Dataset) -> np.ndarray:
     """Covariate centered within each treatment group; sums to zero per group."""
-    cstar = data.c.copy()
-    for g in (0, 1):
-        sel = data.d == g
-        cstar[sel] -= np.mean(data.c[sel])
-    return cstar
+    return _centred(data.c, (data.d == 1, data.d == 0))
 
 
 def _tail_variation(r: np.ndarray, n_group: int) -> float:
@@ -156,7 +183,7 @@ def _tail_variation(r: np.ndarray, n_group: int) -> float:
     points the statistic averages, of the influence-function variance
     [Var(Y | Y > q) + tau (ES - q)^2] / ((1 - tau) N_d) of a shortfall.
     """
-    return float(np.sum(r * r) - np.sum(r) ** 2 / n_group)
+    return float((r * r).sum() - r.sum() ** 2 / n_group)
 
 
 def _tail_term(v1: float, v0: float, s1: int, s0: int) -> float:
@@ -271,26 +298,28 @@ def _shortfall_test(data: Dataset, tau: float, side: str, method: str) -> CovesR
         fit = fit_rq(RegressionData(data.z, design_matrix(data)), tau)
     else:
         fit = fit_group_quantiles(data.z, data.d, tau)
-    # Each pair runs (treatment d=1, control d=0).  Both masks come
-    # before either density, so an empty shortfall set is reported first.
-    sels = [shortfall_mask(data, fit, g) for g in (1, 0)]
+    # Each pair runs (treatment d=1, control d=0).  Each group's mask is
+    # formed once, and both shortfall sets are checked before either
+    # density, so an empty shortfall set is reported first.
+    treated = data.d == 1
+    groups = (treated, ~treated)
+    sels, s = _shortfall_sets(fit, groups)
+    res = fit.residuals
     y = adjusted_outcomes(data, fit)
-    s = tuple(int(np.sum(sel)) for sel in sels)
-    coves = tuple(float(np.mean(y[sel])) for sel in sels)
-    cbar = tuple(float(np.mean(data.c[sel])) for sel in sels)
-    v = tuple(
-        _tail_variation(fit.residuals[sel], n_group)
-        for sel, n_group in zip(sels, (data.n_treat, data.n_control))
-    )
-    cstar = orthogonalized_covariate(data)
-    cstar_sumsq = float(np.sum(cstar * cstar))
+    coves = tuple(_mean(y[sel]) for sel in sels)
+    cbar = tuple(_mean(data.c[sel]) for sel in sels)
+    n1 = int(np.count_nonzero(treated))
+    v = (_tail_variation(res[sels[0]], n1), _tail_variation(res[sels[1]], res.size - n1))
+    cstar = _centred(data.c, groups)
+    cstar_sq = cstar * cstar
+    cstar_sumsq = float(cstar_sq.sum())
 
     if adjust:
-        f_terms = [
-            group_density_at_zero(fit.residuals[in_g]) * float(np.sum(cstar[in_g] ** 2))
-            for in_g in (data.d == 1, data.d == 0)
-        ]
-        u_f = f_terms[0] + f_terms[1]
+        f1, f0 = (
+            group_density_at_zero(res[in_g]) * float(cstar_sq[in_g].sum())
+            for in_g in groups
+        )
+        u_f = f1 + f0
         s2 = variance_est(*v, *cbar, u_f, cstar_sumsq, tau, *s)
     else:
         # No covariate is estimated, so the adjustment term vanishes.
@@ -335,13 +364,14 @@ def decompose_T(
     simulation studies where the generating parameters are known.
     """
     alpha, delta, gamma = (float(x) for x in true_params)
-    sels = [shortfall_mask(data, fit, g) for g in (1, 0)]
+    treated = data.d == 1
+    sels, _ = _shortfall_sets(fit, (treated, ~treated))
     y = adjusted_outcomes(data, fit)
     gamma_hat = float(fit.beta[2]) if fit.beta.size >= 3 else 0.0
     e = data.z - alpha - delta * data.d - gamma * data.c
-    coves1, coves0 = (float(np.mean(y[sel])) for sel in sels)
-    ebar1, ebar0 = (float(np.mean(e[sel])) for sel in sels)
-    cbar1, cbar0 = (float(np.mean(data.c[sel])) for sel in sels)
+    coves1, coves0 = (_mean(y[sel]) for sel in sels)
+    ebar1, ebar0 = (_mean(e[sel]) for sel in sels)
+    cbar1, cbar0 = (_mean(data.c[sel]) for sel in sels)
     direct = coves1 - coves0
     decomposed = delta - (gamma_hat - gamma) * (cbar1 - cbar0) + (ebar1 - ebar0)
     return direct, decomposed

@@ -7,10 +7,11 @@ quantile-regression residuals.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateSpreadError
-from .orderstats import empirical_quantile
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -20,20 +21,26 @@ def bandwidth_rot(samples) -> float:
 
     Falls back to the standard deviation when the IQR degenerates to
     zero; raises DegenerateSpreadError when the sample has no spread at
-    all (sd = IQR = 0).
+    all (sd = IQR = 0).  The sd is np.std(ddof=1) from its own steps (the
+    mean, the sum of squared deviations over n - 1, the square root) and
+    the quartiles are empirical_quantile's order statistics, both from
+    one sort.
     """
     x = np.asarray(samples, dtype=float)
-    if x.size < 2:
+    n = x.size
+    if n < 2:
         raise ValueError("need at least two samples for a bandwidth")
-    sd = float(np.std(x, ddof=1))
-    q25, q75 = empirical_quantile(x, [0.25, 0.75])
-    iqr = float(q75 - q25)
+    dev = x - x.sum() / n
+    np.square(dev, out=dev)
+    sd = math.sqrt(dev.sum() / (n - 1))
+    s = np.sort(x)
+    iqr = float(s[math.ceil(0.75 * n) - 1] - s[math.ceil(0.25 * n) - 1])
     lo = min(sd, iqr / 1.34)
     if lo <= 0.0:
         lo = sd
     if lo <= 0.0:
         raise DegenerateSpreadError("all samples identical; spread is zero")
-    return 0.9 * lo * x.size ** (-0.2)
+    return 0.9 * lo * n ** (-0.2)
 
 
 def kde_at_zero(samples, h: float) -> float:
@@ -47,8 +54,14 @@ def kde_at_zero(samples, h: float) -> float:
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise ValueError("need at least one sample")
-    t = -x / h
-    return float(np.sum(np.exp(-0.5 * t * t) / _SQRT_2PI) / (x.size * h))
+    # The steps of np.exp(-0.5 * t * t) / _SQRT_2PI with t = -x / h, in place.
+    t = -x
+    t /= h
+    k = -0.5 * t
+    k *= t
+    np.exp(k, out=k)
+    k /= _SQRT_2PI
+    return float(k.sum() / (x.size * h))
 
 
 def group_density_at_zero(samples) -> float:

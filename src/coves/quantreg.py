@@ -29,13 +29,13 @@ their row order.  Objectives within TIE_RTOL of each other count as tied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateDesignError, OracleSizeError
-from .orderstats import empirical_quantile
+from .errors import ConvergenceError, DegenerateDesignError, NumericalError, OracleSizeError
 
 # Cap on the number of simplex pivots.
 MAX_ITER = 200
@@ -49,6 +49,16 @@ _NOISE_RTOL = 1e-12
 # at (5000,5000), 132 pivots crossed about 4100 kinks each and stopped at
 # kink 4 in the median and 19 at the 90th percentile; one went past 64.
 KINK_WINDOW = 64
+# fit_rq refuses tau within this of 0 or 1 on a design with an entry
+# outside {0, 1}.  There the flat-edge window, TIE_RTOL * sum|x_i' delta|,
+# can be wider than an ascending edge's slope, which shrinks with
+# min(tau, 1 - tau), so the walk can follow that edge and stop off the
+# optimum.  Against rq_oracle on up to 16 000 random (1, c) and (1, d, c)
+# designs of 5-20 rows, fits went wrong at levels from 1e-9 up to 2e-5
+# and from 1 - 2e-5 up to 1 - 1e-9 (at 1e-5, one in a few thousand), and
+# on none of 15 000 designs at 5e-5, 1e-4, 1 - 1e-4 or 1 - 5e-5.  On
+# (1, d) no fit went wrong at any level.
+EXTREME_TAU = 1e-4
 
 
 def rho_tau(u, tau: float):
@@ -103,7 +113,7 @@ class RegressionData:
             raise ValueError("y and X disagree on the number of observations")
         if n < p:
             raise ValueError(f"need at least p={p} observations, got {n}")
-        if not (np.all(np.isfinite(self.y)) and np.all(np.isfinite(self.X))):
+        if not (np.isfinite(self.y).all() and np.isfinite(self.X).all()):
             raise ValueError("y and X must be finite")
         if np.linalg.matrix_rank(self.X) < p:
             raise DegenerateDesignError(
@@ -149,20 +159,17 @@ class QuantileFit:
         return n_neg, n_nonpos
 
 
-def _zero_tol(y: np.ndarray) -> float:
-    """Scale-relative: multiplying y by any factor scales the cutoff too."""
-    return TIE_RTOL * float(np.max(np.abs(y)))
-
-
 def _make_fit(
     tau: float, beta: np.ndarray, y: np.ndarray, residuals: np.ndarray
 ) -> QuantileFit:
-    ztol = _zero_tol(y)
+    # The zero tolerance is scale-relative: scaling y scales it too.  The
+    # objective is check_objective(residuals, tau), without its checks.
+    ztol = TIE_RTOL * float(np.abs(y).max())
     return QuantileFit(
         tau=tau,
         beta=beta,
         residuals=residuals,
-        objective=check_objective(residuals, tau),
+        objective=float((residuals * (tau - (residuals < 0))).sum()),
         zero_set=np.flatnonzero(np.abs(residuals) <= ztol),
         zero_tol=ztol,
     )
@@ -256,22 +263,24 @@ def _col_absmax(X: np.ndarray) -> np.ndarray:
     return np.array([np.abs(col).max() for col in X.T])
 
 
-def _start_basis(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
+def _start_basis(X: np.ndarray, y: np.ndarray, tau: float, weight=None) -> np.ndarray:
     """p linearly independent rows near the tau-quantile plane of the data.
 
-    The OLS fit shifted by the tau-quantile of its residuals gives each
-    row a distance.  Rows are taken greedily: at each step the row with
-    the least (distance, row index) among those whose component
+    The OLS fit shifted by the tau-quantile of its residuals (their
+    ceil(tau*n)-th order statistic, as ``empirical_quantile`` takes it)
+    gives each row a distance.  Rows are taken greedily: at each step
+    the row with the least (distance, row index) among those whose component
     orthogonal to the rows already taken is at least 1e-6 of the largest
     such component, found by an argmin over the passing rows, so no sort
     of all n distances is needed.  The rows are divided by each column's
     max|x| first, so a column far smaller than the others (a covariate
     of order 1e-10 beside the intercept) is not lost below the rounding
-    residue of a row already taken.
+    residue of a row already taken.  ``weight``, when given, is that
+    column max, as ``fit_rq`` has already formed it.
     """
     r = y - X @ np.linalg.lstsq(X, y, rcond=None)[0]
-    dist = np.abs(r - empirical_quantile(r, tau))
-    R = X / _col_absmax(X)
+    dist = np.abs(r - np.sort(r)[math.ceil(tau * r.size) - 1])
+    R = X / (_col_absmax(X) if weight is None else weight)
     p = X.shape[1]
     rows = []
     for step in range(p):
@@ -366,9 +375,16 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     _check_tau(tau)
     y, X = data.y, data.X
     p = data.p
+    if min(tau, 1.0 - tau) < EXTREME_TAU and not ((X == 0.0) | (X == 1.0)).all():
+        raise NumericalError(
+            f"tau = {tau!r} lies within {EXTREME_TAU:g} of 0 or 1 on a design "
+            "with entries other than 0 and 1, where the simplex's tie window "
+            "exceeds the slopes of the objective; use a tau in "
+            f"[{EXTREME_TAU:g}, 1 - {EXTREME_TAU:g}]"
+        )
     weight = _col_absmax(X)
     key = _key_columns(p)
-    h = _start_basis(X, y, tau)
+    h = _start_basis(X, y, tau, weight)
     side = None
     bland = False
     # The (n, p) arrays of every pivot are written into buffers made once

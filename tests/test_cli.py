@@ -143,6 +143,17 @@ class TestTest:
         assert main(["test", "--input", str(path), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["s_counts"] == {"treatment": 12, "control": 12}
 
+    @pytest.mark.parametrize("tau", ["1e-9", "0.999999999"])
+    def test_extreme_tau_exits_3(self, fixture_csv, tmp_path, capsys, tau):
+        # The covariate takes values other than 0 and 1, so fit_rq refuses
+        # a tau this close to 0 or 1; es fits no covariate and runs.
+        capsys.readouterr()
+        assert main(["test", "--input", str(fixture_csv), "--tau", tau, "--out", str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith(f"error: tau = {float(tau)!r} lies within 0.0001 of 0 or 1 ")
+        assert main(["test", "--input", str(fixture_csv), "--tau", "1e-9", "--method", "es",
+                     "--out", str(tmp_path / "es.json")]) == 0
+
     def test_unknown_method_exits_2(self, fixture_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["test", "--input", str(fixture_csv), "--method", "wilcoxon", "--out", str(tmp_path / "r.json")])

@@ -22,6 +22,7 @@ from coves.errors import (
     DataError,
     DegenerateDensityError,
     DegenerateDesignError,
+    DegenerateSpreadError,
     EmptyShortfallError,
     NumericalError,
 )
@@ -122,6 +123,27 @@ class TestDataset:
     def test_group_sizes(self, fixture_data):
         assert fixture_data.n_treat == 4
         assert fixture_data.n_control == 4
+
+    # Each input fails its own check and every check after it, so the
+    # message shows that the checks still run in this order.
+    @pytest.mark.parametrize("z,d,c,message", [
+        (np.full((2, 2), np.inf), [[0, 2], [2, 0]], np.ones((2, 2)), "z, d, c must be one-dimensional"),
+        (np.full(4, np.inf), [2, 2, 2, 2], np.ones(3), "z, d, c must have equal length"),
+        ([1.0, np.nan, 3.0], [2, 2, 2], [0.0, 1.0, 2.0], "z and c must be finite"),
+        ([1.0, 2.0, 3.0], [1, 1, 0.5], [0.0, 1.0, np.inf], "z and c must be finite"),
+        ([1.0, 2.0, 3.0], [2, 2, 2], [0.0, 1.0, 2.0], "treatment indicator d must contain only 0 or 1"),
+        ([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0], "both treatment groups must be nonempty"),
+        ([1.0, 2.0], [0, 0], [0.0, 1.0], "both treatment groups must be nonempty"),
+    ])
+    def test_messages_in_check_order(self, z, d, c, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            Dataset(z=np.asarray(z), d=np.asarray(d), c=np.asarray(c))
+
+    def test_indicator_kept_as_int_and_counted(self):
+        data = Dataset(z=np.zeros(5), d=np.array([True, False, True, True, False]), c=np.zeros(5))
+        assert data.d.dtype == np.dtype(int)
+        assert data.d.tolist() == [1, 0, 1, 1, 0]
+        assert (data.n_treat, data.n_control) == (3, 2)
 
 
 class TestAdjustedOutcomes:
@@ -311,6 +333,72 @@ class TestRunCoves:
         )
         with pytest.raises(DegenerateDesignError):
             run_coves(data, 0.5)
+
+
+def rigged_fit(residuals):
+    """A fit with these residuals, whatever the data."""
+    residuals = np.asarray(residuals, dtype=float)
+    return QuantileFit(
+        tau=0.5,
+        beta=np.zeros(3),
+        residuals=residuals,
+        objective=0.0,
+        zero_set=np.flatnonzero(residuals == 0.0),
+        zero_tol=1e-9,
+    )
+
+
+class TestErrorOrder:
+    """An empty treated shortfall set is reported before an empty control
+    set, and both before DegenerateSpreadError and DegenerateDensityError."""
+
+    D = np.array([1, 1, 1, 1, 0, 0, 0, 0])
+
+    def run(self, monkeypatch, residuals, c):
+        from coves import coves_test
+
+        monkeypatch.setattr(coves_test, "RegressionData", lambda y, X: None)
+        monkeypatch.setattr(coves_test, "fit_rq", lambda rd, tau: rigged_fit(residuals))
+        return run_coves(Dataset(z=np.arange(8.0), d=self.D, c=np.asarray(c, dtype=float)), 0.5)
+
+    # Residuals (treated, control).  A constant group has no spread, and a
+    # covariate constant within each group gives u_f = 0.
+    SPREAD_0 = [1.0, -1.0, 2.0, -2.0]
+    NO_SPREAD = [3.0, 3.0, 3.0, 3.0]
+    EMPTY = [-1.0, -1.0, -1.0, -1.0]
+    C_FREE = [1.0, 2.0, 3.0, 4.0, 4.0, 1.0, 3.0, 2.0]
+    C_FLAT = [1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
+
+    @pytest.mark.parametrize("treated,control,c,error,match", [
+        (EMPTY, EMPTY, C_FLAT, EmptyShortfallError, "group 1 "),
+        (EMPTY, SPREAD_0, C_FLAT, EmptyShortfallError, "group 1 "),
+        (SPREAD_0, EMPTY, C_FLAT, EmptyShortfallError, "group 0 "),
+        (NO_SPREAD, EMPTY, C_FLAT, EmptyShortfallError, "group 0 "),
+        (NO_SPREAD, SPREAD_0, C_FLAT, DegenerateSpreadError, "spread is zero"),
+        (SPREAD_0, NO_SPREAD, C_FLAT, DegenerateSpreadError, "spread is zero"),
+        (SPREAD_0, SPREAD_0, C_FLAT, DegenerateDensityError, "must be positive, got 0.0"),
+    ])
+    def test_first_error_wins(self, monkeypatch, treated, control, c, error, match):
+        with pytest.raises(error, match=match):
+            self.run(monkeypatch, treated + control, c)
+
+    def test_rigged_fit_reports(self, monkeypatch):
+        rep = self.run(monkeypatch, self.SPREAD_0 + self.SPREAD_0, self.C_FREE)
+        assert rep.s_counts == (2, 2)
+
+    def test_empty_treated_before_empty_control_on_data(self):
+        # At tau = 0.9 a group of 4 distinct values is fitted at its 4th,
+        # its largest, so its shortfall set is empty; a group of 20 is
+        # fitted at its 18th and keeps two values above.
+        def data(n1, n0):
+            z = np.concatenate([np.arange(float(n1)), np.arange(float(n0))])
+            d = np.concatenate([np.ones(n1, dtype=int), np.zeros(n0, dtype=int)])
+            return Dataset(z=z, d=d, c=np.zeros(n1 + n0))
+
+        assert run_es(data(20, 20), 0.9).s_counts == (2, 2)
+        for n1, n0, group in [(4, 4, 1), (4, 20, 1), (20, 4, 0)]:
+            with pytest.raises(EmptyShortfallError, match=f"group {group} "):
+                run_es(data(n1, n0), 0.9)
 
 
 class TestRunEs:

@@ -7,12 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coves.coves_test import design_matrix
-from coves.errors import ConvergenceError, DegenerateDesignError, OracleSizeError
+from coves.errors import ConvergenceError, DegenerateDesignError, NumericalError, OracleSizeError
 from coves.orderstats import empirical_quantile
 from coves.quantreg import (
+    EXTREME_TAU,
     KINK_WINDOW,
     TIE_RTOL,
     RegressionData,
+    _col_absmax,
     _kinks_to_stop,
     _start_basis,
     check_objective,
@@ -830,3 +832,67 @@ class TestStartBasis:
                     for tau in (0.5, 0.75, 0.9):
                         rows = _start_basis(X, data.z, tau)
                         assert np.array_equal(rows, argsort_start_basis(X, data.z, tau)), (sc, m, cov, tau)
+                        # fit_rq passes the column max it has already formed.
+                        assert np.array_equal(_start_basis(X, data.z, tau, _col_absmax(X)), rows)
+
+
+def extreme_designs(count=300):
+    """(kind, RegressionData) of random designs of 5-13 rows: (1, d), (1, c)
+    and (1, d, c) in turn, with normal outcomes and a normal covariate."""
+    rng = np.random.default_rng(1206)
+    out = []
+    for k in range(count):
+        n = int(rng.integers(5, 14))
+        d = rng.permutation(np.arange(n) % 2).astype(float)
+        c = rng.normal(size=n)
+        cols = ([d], [c], [d, c])[k % 3]
+        X = np.column_stack([np.ones(n), *cols])
+        y = rng.normal(size=n)
+        if np.linalg.matrix_rank(X) == X.shape[1]:
+            out.append((("(1, d)", "(1, c)", "(1, d, c)")[k % 3], RegressionData(y, X)))
+    return out
+
+
+def upper_bound_tau():
+    """The largest tau whose 1 - tau, in floats, is at least EXTREME_TAU."""
+    tau = 1.0 - EXTREME_TAU
+    while 1.0 - tau < EXTREME_TAU:
+        tau = np.nextafter(tau, 0.0)
+    return float(tau)
+
+
+class TestExtremeTau:
+    # Beyond EXTREME_TAU the flat-edge window TIE_RTOL * sum|x_i' delta|
+    # is wider than slopes of order min(tau, 1 - tau) * sum|x_i' delta|.
+    # On designs with a continuous covariate the walk then followed
+    # ascending edges and returned a fit up to 20 times the oracle's
+    # objective, with no error.  On (1, d) the fit is exact at any tau.
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_matches_oracle_at_bound(self, side):
+        tau = EXTREME_TAU if side == "lower" else upper_bound_tau()
+        for kind, rd in extreme_designs():
+            fo = rq_oracle(rd, tau)
+            fit = fit_rq(rd, tau)
+            assert fit.objective == pytest.approx(fo.objective, rel=1e-9), kind
+            assert beta_gap(rd, fit.beta, fo.beta) <= 1e-9, kind
+
+    @pytest.mark.parametrize("tau", [5e-324, 1e-9, 1e-6, np.nextafter(EXTREME_TAU, 0.0),
+                                     np.nextafter(upper_bound_tau(), 1.0), 1.0 - 1e-9])
+    def test_refused_beyond_bound(self, tau):
+        tau = float(tau)
+        for kind, rd in extreme_designs(60):
+            if kind == "(1, d)":
+                fit, fo = fit_rq(rd, tau), rq_oracle(rd, tau)
+                assert fit.objective == pytest.approx(fo.objective, rel=1e-9)
+                assert beta_gap(rd, fit.beta, fo.beta) <= 1e-9
+            else:
+                with pytest.raises(NumericalError, match=r"^tau = .* lies within 0\.0001 of 0 or 1 "):
+                    fit_rq(rd, tau)
+
+    def test_discrete_covariate_refused(self):
+        X = np.column_stack([np.ones(8), [0, 1] * 4, [0, 1, 2, 3] * 2])
+        with pytest.raises(NumericalError):
+            fit_rq(RegressionData(np.arange(8.0), X), 1e-9)
+        with pytest.raises(NumericalError):
+            fit_rq(RegressionData(np.arange(8.0), X[:, [0, 2]]), 1e-9)

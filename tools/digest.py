@@ -30,6 +30,10 @@ design, so ``--diff`` can name every design whose result moved.
   of the report, or the error, on the same datasets.  ``run_coves`` and
   ``run_es`` also run on the near-integral designs, and ``run_coves`` on
   each scenario dataset of ``SIZES`` with its covariate times 1e-10.
+- ``simgen``: z, d and c of every dataset the sweep draws from
+  ``ScenarioSampler`` and ``TargetedSampler``, so a change to a
+  generator or to ``Dataset`` shows up by itself, not only through the
+  reports computed from it.
 - ``cli``: exit code, stdout, stderr and output files of a set of
   ``coves`` commands run through ``coves.cli.main``, among them
   ``test --method es --tau 0.55`` on a (100, 100) file.
@@ -203,12 +207,19 @@ def fit_summary(fit):
     return type(fit).__name__ if isinstance(fit, BaseException) else fit.objective
 
 
+def record_draw(record, name, data):
+    """z, d and c of a dataset drawn from a sampler."""
+    record("simgen", name, (data.z, data.d, data.c))
+
+
 def sweep(record):
     from coves.baselines import run_ttest
     from coves.coves_test import decompose_T, design_matrix, run_coves, run_es
     from coves.quantreg import RegressionData
 
     for name, data, params in datasets():
+        if not name.startswith("standin-shuffled/"):
+            record_draw(record, name, data)
         for cov in (True, False):
             rd = call(RegressionData, data.z, design_matrix(data, cov))
             for tau in FIT_TAUS if data.z.size <= 1000 else (0.75,):
@@ -223,6 +234,7 @@ def sweep(record):
             record("run_es", f"{name}/tau{tau}", es, summary(es))
         record("run_ttest", name, call(run_ttest, data))
     for name, data, taus in near_integral_datasets():
+        record_draw(record, name, data)
         rd = call(RegressionData, data.z, design_matrix(data, False))
         for tau in taus:
             record_fits(record, f"{name}/cov0/tau{tau}", rd, data.z.size, tau)
@@ -230,6 +242,7 @@ def sweep(record):
                 report = call(test, data, tau)
                 record(family, f"{name}/tau{tau}", report, summary(report))
     for name, data in tiny_tau_datasets():
+        record_draw(record, name, data)
         rd = call(RegressionData, data.z, design_matrix(data, False))
         for tau in TINY_TAUS:
             record_fits(record, f"{name}/cov0/tau{tau}", rd, data.z.size, tau)
