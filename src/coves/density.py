@@ -54,14 +54,8 @@ def kde_at_zero(samples, h: float) -> float:
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise ValueError("need at least one sample")
-    # The steps of np.exp(-0.5 * t * t) / _SQRT_2PI with t = -x / h, in place.
-    t = -x
-    t /= h
-    k = -0.5 * t
-    k *= t
-    np.exp(k, out=k)
-    k /= _SQRT_2PI
-    return float(k.sum() / (x.size * h))
+    t = -x / h
+    return float(np.sum(np.exp(-0.5 * t * t) / _SQRT_2PI) / (x.size * h))
 
 
 def group_density_at_zero(samples) -> float:

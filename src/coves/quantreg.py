@@ -49,15 +49,20 @@ _NOISE_RTOL = 1e-12
 # at (5000,5000), 132 pivots crossed about 4100 kinks each and stopped at
 # kink 4 in the median and 19 at the 90th percentile; one went past 64.
 KINK_WINDOW = 64
-# fit_rq refuses tau within this of 0 or 1 on a design with an entry
-# outside {0, 1}.  There the flat-edge window, TIE_RTOL * sum|x_i' delta|,
-# can be wider than an ascending edge's slope, which shrinks with
-# min(tau, 1 - tau), so the walk can follow that edge and stop off the
-# optimum.  Against rq_oracle on up to 16 000 random (1, c) and (1, d, c)
-# designs of 5-20 rows, fits went wrong at levels from 1e-9 up to 2e-5
-# and from 1 - 2e-5 up to 1 - 1e-9 (at 1e-5, one in a few thousand), and
-# on none of 15 000 designs at 5e-5, 1e-4, 1 - 1e-4 or 1 - 5e-5.  On
-# (1, d) no fit went wrong at any level.
+# fit_rq refuses tau within this of 0 or 1 on any design but an
+# intercept alone or an intercept and one 0/1 indicator, (1) and (1, d).
+# Elsewhere the flat-edge window, TIE_RTOL * sum|x_i' delta|, can be wider
+# than an ascending edge's slope, which shrinks with min(tau, 1 - tau), so
+# the walk can follow that edge and stop off the optimum.  Against
+# rq_oracle on up to 16 000 random (1, c) and (1, d, c) designs of 5-20
+# rows, fits went wrong at levels from 1e-9 up to 2e-5 and from 1 - 2e-5
+# up to 1 - 1e-9 (at 1e-5, one in a few thousand), and on none of 15 000
+# designs at 5e-5, 1e-4, 1 - 1e-4 or 1 - 5e-5; nor at 1e-4 or 1 - 1e-4 on
+# (1, d, c) with n = 100, 1000 and 10 000 against an LP solver.  Designs
+# of 0/1 entries alone are not safe: (1, d, b) with a binary b and
+# (b1, b2) went wrong at 1e-9 and 1 - 1e-9.  On (1) and (1, d), checked
+# against the oracle and the groups' order statistics up to n = 10 000,
+# no fit went wrong at any level.
 EXTREME_TAU = 1e-4
 
 
@@ -263,7 +268,7 @@ def _col_absmax(X: np.ndarray) -> np.ndarray:
     return np.array([np.abs(col).max() for col in X.T])
 
 
-def _start_basis(X: np.ndarray, y: np.ndarray, tau: float, weight=None) -> np.ndarray:
+def _start_basis(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
     """p linearly independent rows near the tau-quantile plane of the data.
 
     The OLS fit shifted by the tau-quantile of its residuals (their
@@ -275,12 +280,11 @@ def _start_basis(X: np.ndarray, y: np.ndarray, tau: float, weight=None) -> np.nd
     of all n distances is needed.  The rows are divided by each column's
     max|x| first, so a column far smaller than the others (a covariate
     of order 1e-10 beside the intercept) is not lost below the rounding
-    residue of a row already taken.  ``weight``, when given, is that
-    column max, as ``fit_rq`` has already formed it.
+    residue of a row already taken.
     """
     r = y - X @ np.linalg.lstsq(X, y, rcond=None)[0]
     dist = np.abs(r - np.sort(r)[math.ceil(tau * r.size) - 1])
-    R = X / (_col_absmax(X) if weight is None else weight)
+    R = X / _col_absmax(X)
     p = X.shape[1]
     rows = []
     for step in range(p):
@@ -371,20 +375,25 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     ConvergenceError
         If the simplex exceeds MAX_ITER pivots, or, in rounding, finds
         no kink to stop at along a descending edge.
+    NumericalError
+        If min(tau, 1 - tau) < EXTREME_TAU and the design is not an
+        intercept alone or an intercept and one 0/1 indicator.
     """
     _check_tau(tau)
     y, X = data.y, data.X
     p = data.p
-    if min(tau, 1.0 - tau) < EXTREME_TAU and not ((X == 0.0) | (X == 1.0)).all():
+    if min(tau, 1.0 - tau) < EXTREME_TAU and not (
+        p <= 2 and (X[:, 0] == 1.0).all() and ((X == 0.0) | (X == 1.0)).all()
+    ):
         raise NumericalError(
             f"tau = {tau!r} lies within {EXTREME_TAU:g} of 0 or 1 on a design "
-            "with entries other than 0 and 1, where the simplex's tie window "
+            "other than (1) or (1, d), where the simplex's tie window "
             "exceeds the slopes of the objective; use a tau in "
             f"[{EXTREME_TAU:g}, 1 - {EXTREME_TAU:g}]"
         )
     weight = _col_absmax(X)
     key = _key_columns(p)
-    h = _start_basis(X, y, tau, weight)
+    h = _start_basis(X, y, tau)
     side = None
     bland = False
     # The (n, p) arrays of every pivot are written into buffers made once

@@ -118,13 +118,12 @@ def sample_scenario(spec: ScenarioSpec, m: int, n: int, seed: int) -> Dataset:
     total = m + n
     u = _open_uniforms(seed, 2 * total)
     d = np.concatenate([np.ones(m, dtype=int), np.zeros(n, dtype=int)])
-    treated = d == 1
     _, (mu0, sd0), (mu1, sd1) = _SCENARIO_TABLE[spec.scenario]
-    mean = np.where(treated, mu1, mu0)
-    sd = np.where(treated, sd1, sd0)
+    mean = np.where(d == 1, mu1, mu0)
+    sd = np.where(d == 1, sd1, sd0)
     c = mean + sd * ndtri(u[:total])
     e = ndtri(u[total:])
-    inflate = 1.0 + spec.eta * ((e > 0.0) & ~treated)
+    inflate = 1.0 + spec.eta * ((e > 0.0) & (d == 0))
     z = 5.0 + spec.gamma * c + inflate * e
     return Dataset(z=z, d=d, c=c)
 

@@ -154,6 +154,14 @@ class TestTest:
         assert main(["test", "--input", str(fixture_csv), "--tau", "1e-9", "--method", "es",
                      "--out", str(tmp_path / "es.json")]) == 0
 
+    def test_extreme_tau_binary_covariate_exits_3(self, tmp_path, capsys):
+        # Entries of 0 and 1 alone do not make (1, d, c) safe at such a tau.
+        path = tmp_path / "bin.csv"
+        path.write_text("z,d,c\n0,1,0\n1,1,1\n2,1,0\n10,1,1\n0,0,0\n1,0,1\n2,0,1\n4,0,0\n")
+        capsys.readouterr()
+        assert main(["test", "--input", str(path), "--tau", "1e-9", "--out", str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: tau = 1e-09 lies within 0.0001 of 0 or 1 ")
+
     def test_unknown_method_exits_2(self, fixture_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["test", "--input", str(fixture_csv), "--method", "wilcoxon", "--out", str(tmp_path / "r.json")])

@@ -21,7 +21,7 @@ from coves.coves_test import (
     run_coves,
     run_es,
 )
-from coves.density import bandwidth_rot, kde_at_zero
+from coves.density import bandwidth_rot
 from coves.errors import CovesError, DegenerateSpreadError
 from coves.orderstats import empirical_quantile
 from coves.quantreg import check_objective
@@ -67,11 +67,6 @@ def np_bandwidth(x):
     return 0.9 * lo * x.size ** (-0.2)
 
 
-def np_kde_at_zero(x, h):
-    t = -np.asarray(x, dtype=float) / h
-    return float(np.sum(np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)) / (x.size * h))
-
-
 def np_tail_variation(r, n_group):
     return float(np.sum(r * r) - np.sum(r) ** 2 / n_group)
 
@@ -108,12 +103,6 @@ class TestBandwidth:
         assert same(bandwidth_rot(scale * np.array([0.3, -1.1])), np_bandwidth(scale * np.array([0.3, -1.1])))
         with pytest.raises(DegenerateSpreadError):
             bandwidth_rot(np.full(7, scale))
-
-    @settings(max_examples=200, deadline=None)
-    @given(x=samples, h=st.sampled_from([1e-3, 0.31, 1.0, 40.0]))
-    def test_kde_matches_np_sum(self, x, h):
-        h = h * max(float(np.abs(x).max()), 1e-300)
-        assert same(kde_at_zero(x, h), np_kde_at_zero(x, h))
 
 
 class TestGroupSums:

@@ -14,7 +14,6 @@ from coves.quantreg import (
     KINK_WINDOW,
     TIE_RTOL,
     RegressionData,
-    _col_absmax,
     _kinks_to_stop,
     _start_basis,
     check_objective,
@@ -832,24 +831,29 @@ class TestStartBasis:
                     for tau in (0.5, 0.75, 0.9):
                         rows = _start_basis(X, data.z, tau)
                         assert np.array_equal(rows, argsort_start_basis(X, data.z, tau)), (sc, m, cov, tau)
-                        # fit_rq passes the column max it has already formed.
-                        assert np.array_equal(_start_basis(X, data.z, tau, _col_absmax(X)), rows)
+
+
+EXACT_AT_ANY_TAU = ("(1)", "(1, d)")
+EXTREME_KINDS = EXACT_AT_ANY_TAU + ("(1, c)", "(1, d, c)", "(1, d, b)")
 
 
 def extreme_designs(count=300):
-    """(kind, RegressionData) of random designs of 5-13 rows: (1, d), (1, c)
-    and (1, d, c) in turn, with normal outcomes and a normal covariate."""
+    """(kind, RegressionData) of random designs of 5-13 rows, each kind of
+    EXTREME_KINDS in turn: normal outcomes, a normal covariate c and a
+    binary covariate b."""
     rng = np.random.default_rng(1206)
     out = []
     for k in range(count):
         n = int(rng.integers(5, 14))
         d = rng.permutation(np.arange(n) % 2).astype(float)
         c = rng.normal(size=n)
-        cols = ([d], [c], [d, c])[k % 3]
+        b = (rng.random(n) < 0.5).astype(float)
+        kind = EXTREME_KINDS[k % len(EXTREME_KINDS)]
+        cols = {"(1)": [], "(1, d)": [d], "(1, c)": [c], "(1, d, c)": [d, c], "(1, d, b)": [d, b]}[kind]
         X = np.column_stack([np.ones(n), *cols])
         y = rng.normal(size=n)
         if np.linalg.matrix_rank(X) == X.shape[1]:
-            out.append((("(1, d)", "(1, c)", "(1, d, c)")[k % 3], RegressionData(y, X)))
+            out.append((kind, RegressionData(y, X)))
     return out
 
 
@@ -866,7 +870,8 @@ class TestExtremeTau:
     # is wider than slopes of order min(tau, 1 - tau) * sum|x_i' delta|.
     # On designs with a continuous covariate the walk then followed
     # ascending edges and returned a fit up to 20 times the oracle's
-    # objective, with no error.  On (1, d) the fit is exact at any tau.
+    # objective, with no error; so did (1, d, b) with a binary b.  On (1)
+    # and (1, d) the fit is exact at any tau.
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
     def test_matches_oracle_at_bound(self, side):
@@ -881,8 +886,8 @@ class TestExtremeTau:
                                      np.nextafter(upper_bound_tau(), 1.0), 1.0 - 1e-9])
     def test_refused_beyond_bound(self, tau):
         tau = float(tau)
-        for kind, rd in extreme_designs(60):
-            if kind == "(1, d)":
+        for kind, rd in extreme_designs(100):
+            if kind in EXACT_AT_ANY_TAU:
                 fit, fo = fit_rq(rd, tau), rq_oracle(rd, tau)
                 assert fit.objective == pytest.approx(fo.objective, rel=1e-9)
                 assert beta_gap(rd, fit.beta, fo.beta) <= 1e-9
@@ -891,8 +896,25 @@ class TestExtremeTau:
                     fit_rq(rd, tau)
 
     def test_discrete_covariate_refused(self):
-        X = np.column_stack([np.ones(8), [0, 1] * 4, [0, 1, 2, 3] * 2])
+        # Entries of 0 and 1 alone do not exempt a design: beyond the bound
+        # (1, d, b) and (b1, b2) went wrong against the oracle too.
+        d, b = [0.0, 1.0] * 4, [0.0, 0.0, 1.0, 1.0] * 2
+        for cols in ([d, [0, 1, 2, 3] * 2], [[0, 1, 2, 3] * 2], [d, b], [b, d]):
+            X = np.column_stack([np.ones(8), *cols])
+            with pytest.raises(NumericalError):
+                fit_rq(RegressionData(np.arange(8.0), X), 1e-9)
         with pytest.raises(NumericalError):
-            fit_rq(RegressionData(np.arange(8.0), X), 1e-9)
-        with pytest.raises(NumericalError):
-            fit_rq(RegressionData(np.arange(8.0), X[:, [0, 2]]), 1e-9)
+            fit_rq(RegressionData(np.arange(8.0), np.column_stack([d, b])), 1e-9)
+
+    @pytest.mark.parametrize("tau", [1e-9, 1.0 - 1e-9])
+    @pytest.mark.parametrize("with_d", [False, True])
+    def test_exempt_designs_match_group_order_statistics(self, tau, with_d):
+        # Beyond the oracle's size: (1) and (1, d) at n = 2000 reach the
+        # least check objective, that of each group's tau-quantile.
+        rng = np.random.default_rng(1207)
+        y = np.round(rng.normal(size=2000), 2)
+        d = rng.permutation(np.arange(2000) % 2).astype(float)
+        X = np.column_stack([np.ones(2000), d]) if with_d else np.ones((2000, 1))
+        groups = [d == 0.0, d == 1.0] if with_d else [np.ones(2000, dtype=bool)]
+        best = sum(check_objective(y[g] - empirical_quantile(y[g], tau), tau) for g in groups)
+        assert fit_rq(RegressionData(y, X), tau).objective == pytest.approx(best, rel=1e-12)
