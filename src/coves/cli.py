@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .baselines import run_ttest
-from .coves_test import Dataset, run_coves, run_es
+from .coves_test import Dataset, check_alpha, run_coves, run_es
 from .diagnostics import adjusted_quantile_curves
 from .errors import DataError, NumericalError
 from .mc_engine import ALLOCATIONS, TEST_IDS, allocate, power_curve, sample_size_search
@@ -129,6 +129,7 @@ def _ttest_dict(report, data: Dataset, alpha: float) -> dict:
 
 
 def cmd_test(args) -> int:
+    check_alpha(args.alpha)
     data = read_dataset_csv(args.input)
     side = _SIDE_NAMES[args.side]
     if args.method == "ttest":
@@ -263,9 +264,12 @@ def cmd_samplesize(args) -> int:
 
 def _parse_float_list(spec: str) -> list[float]:
     try:
-        return [float(x) for x in spec.split(",") if x.strip()]
+        values = [float(x) for x in spec.split(",") if x.strip()]
     except ValueError:
-        raise DataError(f"bad float list {spec!r}") from None
+        values = []
+    if not values:
+        raise DataError(f"bad float list {spec!r}")
+    return values
 
 
 def _parse_grid(spec: str) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
@@ -45,11 +45,19 @@ _ROOT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 @dataclass
 class Dataset:
-    """Outcomes ``z``, binary treatment indicator ``d``, covariate ``c``."""
+    """Outcomes ``z``, binary treatment indicator ``d``, covariate ``c``.
+
+    Validation splits the rows once: ``groups`` holds the (treated,
+    control) boolean masks and ``n_treat``, ``n_control`` their sizes.
+    Every layer reads these rather than comparing ``d`` again.
+    """
 
     z: np.ndarray
     d: np.ndarray
     c: np.ndarray
+    groups: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    n_treat: int = field(init=False, repr=False, compare=False)
+    n_control: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.z = np.ascontiguousarray(self.z, dtype=float)
@@ -62,21 +70,14 @@ class Dataset:
         if not (np.isfinite(self.z).all() and np.isfinite(self.c).all()):
             raise DataError("z and c must be finite")
         dv = np.asarray(d, dtype=float)
-        n_treat = np.count_nonzero(dv == 1.0)
-        n_control = np.count_nonzero(dv == 0.0)
-        if n_treat + n_control != dv.size:
+        self.groups = (dv == 1.0, dv == 0.0)
+        self.n_treat = int(np.count_nonzero(self.groups[0]))
+        self.n_control = int(np.count_nonzero(self.groups[1]))
+        if self.n_treat + self.n_control != dv.size:
             raise DataError("treatment indicator d must contain only 0 or 1")
         self.d = dv.astype(int)
-        if n_treat < 1 or n_control < 1:
+        if self.n_treat < 1 or self.n_control < 1:
             raise DataError("both treatment groups must be nonempty")
-
-    @property
-    def n_treat(self) -> int:
-        return int(np.count_nonzero(self.d == 1))
-
-    @property
-    def n_control(self) -> int:
-        return int(np.count_nonzero(self.d == 0))
 
 
 @dataclass
@@ -115,12 +116,16 @@ def design_matrix(data: Dataset, with_covariate: bool = True) -> np.ndarray:
     return X
 
 
+def _gamma_hat(fit: QuantileFit) -> float:
+    """The fitted covariate coefficient; 0 when the design has no covariate."""
+    return float(fit.beta[2]) if fit.beta.size >= 3 else 0.0
+
+
 def adjusted_outcomes(data: Dataset, fit: QuantileFit) -> np.ndarray:
     """Outcomes with the fitted covariate contribution removed: z - gamma_hat*c."""
     if fit.residuals.size != data.z.size:
         raise ValueError("fit does not match the dataset")
-    gamma = float(fit.beta[2]) if fit.beta.size >= 3 else 0.0
-    return data.z - gamma * data.c
+    return data.z - _gamma_hat(fit) * data.c
 
 
 def _mean(x: np.ndarray) -> float:
@@ -139,16 +144,6 @@ def _require_shortfall(sel: np.ndarray, group: int) -> int:
     return s
 
 
-def shortfall_mask(data: Dataset, fit: QuantileFit, group: int) -> np.ndarray:
-    """Mask of the group's observations strictly above the fitted plane.
-
-    Raises EmptyShortfallError when the group has none.
-    """
-    sel = fit.positive_mask() & (data.d == group)
-    _require_shortfall(sel, group)
-    return sel
-
-
 def _shortfall_sets(fit: QuantileFit, groups) -> tuple[tuple, tuple]:
     """Masks and sizes of the (treated, control) shortfall sets, from the
     (treated, control) group masks; an empty treated set is reported first."""
@@ -158,21 +153,22 @@ def _shortfall_sets(fit: QuantileFit, groups) -> tuple[tuple, tuple]:
 
 
 def coves_stat(data: Dataset, fit: QuantileFit, group: int) -> float:
-    """Mean adjusted outcome over the group's strictly positive residuals."""
+    """Mean adjusted outcome over the group's strictly positive residuals.
+
+    Raises EmptyShortfallError when the group has none.
+    """
     if group not in (0, 1):
         raise ValueError("group must be 0 or 1")
-    return _mean(adjusted_outcomes(data, fit)[shortfall_mask(data, fit, group)])
-
-
-def _centred(c: np.ndarray, groups) -> np.ndarray:
-    """c minus the mean of its own group, from the (treated, control) masks."""
-    m1, m0 = (_mean(c[in_g]) for in_g in groups)
-    return c - np.where(groups[0], m1, m0)
+    y = adjusted_outcomes(data, fit)
+    sel = fit.positive_mask() & data.groups[0 if group == 1 else 1]
+    _require_shortfall(sel, group)
+    return _mean(y[sel])
 
 
 def orthogonalized_covariate(data: Dataset) -> np.ndarray:
     """Covariate centered within each treatment group; sums to zero per group."""
-    return _centred(data.c, (data.d == 1, data.d == 0))
+    m1, m0 = (_mean(data.c[in_g]) for in_g in data.groups)
+    return data.c - np.where(data.groups[0], m1, m0)
 
 
 def _tail_variation(r: np.ndarray, n_group: int) -> float:
@@ -250,6 +246,11 @@ def check_side(side: str) -> None:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
 
 
+def check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+
+
 def check_scale(data: Dataset) -> None:
     """NumericalError when max|z| or max|c| is nonzero and outside the window.
 
@@ -258,9 +259,8 @@ def check_scale(data: Dataset) -> None:
     (sum of its residuals above the plane)^2 in V_d, at most
     (N_d * 2 * max|z|)^2, and it must stay below the largest float.
     """
-    n1 = int(np.count_nonzero(data.d))
     lo = OUTCOME_SCALE[0]
-    hi = min(OUTCOME_SCALE[1], _ROOT_FLOAT_MAX / (2 * max(n1, data.d.size - n1)))
+    hi = min(OUTCOME_SCALE[1], _ROOT_FLOAT_MAX / (2 * max(data.n_treat, data.n_control)))
     for name, label, x in (("outcome", "z", data.z), ("covariate", "c", data.c)):
         top = float(np.abs(x).max())
         if top > hi or 0.0 < top < lo:
@@ -297,27 +297,24 @@ def _shortfall_test(data: Dataset, tau: float, side: str, method: str) -> CovesR
     if adjust:
         fit = fit_rq(RegressionData(data.z, design_matrix(data)), tau)
     else:
-        fit = fit_group_quantiles(data.z, data.d, tau)
-    # Each pair runs (treatment d=1, control d=0).  Each group's mask is
-    # formed once, and both shortfall sets are checked before either
-    # density, so an empty shortfall set is reported first.
-    treated = data.d == 1
-    groups = (treated, ~treated)
-    sels, s = _shortfall_sets(fit, groups)
+        fit = fit_group_quantiles(data.z, data.groups, tau)
+    # Each pair runs (treatment d=1, control d=0).  Both shortfall sets
+    # are checked before either density, so an empty shortfall set is
+    # reported first.
+    sels, s = _shortfall_sets(fit, data.groups)
     res = fit.residuals
     y = adjusted_outcomes(data, fit)
     coves = tuple(_mean(y[sel]) for sel in sels)
     cbar = tuple(_mean(data.c[sel]) for sel in sels)
-    n1 = int(np.count_nonzero(treated))
-    v = (_tail_variation(res[sels[0]], n1), _tail_variation(res[sels[1]], res.size - n1))
-    cstar = _centred(data.c, groups)
+    v = (_tail_variation(res[sels[0]], data.n_treat), _tail_variation(res[sels[1]], data.n_control))
+    cstar = orthogonalized_covariate(data)
     cstar_sq = cstar * cstar
     cstar_sumsq = float(cstar_sq.sum())
 
     if adjust:
         f1, f0 = (
             group_density_at_zero(res[in_g]) * float(cstar_sq[in_g].sum())
-            for in_g in groups
+            for in_g in data.groups
         )
         u_f = f1 + f0
         s2 = variance_est(*v, *cbar, u_f, cstar_sumsq, tau, *s)
@@ -364,14 +361,12 @@ def decompose_T(
     simulation studies where the generating parameters are known.
     """
     alpha, delta, gamma = (float(x) for x in true_params)
-    treated = data.d == 1
-    sels, _ = _shortfall_sets(fit, (treated, ~treated))
+    sels, _ = _shortfall_sets(fit, data.groups)
     y = adjusted_outcomes(data, fit)
-    gamma_hat = float(fit.beta[2]) if fit.beta.size >= 3 else 0.0
     e = data.z - alpha - delta * data.d - gamma * data.c
     coves1, coves0 = (_mean(y[sel]) for sel in sels)
     ebar1, ebar0 = (_mean(e[sel]) for sel in sels)
     cbar1, cbar0 = (_mean(data.c[sel]) for sel in sels)
     direct = coves1 - coves0
-    decomposed = delta - (gamma_hat - gamma) * (cbar1 - cbar0) + (ebar1 - ebar0)
+    decomposed = delta - (_gamma_hat(fit) - gamma) * (cbar1 - cbar0) + (ebar1 - ebar0)
     return direct, decomposed

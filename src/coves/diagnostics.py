@@ -45,9 +45,5 @@ def adjusted_quantile_curves(
         raise ValueError("grid must be strictly increasing")
     fit = fit_rq(RegressionData(data.z, design_matrix(data, True)), tau_fit)
     y = adjusted_outcomes(data, fit)
-    return QuantileCurves(
-        tau_fit=tau_fit,
-        grid=grid,
-        curve_treat=np.asarray(empirical_quantile(y[data.d == 1], grid)),
-        curve_control=np.asarray(empirical_quantile(y[data.d == 0], grid)),
-    )
+    treat, control = (np.asarray(empirical_quantile(y[in_g], grid)) for in_g in data.groups)
+    return QuantileCurves(tau_fit=tau_fit, grid=grid, curve_treat=treat, curve_control=control)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import run_ttest
-from .coves_test import run_coves, run_es
+from .coves_test import check_alpha, run_coves, run_es
 from .errors import NumericalError, SearchBoundsError, UnstableConfigurationError
 
 TEST_IDS = ("coves", "es", "ttest")
@@ -108,8 +108,7 @@ def estimate_rejection_rate(
         raise ValueError(f"test_id must be one of {TEST_IDS}, got {test_id!r}")
     if reps < 1:
         raise ValueError("need at least one replication")
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    check_alpha(alpha)
 
     seeds = [replication_seed(seed, size_index, r) for r in range(reps)]
     chunk_size = -(-reps // max(1, workers or 1))

@@ -235,25 +235,25 @@ def rq_oracle(data: RegressionData, tau: float) -> QuantileFit:
     return _make_fit(tau, beta, data.y, data.y - data.X @ beta)
 
 
-def fit_group_quantiles(z, d, tau: float) -> QuantileFit:
+def fit_group_quantiles(z, groups, tau: float) -> QuantileFit:
     """Exact tau-th regression quantile of the two-sample design (1, d).
 
-    ``z`` is the float array of outcomes and ``d`` the 0/1 treatment
-    indicator, both groups nonempty.  This is the fit ``fit_rq`` returns
-    on (1, d), from order statistics alone, so no LP is solved.  Group
-    d's fitted quantile q_d is its k_d-th order statistic, with
-    k_d = max(1, ceil(tau*N_d - TIE_RTOL*N_d)): the lower end of the
-    optimal interval under ``fit_rq``'s flat-edge window, TIE_RTOL*N_d on
-    this design, so a tau*N_d at or a hair above an integer k in floats
-    (0.55*100) takes the k-th.  beta = (q_0, q_1 - q_0) and the residuals
-    are z - q_d.  The fit depends on the data only through each group's
-    sorted values, so not on their row order.
+    ``z`` is the float array of outcomes and ``groups`` the (treated,
+    control) boolean masks of its rows, as ``Dataset.groups`` holds
+    them: disjoint, covering every row, both nonempty.  This is the fit
+    ``fit_rq`` returns on (1, d), from order statistics alone, so no LP
+    is solved.  Group d's fitted quantile q_d is its k_d-th order
+    statistic, with k_d = max(1, ceil(tau*N_d - TIE_RTOL*N_d)): the lower
+    end of the optimal interval under ``fit_rq``'s flat-edge window,
+    TIE_RTOL*N_d on this design, so a tau*N_d at or a hair above an
+    integer k in floats (0.55*100) takes the k-th.  beta = (q_0, q_1 - q_0)
+    and the residuals are z - q_d.  The fit depends on the data only
+    through each group's sorted values, so not on their row order.
     """
     _check_tau(tau)
-    treated = d == 1
-    q1, q0 = (_lower_end(z[sel], tau) for sel in (treated, ~treated))
+    q1, q0 = (_lower_end(z[in_g], tau) for in_g in groups)
     beta = np.array([q0, q1 - q0])
-    return _make_fit(tau, beta, z, z - np.where(treated, q1, q0))
+    return _make_fit(tau, beta, z, z - np.where(groups[0], q1, q0))
 
 
 def _lower_end(values: np.ndarray, tau: float) -> float:

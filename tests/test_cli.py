@@ -370,3 +370,18 @@ class TestInputErrors:
     def test_bad_float_list(self, tmp_path, capsys, fixture_csv):
         argv = ["diagnose", "--input", str(fixture_csv), "--tau-fit", "0.5,x", "--out", str(tmp_path / "c.csv")]
         assert_input_error(capsys, argv, "bad float list '0.5,x'")
+
+    @pytest.mark.parametrize("spec", ["", ","], ids=["empty", "comma"])
+    def test_empty_float_list(self, tmp_path, capsys, fixture_csv, spec):
+        out = tmp_path / "c.csv"
+        argv = ["diagnose", "--input", str(fixture_csv), f"--tau-fit={spec}", "--out", str(out)]
+        assert_input_error(capsys, argv, f"bad float list {spec!r}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["coves", "es", "ttest"])
+    @pytest.mark.parametrize("alpha", ["-1", "0", "5", "nan"])
+    def test_bad_alpha(self, tmp_path, capsys, fixture_csv, method, alpha):
+        out = tmp_path / "rep.json"
+        argv = ["test", "--input", str(fixture_csv), "--method", method, f"--alpha={alpha}", "--out", str(out)]
+        assert_input_error(capsys, argv, f"alpha must lie in (0, 1], got {float(alpha)}")
+        assert not out.exists()

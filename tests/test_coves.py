@@ -145,6 +145,28 @@ class TestDataset:
         assert data.d.tolist() == [1, 0, 1, 1, 0]
         assert (data.n_treat, data.n_control) == (3, 2)
 
+    @pytest.mark.parametrize("dtype", [int, float, bool])
+    def test_groups_split_the_rows(self, dtype):
+        d = np.array([1, 0, 0, 1, 1, 0, 1], dtype=dtype)
+        data = Dataset(z=np.arange(7.0), d=d, c=np.zeros(7))
+        treated, control = data.groups
+        assert treated.dtype == control.dtype == np.dtype(bool)
+        assert np.array_equal(treated, d == 1)
+        assert np.array_equal(control, d == 0)
+        assert not (treated & control).any()
+        assert (treated | control).all()
+        assert (data.n_treat, data.n_control) == (np.count_nonzero(treated), np.count_nonzero(control))
+        assert type(data.n_treat) is type(data.n_control) is int
+
+    def test_pipeline_leaves_groups_unchanged(self):
+        data = random_dataset(3)
+        before = [in_g.tobytes() for in_g in data.groups]
+        report = run_coves(data, 0.75)
+        run_es(data, 0.75)
+        decompose_T(data, report.fit, (0.0, 0.4, 0.7))
+        assert [in_g.tobytes() for in_g in data.groups] == before
+        assert (data.n_treat, data.n_control) == (12, 12)
+
 
 class TestAdjustedOutcomes:
     def test_golden(self, fixture_data, fixture_fit):

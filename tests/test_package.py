@@ -1,5 +1,7 @@
-"""Package-level contracts: import footprint and the benchmark's trace targets."""
+"""Package-level contracts: import footprint, the benchmark's trace targets and
+where the treated/control split is made."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -68,3 +70,47 @@ def test_bench_trace_sees_every_replication_layer(monkeypatch):
         "coves_test.group_density_at_zero",
     }
     assert want <= names, want - names
+
+
+def _group_split_sites(path: Path) -> list[str]:
+    """Each comparison of ``d`` and each count of ``d`` in a module, outside
+    ``Dataset.__post_init__``, as ``file:line: source``."""
+    source = path.read_text()
+    tree = ast.parse(source)
+    exempt = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "Dataset"
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+        for node in ast.walk(fn)
+    }
+
+    def is_d(node):
+        return (isinstance(node, ast.Name) and node.id == "d") or (
+            isinstance(node, ast.Attribute) and node.attr == "d"
+        )
+
+    sites = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        compared = isinstance(node, ast.Compare) and any(map(is_d, [node.left, *node.comparators]))
+        counted = (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "count_nonzero"
+            and any(map(is_d, node.args))
+        )
+        if compared or counted:
+            sites.append(f"{path.name}:{node.lineno}: {ast.get_source_segment(source, node)}")
+    return sites
+
+
+def test_group_split_is_made_once():
+    # Dataset validation splits the rows into (treated, control) masks and
+    # counts them; every other layer reads Dataset.groups, n_treat and
+    # n_control.  simgen builds d, so it is the one other module that reads it.
+    package = Path(coves.__file__).resolve().parent
+    modules = sorted(p for p in package.glob("*.py") if p.name != "simgen.py")
+    assert modules
+    assert [site for path in modules for site in _group_split_sites(path)] == []

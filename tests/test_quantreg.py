@@ -410,8 +410,9 @@ def two_sample(y, d):
 
 
 def group_fit(rd, tau):
-    """fit_group_quantiles on the outcomes and indicator of a (1, d) design."""
-    return fit_group_quantiles(rd.y, rd.X[:, 1], tau)
+    """fit_group_quantiles on the outcomes and group masks of a (1, d) design."""
+    d = rd.X[:, 1]
+    return fit_group_quantiles(rd.y, (d == 1, d == 0), tau)
 
 
 def assert_same_fit(a, b):
@@ -685,7 +686,7 @@ class TestCanonicalFit:
         for name, data in self.datasets(sizes, range(5)):
             for tau in (0.5, 0.75, 0.9):
                 fit = fit_rq(RegressionData(data.z, design_matrix(data, False)), tau)
-                ref = fit_group_quantiles(data.z, data.d, tau)
+                ref = fit_group_quantiles(data.z, data.groups, tau)
                 assert np.array_equal(fit.positive_mask(), ref.positive_mask()), (name, tau)
                 assert np.array_equal(fit.zero_set, ref.zero_set), (name, tau)
                 ulp = np.spacing(np.abs(ref.beta).max())
