@@ -49,7 +49,11 @@ class Dataset:
 
     Validation splits the rows once: ``groups`` holds the (treated,
     control) boolean masks and ``n_treat``, ``n_control`` their sizes.
-    Every layer reads these rather than comparing ``d`` again.
+    Every layer reads these rather than comparing ``d`` again.  The
+    dataset owns ``d`` and both masks and makes them read-only, so an
+    in-place edit raises ``ValueError`` instead of leaving the split
+    stale; ``z`` and ``c`` may be the caller's own arrays and stay as
+    given.
     """
 
     z: np.ndarray
@@ -78,6 +82,8 @@ class Dataset:
         self.d = dv.astype(int)
         if self.n_treat < 1 or self.n_control < 1:
             raise DataError("both treatment groups must be nonempty")
+        for owned in (self.d, *self.groups):
+            owned.flags.writeable = False
 
 
 @dataclass

@@ -45,6 +45,9 @@ ORACLE_MAX_N = 20
 TIE_RTOL = 1e-9
 # Residuals and entries of XB within this of their rounding scale are zero.
 _NOISE_RTOL = 1e-12
+# The on-plane bound's absolute floor, above the subnormal rounding of
+# |A_i| @ |yh| (see _plane_cap).
+_BOUND_FLOOR = float(np.finfo(float).tiny)
 # Kinks sorted at first along an edge step.  Over 20 fits of scenario 3
 # at (5000,5000), 132 pivots crossed about 4100 kinks each and stopped at
 # kink 4 in the median and 19 at the 90th percentile; one went past 64.
@@ -272,8 +275,10 @@ def _start_basis(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
     """p linearly independent rows near the tau-quantile plane of the data.
 
     The OLS fit shifted by the tau-quantile of its residuals (their
-    ceil(tau*n)-th order statistic, as ``empirical_quantile`` takes it)
-    gives each row a distance.  Rows are taken greedily: at each step
+    ceil(tau*n)-th order statistic, as ``empirical_quantile`` takes it,
+    found by np.partition: the value a full sort puts there, up to the
+    sign of a zero, which the distance's absolute value drops) gives
+    each row a distance.  Rows are taken greedily: at each step
     the row with the least (distance, row index) among those whose component
     orthogonal to the rows already taken is at least 1e-6 of the largest
     such component, found by an argmin over the passing rows, so no sort
@@ -283,7 +288,8 @@ def _start_basis(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
     residue of a row already taken.
     """
     r = y - X @ np.linalg.lstsq(X, y, rcond=None)[0]
-    dist = np.abs(r - np.sort(r)[math.ceil(tau * r.size) - 1])
+    k = math.ceil(tau * r.size) - 1
+    dist = np.abs(r - np.partition(r, k)[k])
     R = X / _col_absmax(X)
     p = X.shape[1]
     rows = []
@@ -300,6 +306,57 @@ def _start_basis(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
             for col in range(p):
                 R[:, col] -= Rq * q[col]
     return np.array(rows)
+
+
+def _col_sums(absA: np.ndarray) -> np.ndarray:
+    """Column sums of the nonnegative (n, p) array absA, added in row
+    order: the last row of np.add.accumulate(absA, axis=0), bit for bit.
+
+    einsum's loop adds one row after another into the p sums, without
+    numpy's length-p inner loops; a single column it sums pairwise, so
+    p = 1 takes the running sum.
+    """
+    if absA.shape[1] == 1:
+        return np.add.accumulate(absA[:, 0])[-1:]
+    return np.einsum("ij->j", absA)
+
+
+def _plane_cap(ytop, colsum, yh, n):
+    """An upper bound, over every row i, on _on_plane's right-hand side
+    _NOISE_RTOL * (|y_i| + |A_i| @ |yh|), from scalars alone.
+
+    ``ytop`` is max|y| + _BOUND_FLOOR and ``colsum`` the column sums of
+    |A| (``_col_sums``); n is the number of rows.  In exact arithmetic
+    |A_i| @ |yh| <= sum_k |A_ik| * max|yh| <= sum(colsum) * max|yh|.  In
+    floats the test's product rounds up by at most a relative p*2^-53,
+    and the bound's rounds down by at most (n + p + 2)*2^-53 (colsum
+    adds n rows), each besides a subnormal half-ulp per rounding.  The
+    widening by 1e-9 + n*2^-50 exceeds both relative parts together
+    (p <= n); where the product is so small that the half-ulps matter,
+    it lies below _BOUND_FLOOR, which ytop carries.  So the sum under
+    the bound is at least the sum in the test, and rounding to nearest
+    is monotone, so it stays so once both are rounded (to infinity too)
+    and multiplied by _NOISE_RTOL.
+    """
+    widen = 1.0 + 1e-9 + n * 2.0**-50
+    return _NOISE_RTOL * (ytop + sum(colsum.tolist()) * (max(map(abs, yh.tolist())) * widen))
+
+
+def _on_plane(rc, rows, cap, y, absA, yh):
+    """Mask of the rows on the fitted plane, or None when there are none.
+
+    Row i = rows[j], with residual rc[j], lies on the plane when
+    |r_i| <= _NOISE_RTOL * (|y_i| + |A_i| @ |yh|).  ``cap`` bounds that
+    right-hand side over all rows (``_plane_cap``), so when every |r_i|
+    exceeds it, no row is on the plane and the product is not formed.
+    Otherwise the test runs as it is written, over all of rows: a product
+    over some of them can round differently, row by row.  A NaN fails
+    |r_i| > cap, so it too leaves the decision to the test.
+    """
+    absr = np.abs(rc)
+    if np.count_nonzero(absr > cap) == rows.size:
+        return None
+    return absr <= _NOISE_RTOL * (np.abs(y[rows]) + absA.take(rows, axis=0) @ np.abs(yh))
 
 
 def _kinks_to_stop(t, gain, slope, tol):
@@ -354,7 +411,12 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     longest of them), and the window doubles while the stop lies beyond
     it, so a pivot at large n sorts a few dozen kinks, not thousands.
     The prefix is the head of the full stable order, so the stop is the
-    same.
+    same.  The other O(n) passes of a pivot keep their bits too: the
+    column sums of |XB| behind the flat-edge window are added row after
+    row in one einsum pass (``_col_sums``), and the exact test of which
+    crossing rows lie on the plane runs only when a scalar bound on its
+    right-hand side (``_plane_cap``) cannot rule them all out, which on
+    continuous data it nearly always can.
 
     An edge is flat when its slope is within TIE_RTOL * sum |x_i' delta|
     of zero.  Once no edge descends, flat edges that lower the key (see
@@ -396,9 +458,10 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     h = _start_basis(X, y, tau)
     side = None
     bland = False
+    ytop = float(np.abs(y).max()) + _BOUND_FLOOR
     # The (n, p) arrays of every pivot are written into buffers made once
     # per fit: a fresh array of that size costs its page faults each time.
-    A, absA, runs = (np.empty_like(X) for _ in range(3))
+    A, absA = np.empty_like(X), np.empty_like(X)
     for _ in range(MAX_ITER):
         # Row i of A = X B holds x_i's coordinates in the basis rows.
         B = np.linalg.inv(X[h])
@@ -416,9 +479,11 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
         np.abs(A, out=absA)
         c = w @ A
         slope = np.concatenate((c + (1.0 - tau), tau - c))
-        # Column and row sums of |A| in the order of absA.sum(axis=0) and
-        # absA.sum(axis=1), without their length-p inner loops.
-        spread = TIE_RTOL * np.add.accumulate(absA, axis=0, out=runs)[-1]
+        # Column and row sums of |A|, each added in order (rows one after
+        # another, columns 0 to p-1), without numpy's length-p inner loops.
+        colsum = _col_sums(absA)
+        spread = TIE_RTOL * colsum
+        cap = _plane_cap(ytop, colsum, yh, y.size)
         noise = absA[:, 0].copy()
         for col in range(1, p):
             noise += absA[:, col]
@@ -442,9 +507,10 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
             a[h] = 0.0
             cross = np.flatnonzero(a * side > noise)
             rc, ac = r[cross], a[cross]
-            on_plane = np.abs(rc) <= _NOISE_RTOL * (np.abs(y[cross]) + absA.take(cross, axis=0) @ np.abs(yh))
             t = np.maximum(rc / ac, 0.0)
-            t[on_plane] = 0.0
+            on_plane = _on_plane(rc, cross, cap, y, absA, yh)
+            if on_plane is not None:
+                t[on_plane] = 0.0
             reached = _kinks_to_stop(t, np.abs(ac), slope[e], -flat_tol[e])
             if reached is not None:
                 break

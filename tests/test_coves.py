@@ -167,6 +167,26 @@ class TestDataset:
         assert [in_g.tobytes() for in_g in data.groups] == before
         assert (data.n_treat, data.n_control) == (12, 12)
 
+    def test_indicator_and_groups_are_read_only(self):
+        # An in-place edit of d or of a mask would leave the split stale
+        # (d[0] = 0 kept n_treat and groups[0][0]); the dataset refuses it.
+        data = random_dataset(3)
+        for owned in (data.d, *data.groups):
+            with pytest.raises(ValueError, match="read-only"):
+                owned[0] = 0
+        assert (data.d[0], data.groups[0][0], data.n_treat) == (1, True, 12)
+        # z and c may be the caller's arrays and stay writeable.
+        assert data.z.flags.writeable and data.c.flags.writeable
+
+    def test_built_from_read_only_views(self):
+        # Reversed views of a dataset's read-only d build a new dataset
+        # that owns read-only copies and gives the same report.
+        data = random_dataset(3)
+        rev = Dataset(z=data.z[::-1], d=data.d[::-1], c=data.c[::-1])
+        assert np.array_equal(rev.d, data.d[::-1]) and not rev.d.flags.writeable
+        assert np.array_equal(rev.groups[0], data.groups[0][::-1])
+        assert run_es(rev, 0.75).s_counts == run_es(data, 0.75).s_counts
+
 
 class TestAdjustedOutcomes:
     def test_golden(self, fixture_data, fixture_fit):

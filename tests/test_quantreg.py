@@ -14,7 +14,12 @@ from coves.quantreg import (
     KINK_WINDOW,
     TIE_RTOL,
     RegressionData,
+    _BOUND_FLOOR,
+    _NOISE_RTOL,
+    _col_sums,
     _kinks_to_stop,
+    _on_plane,
+    _plane_cap,
     _start_basis,
     check_objective,
     fit_group_quantiles,
@@ -833,6 +838,163 @@ class TestStartBasis:
                         rows = _start_basis(X, data.z, tau)
                         assert np.array_equal(rows, argsort_start_basis(X, data.z, tau)), (sc, m, cov, tau)
 
+
+class TestWindowSums:
+    # fit_rq's flat-edge window is TIE_RTOL times the column sums of |A|,
+    # added row after row; _col_sums must give those bits, for every p.
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 1000, 8191, 8192, 8193, 20000])
+    def test_equals_running_sum(self, p, n):
+        rng = np.random.default_rng(1000 * p + n)
+        for scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
+            heavy = np.abs(rng.standard_cauchy((n, p))) * scale
+            mixed = np.abs(rng.normal(size=(n, p))) * 10.0 ** rng.integers(-150, 151, size=p)
+            for absA in (heavy, mixed):
+                for zero in (None, *range(p)):
+                    arr = absA.copy()
+                    if zero is not None:
+                        arr[:, zero] = 0.0
+                    ref = np.add.accumulate(arr, axis=0)[-1]
+                    got = _col_sums(arr)
+                    assert got.shape == (p,)
+                    assert got.tobytes() == ref.tobytes(), (p, n, scale, zero)
+
+
+def pivot_state(X, y, h):
+    """What fit_rq computes at the basis h for the on-plane test: r, the
+    rows off the basis, |A| and _plane_cap's bound."""
+    A = X @ np.linalg.inv(X[h])
+    absA = np.abs(A)
+    ytop = float(np.abs(y).max()) + _BOUND_FLOOR
+    return y - A @ y[h], np.setdiff1d(np.arange(y.size), h), absA, _plane_cap(ytop, _col_sums(absA), y[h], y.size)
+
+
+def full_on_plane(rc, rows, y, absA, yh):
+    """The on-plane test as every pivot of fit_rq once made it."""
+    return np.abs(rc) <= _NOISE_RTOL * (np.abs(y[rows]) + absA.take(rows, axis=0) @ np.abs(yh))
+
+
+def as_mask(got, size):
+    return np.zeros(size, bool) if got is None else got
+
+
+def hostile_designs():
+    """(name, X, y) with rows on the plane, duplicated rows and rounded
+    outcomes, at scales from 1e-300 to 1e307."""
+    rng = np.random.default_rng(1508)
+    for k in range(60):
+        n, p = int(rng.integers(6, 40)), int(rng.integers(1, 5))
+        kind = ("on-plane", "duplicates", "rounded")[k % 3]
+        X = np.column_stack([np.ones(n), rng.integers(-3, 4, size=(n, p - 1))]).astype(float)
+        if kind == "on-plane":
+            # Integer coefficients and entries: many rows exactly on one plane.
+            y = X @ rng.integers(-2, 3, size=p) + np.where(rng.random(n) < 0.5, 0.0, rng.normal(size=n))
+        else:
+            X[:, 1:] += rng.normal(size=(n, p - 1)) * (kind == "duplicates")
+            y = rng.normal(size=n)
+            if kind == "rounded":
+                y = np.round(2.0 * y)
+            else:
+                dup = rng.integers(0, n, size=n // 2)
+                X, y = np.vstack([X, X[dup]]), np.concatenate([y, y[dup]])
+        if np.linalg.matrix_rank(X) < p:
+            continue
+        for scale in (1e-300, 1e-8, 1.0, 1e8, 1e300, 1e307):
+            # At 1e307 the full test's sum can overflow to inf.
+            if np.isfinite(y * scale).all():
+                yield f"{kind}/{k}/{scale:g}", X, y * scale
+
+
+class TestOnPlaneBound:
+    # _on_plane skips the full test only when _plane_cap shows that no
+    # row can pass it, so it must equal the full test.
+    # At 1e307 sums overflow to inf, on purpose: both forms see the same.
+    pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+    def cases(self):
+        for name, X, y in hostile_designs():
+            rng = np.random.default_rng(len(name))
+            for _ in range(3):
+                h = rng.choice(y.size, size=X.shape[1], replace=False)
+                if abs(np.linalg.det(X[h])) > 1e-9:
+                    yield name, X, y, h
+
+    def test_matches_full_test(self):
+        for name, X, y, h in self.cases():
+            r, rows, absA, cap = pivot_state(X, y, h)
+            for sub in (rows, rows[::2], rows[:1]):
+                got = _on_plane(r[sub], sub, cap, y, absA, y[h])
+                assert np.array_equal(as_mask(got, sub.size), full_on_plane(r[sub], sub, y, absA, y[h])), name
+
+    def test_one_ulp_either_side(self):
+        # Residuals placed one ulp either side of the bound and of the full
+        # test's right-hand side, on every row, on every other row or on
+        # one row (the rest far off the plane).
+        for name, X, y, h in self.cases():
+            _, rows, absA, cap = pivot_state(X, y, h)
+            rhs = _NOISE_RTOL * (np.abs(y[rows]) + absA.take(rows, axis=0) @ np.abs(y[h]))
+            assert np.all(rhs <= cap), name
+            pos = np.arange(rows.size)
+            for edge in (np.full(rows.size, cap), rhs):
+                mixed = [np.where(keep, edge, 4.0 * cap) for keep in (pos % 2 == 0, pos == 0)]
+                for rc in (edge, np.nextafter(edge, np.inf), np.nextafter(edge, 0.0), *mixed):
+                    for sign in (1.0, -1.0):
+                        got = _on_plane(sign * rc, rows, cap, y, absA, y[h])
+                        assert np.array_equal(as_mask(got, rows.size), full_on_plane(sign * rc, rows, y, absA, y[h])), name
+            # Beyond a finite bound no row is on the plane, and the full
+            # test is skipped.
+            if np.isfinite(cap):
+                assert _on_plane(np.full(rows.size, np.nextafter(cap, np.inf)), rows, cap, y, absA, y[h]) is None, name
+
+    def test_tight_single_rows(self):
+        # One row, y = 0 and every |yh| equal: the bound is the full test's
+        # right-hand side up to rounding, so only its widening keeps it
+        # above (unwidened, it fell below on 341 of 2000 such rows).
+        rng = np.random.default_rng(1509)
+        rows, y = np.array([0]), np.array([0.0])
+        for _ in range(2000):
+            p = int(rng.integers(2, 5))
+            absA = np.abs(rng.normal(size=(1, p))) * 10.0 ** float(rng.integers(-100, 101))
+            yh = float(rng.exponential()) * rng.choice([-1.0, 1.0], size=p)
+            cap = _plane_cap(_BOUND_FLOOR, _col_sums(absA), yh, 1)
+            rhs = _NOISE_RTOL * (absA @ np.abs(yh))
+            for rc in (rhs, np.nextafter(rhs, np.inf)):
+                assert np.array_equal(as_mask(_on_plane(rc, rows, cap, y, absA, yh), 1), np.abs(rc) <= rhs)
+
+    def test_floor_covers_subnormal_products(self):
+        # |A_0| @ |yh| = 1.6h + 1.6h rounds each subnormal product up, to
+        # 4h (h = 2^-1074), where the bound's 3.2 * h rounds to 3h; |y| is
+        # placed so that |y| + 3h ties to even below |y| + 4h, and the two
+        # sums times _NOISE_RTOL round to neighbouring subnormals.  Without
+        # _BOUND_FLOOR the bound falls below the full test's right-hand
+        # side and a row on the plane is missed.
+        h, ulp = 2.0**-1074, 2.0**-1073
+        absA, yh = np.array([[1.6, 1.6]]), np.array([h, -h])
+        y, rows = np.array([(5000250000000000 - 1) * ulp]), np.array([0])
+        rhs = _NOISE_RTOL * (np.abs(y) + absA @ np.abs(yh))
+        assert _plane_cap(float(y[0]), _col_sums(absA), yh, 1) < rhs[0]
+        cap = _plane_cap(float(y[0]) + _BOUND_FLOOR, _col_sums(absA), yh, 1)
+        for rc in (rhs, np.nextafter(rhs, np.inf)):
+            assert np.array_equal(as_mask(_on_plane(rc, rows, cap, y, absA, yh), 1), np.abs(rc) <= rhs)
+
+    def test_fits_unchanged_with_full_test(self, monkeypatch):
+        # fit_rq with the bound, and with the full test on every edge as
+        # before, gives the same bits on the hostile designs.
+        from coves import quantreg
+
+        fits = {}
+        for use_bound in (True, False):
+            if not use_bound:
+                monkeypatch.setattr(quantreg, "_on_plane", lambda rc, rows, cap, y, absA, yh:
+                                    full_on_plane(rc, rows, y, absA, yh))
+            for name, X, y in hostile_designs():
+                for tau in (0.25, 0.75):
+                    try:
+                        fit = fit_rq(RegressionData(y, X), tau)
+                        fits.setdefault((name, tau), []).append((fit.beta.tobytes(), fit.residuals.tobytes()))
+                    except (ConvergenceError, DegenerateDesignError) as exc:
+                        fits.setdefault((name, tau), []).append(type(exc).__name__)
+        assert all(a == b for a, b in fits.values())
 
 EXACT_AT_ANY_TAU = ("(1)", "(1, d)")
 EXTREME_KINDS = EXACT_AT_ANY_TAU + ("(1, c)", "(1, d, c)", "(1, d, b)")

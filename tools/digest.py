@@ -23,7 +23,11 @@ design, so ``--diff`` can name every design whose result moved.
   and 0.56 and at (100, 100) with tau 0.55, where tau*N_d is a float a
   hair above an integer.  Tiny-tau two-sample designs add (1, d) fits at
   five levels from 5e-324 to 1e-6, below and above TIE_RTOL, under
-  which every downward edge is flat.
+  which every downward edge is flat.  Designs of one or two columns
+  without an intercept, (c), (d) and (d, c), and the intercept alone,
+  (1), add fits of scenarios 1-4 at (25, 25) and of scenario 3 at
+  (5000, 5000), so one- and two-column designs, with and without an
+  intercept, run at both sizes beside (1, d) and (1, d, c).
 - ``rq_oracle``: the enumeration oracle's fit or error, hashed the same
   way, on every one of those designs with at most ``ORACLE_MAX_N`` rows.
 - ``run_coves``, ``run_es``, ``run_ttest``, ``decompose_T``: every field
@@ -165,6 +169,29 @@ def tiny_covariate_datasets():
             yield f"tinyc/{name}", Dataset(z=data.z, d=data.d, c=1e-10 * data.c)
 
 
+def column_subset_designs():
+    """(name, y, X, taus) of the one- and two-column designs (1), (c), (d)
+    and (d, c) on scenario datasets at (25, 25) and (5000, 5000)."""
+    from coves.mc_engine import replication_seed
+    from coves.simgen import ScenarioSampler, ScenarioSpec
+
+    def draws():
+        for sc in (1, 2, 3, 4):
+            for eta in (0.0, 1.35):
+                sampler = ScenarioSampler(ScenarioSpec.from_scenario(sc, eta))
+                for seed in range(3):
+                    yield f"s{sc}e{eta}/25x25/{seed}", sampler(25, 25, seed), FIT_TAUS
+        sampler = ScenarioSampler(ScenarioSpec.from_scenario(3, 0.0))
+        for rep in range(2):
+            yield f"s3e0.0/5000x5000/rep{rep}", sampler(5000, 5000, replication_seed(0, 0, rep)), (0.25, 0.75)
+
+    for name, data, taus in draws():
+        d = data.d.astype(float)
+        for cols, X in (("1", np.ones((d.size, 1))), ("c", data.c[:, None]), ("d", d[:, None]),
+                        ("dc", np.column_stack([d, data.c]))):
+            yield f"columns/{cols}/{name}", data.z, X, taus
+
+
 def random_designs():
     """Small random designs, some with rounded outcomes or a discrete covariate."""
     rng = np.random.default_rng(2024)
@@ -250,6 +277,10 @@ def sweep(record):
         for tau in (0.75, 0.9):
             coves = call(run_coves, data, tau)
             record("run_coves", f"{name}/tau{tau}", coves, summary(coves))
+    for name, y, X, taus in column_subset_designs():
+        rd = call(RegressionData, y, X)
+        for tau in taus:
+            record_fits(record, f"{name}/tau{tau}", rd, y.size, tau)
     for name, y, X, tau in random_designs():
         record_fits(record, f"{name}/tau{tau}", call(RegressionData, y, X), y.size, tau)
 
