@@ -21,7 +21,7 @@ import numpy as np
 
 from .baselines import run_ttest
 from .coves_test import Dataset, check_alpha, run_coves, run_es
-from .diagnostics import adjusted_quantile_curves
+from .diagnostics import DEFAULT_TAU_FIT, adjusted_quantile_curves
 from .errors import DataError, NumericalError
 from .mc_engine import ALLOCATIONS, TEST_IDS, allocate, power_curve, sample_size_search
 from .simgen import (
@@ -277,7 +277,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, step = (float(x) for x in spec.split(":"))
     except ValueError:
         raise DataError(f"bad --grid {spec!r}; expected START:STOP:STEP") from None
-    if step <= 0 or not (0.0 < start <= stop < 1.0):
+    if not step > 0 or not (0.0 < start <= stop < 1.0):
         raise DataError(f"bad --grid {spec!r}; need 0 < start <= stop < 1, step > 0")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
     return np.round(start + step * np.arange(count), 12)
@@ -307,9 +307,8 @@ def _add_generator_args(sub) -> None:
     sub.add_argument("--g", default=None, help="covariate distribution file (one value per line)")
 
 
-def _add_test_args(sub, with_tau: bool = True) -> None:
-    if with_tau:
-        sub.add_argument("--tau", type=float, default=0.75)
+def _add_test_args(sub) -> None:
+    sub.add_argument("--tau", type=float, default=0.75)
     sub.add_argument("--alpha", type=float, default=0.05)
     sub.add_argument("--side", choices=tuple(_SIDE_NAMES), default="two")
 
@@ -363,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("diagnose", help="quantile curves of covariate-adjusted outcomes")
     p.add_argument("--input", required=True)
-    p.add_argument("--tau-fit", dest="tau_fit", default="0.5,0.75,0.9")
+    p.add_argument("--tau-fit", dest="tau_fit", default=",".join(map(str, DEFAULT_TAU_FIT)))
     p.add_argument("--grid", default="0.01:0.99:0.01")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_diagnose)

@@ -106,10 +106,15 @@ class RegressionData:
 
     Column order in the two-sample model is (intercept, treatment
     indicator, covariate), but any full-column-rank design is accepted.
+    The rank comes from np.linalg.lstsq(X, y, rcond=None), an SVD with
+    np.linalg.matrix_rank's tolerance s_max * max(n, p) * eps; its
+    coefficients are kept as ``ols``, the start basis's OLS pilot, so a
+    fit factorises X once.
     """
 
     y: np.ndarray
     X: np.ndarray
+    ols: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.y = np.ascontiguousarray(self.y, dtype=float)
@@ -123,7 +128,8 @@ class RegressionData:
             raise ValueError(f"need at least p={p} observations, got {n}")
         if not (np.isfinite(self.y).all() and np.isfinite(self.X).all()):
             raise ValueError("y and X must be finite")
-        if np.linalg.matrix_rank(self.X) < p:
+        self.ols, _, rank, _ = np.linalg.lstsq(self.X, self.y, rcond=None)
+        if rank < p:
             raise DegenerateDesignError(
                 "design matrix is numerically rank deficient"
             )
@@ -271,14 +277,15 @@ def _col_absmax(X: np.ndarray) -> np.ndarray:
     return np.array([np.abs(col).max() for col in X.T])
 
 
-def _start_basis(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
+def _start_basis(data: RegressionData, tau: float) -> np.ndarray:
     """p linearly independent rows near the tau-quantile plane of the data.
 
-    The OLS fit shifted by the tau-quantile of its residuals (their
-    ceil(tau*n)-th order statistic, as ``empirical_quantile`` takes it,
-    found by np.partition: the value a full sort puts there, up to the
-    sign of a zero, which the distance's absolute value drops) gives
-    each row a distance.  Rows are taken greedily: at each step
+    The OLS fit ``data.ols``, from the lstsq that decided the rank in
+    ``RegressionData``, shifted by the tau-quantile of its residuals
+    (their ceil(tau*n)-th order statistic, as ``empirical_quantile``
+    takes it, found by np.partition: the value a full sort puts there,
+    up to the sign of a zero, which the distance's absolute value drops)
+    gives each row a distance.  Rows are taken greedily: at each step
     the row with the least (distance, row index) among those whose component
     orthogonal to the rows already taken is at least 1e-6 of the largest
     such component, found by an argmin over the passing rows, so no sort
@@ -287,7 +294,8 @@ def _start_basis(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
     of order 1e-10 beside the intercept) is not lost below the rounding
     residue of a row already taken.
     """
-    r = y - X @ np.linalg.lstsq(X, y, rcond=None)[0]
+    X = data.X
+    r = data.y - X @ data.ols
     k = math.ceil(tau * r.size) - 1
     dist = np.abs(r - np.partition(r, k)[k])
     R = X / _col_absmax(X)
@@ -455,7 +463,7 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
         )
     weight = _col_absmax(X)
     key = _key_columns(p)
-    h = _start_basis(X, y, tau)
+    h = _start_basis(data, tau)
     side = None
     bland = False
     ytop = float(np.abs(y).max()) + _BOUND_FLOOR

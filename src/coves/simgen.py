@@ -24,6 +24,7 @@ from an integer seed on any platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -90,16 +91,21 @@ class ScenarioSpec:
     eta: float
 
     def __post_init__(self):
+        if self.scenario not in _SCENARIO_TABLE:
+            raise ValueError(f"scenario must be 1..4, got {self.scenario}")
+        for name in ("gamma", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eta < 0.0:
             raise ValueError("eta must be nonnegative")
 
     @classmethod
     def from_scenario(cls, scenario: int, eta: float, gamma: float | None = None):
         """Fixed scenario-to-parameter mapping; gamma may be overridden."""
-        if scenario not in _SCENARIO_TABLE:
-            raise ValueError(f"scenario must be 1..4, got {scenario}")
-        g = _SCENARIO_TABLE[scenario][0] if gamma is None else float(gamma)
-        return cls(scenario=scenario, gamma=g, eta=float(eta))
+        if gamma is None:
+            # __post_init__ refuses an unknown scenario before its NaN gamma.
+            gamma = _SCENARIO_TABLE.get(scenario, (math.nan,))[0]
+        return cls(scenario=scenario, gamma=float(gamma), eta=float(eta))
 
 
 def _open_uniforms(seed: int, size: int) -> np.ndarray:

@@ -302,6 +302,13 @@ class TestDiagnose:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 3 * 9
 
+    def test_default_tau_fit_is_the_package_default(self):
+        from coves.cli import _parse_float_list, build_parser
+        from coves.diagnostics import DEFAULT_TAU_FIT
+
+        args = build_parser().parse_args(["diagnose", "--input", "x.csv", "--out", "y.csv"])
+        assert tuple(_parse_float_list(args.tau_fit)) == DEFAULT_TAU_FIT
+
     def test_bad_grid_exits_2(self, tmp_path, fixture_csv):
         assert main(["diagnose", "--input", str(fixture_csv), "--grid", "0:1:0.1", "--out", str(tmp_path / "c.csv")]) == 2
 
@@ -366,6 +373,20 @@ class TestInputErrors:
     def test_bad_grid(self, tmp_path, capsys, fixture_csv, grid):
         argv = ["diagnose", "--input", str(fixture_csv), "--grid", grid, "--out", str(tmp_path / "c.csv")]
         assert_input_error(capsys, argv, f"bad --grid {grid!r}; expected START:STOP:STEP")
+
+    @pytest.mark.parametrize("grid", ["0.1:0.9:nan", "0.1:0.9:0", "0.1:0.9:-0.1"])
+    def test_grid_step_not_positive(self, tmp_path, capsys, fixture_csv, grid):
+        out = tmp_path / "c.csv"
+        argv = ["diagnose", "--input", str(fixture_csv), "--grid", grid, "--out", str(out)]
+        assert_input_error(capsys, argv, f"bad --grid {grid!r}; need 0 < start <= stop < 1, step > 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--eta", "nan"), ("--eta", "inf"), ("--gamma", "inf"), ("--gamma", "nan")])
+    def test_non_finite_generator_parameter(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        argv = ["simulate", "--scenario", "2", flag, value, "--m", "5", "--n", "5", "--seed", "1", "--out", str(out)]
+        assert_input_error(capsys, argv, f"{flag[2:]} must be finite, got {float(value)}")
+        assert not out.exists()
 
     def test_bad_float_list(self, tmp_path, capsys, fixture_csv):
         argv = ["diagnose", "--input", str(fixture_csv), "--tau-fit", "0.5,x", "--out", str(tmp_path / "c.csv")]

@@ -824,7 +824,7 @@ class TestStartBasis:
             X = np.vstack([X, X[dup]])
             y = np.concatenate([y, y[dup]])
         assume(np.linalg.matrix_rank(X) == p)
-        assert np.array_equal(_start_basis(X, y, tau), argsort_start_basis(X, y, tau))
+        assert np.array_equal(_start_basis(RegressionData(y, X), tau), argsort_start_basis(X, y, tau))
 
     def test_same_rows_on_scenario_designs(self):
         from coves.simgen import ScenarioSpec, sample_scenario
@@ -835,8 +835,94 @@ class TestStartBasis:
                 for cov in (True, False):
                     X = design_matrix(data, cov)
                     for tau in (0.5, 0.75, 0.9):
-                        rows = _start_basis(X, data.z, tau)
+                        rows = _start_basis(RegressionData(data.z, X), tau)
                         assert np.array_equal(rows, argsort_start_basis(X, data.z, tau)), (sc, m, cov, tau)
+
+
+def scaled_covariate_designs():
+    """(name, y, X) of scenarios 1-4 at (50, 50), eta 1.35, seed 1, with
+    the covariate times 10**k for k from -15 to 15 in steps of 1/8."""
+    from coves.simgen import ScenarioSpec, sample_scenario
+
+    for sc in (1, 2, 3, 4):
+        data = sample_scenario(ScenarioSpec.from_scenario(sc, 1.35), 50, 50, 1)
+        for i in range(-120, 121):
+            X = np.column_stack([np.ones(100), data.d, data.c * 10.0 ** (i / 8)])
+            yield f"s{sc}/k{i / 8}", data.z, X
+
+
+class TestOneSolve:
+    # RegressionData makes the one lstsq of a fit: its rank decides the
+    # design and its coefficients are the start basis's OLS pilot.
+    def test_ols_is_the_lstsq_solution(self):
+        designs = [(rd.y, rd.X) for rd in [pin10_data(), *(random_instance(s)[0] for s in range(20))]]
+        designs += [(y, X) for _, y, X in scaled_covariate_designs()]
+        for y, X in designs:
+            try:
+                rd = RegressionData(y, X)
+            except DegenerateDesignError:
+                continue
+            assert rd.ols.tobytes() == np.linalg.lstsq(X, y, rcond=None)[0].tobytes()
+
+    def test_refuses_exactly_where_matrix_rank_is_short(self):
+        refused = {}
+        for name, y, X in scaled_covariate_designs():
+            try:
+                RegressionData(y, X)
+                refused[name] = False
+            except DegenerateDesignError as exc:
+                assert str(exc) == "design matrix is numerically rank deficient"
+                refused[name] = True
+            assert refused[name] == (np.linalg.matrix_rank(X) < 3), name
+        # The sweep crosses the tolerance at both ends of the scale.
+        for sc in (1, 2, 3, 4):
+            assert [refused[f"s{sc}/k{k}"] for k in (-15.0, 0.0, 15.0)] == [True, False, True]
+
+    def test_refuses_exactly_where_matrix_rank_is_short_on_special_designs(self):
+        from coves.simgen import ScenarioSpec, sample_scenario
+
+        data = sample_scenario(ScenarioSpec.from_scenario(3, 1.35), 50, 50, 1)
+        one, d, c = np.ones(100), data.d.astype(float), data.c
+        designs = {
+            "duplicate": np.column_stack([one, d, c, c]),
+            "duplicate-scaled": np.column_stack([one, d, c, 3.0 * c]),
+            "constant-within-groups": np.column_stack([one, d, 2.5 + 0.5 * d]),
+            "d": d[:, None],
+            "zero-column": np.column_stack([one, np.zeros(100)]),
+            "full": np.column_stack([one, d, c]),
+        }
+        for name, X in designs.items():
+            short = np.linalg.matrix_rank(X) < X.shape[1]
+            if short:
+                with pytest.raises(DegenerateDesignError, match=r"^design matrix is numerically rank deficient$"):
+                    RegressionData(data.z, X)
+            else:
+                RegressionData(data.z, X)
+            assert short == (name not in ("d", "full")), name
+
+    def test_one_lstsq_and_no_other_svd_per_coves_fit(self, monkeypatch):
+        from coves.coves_test import run_coves
+        from coves.simgen import ScenarioSpec, sample_scenario
+
+        data = sample_scenario(ScenarioSpec.from_scenario(2, 1.35), 50, 50, 1)
+        counts = {"lstsq": 0, "matrix_rank": 0, "svd": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # numpy.linalg's functions call one another through the namespace
+        # of the module that defines them (matrix_rank calls svd there),
+        # so patch that namespace as well as the public one.
+        for name in counts:
+            original = getattr(np.linalg, name)
+            for namespace in (vars(np.linalg), np.linalg.svd.__wrapped__.__globals__):
+                monkeypatch.setitem(namespace, name, counted(name, original))
+        report = run_coves(data, 0.75)
+        assert report.fit.beta.size == 3
+        assert counts == {"lstsq": 1, "matrix_rank": 0, "svd": 0}
 
 
 class TestWindowSums:

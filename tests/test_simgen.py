@@ -135,6 +135,28 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             ScenarioSpec.from_scenario(1, -0.5)
 
+    @pytest.mark.parametrize("scenario", [0, 5, 9])
+    def test_invalid_scenario_on_direct_construction(self, scenario):
+        # The check lives in the constructor, so a spec built without
+        # from_scenario cannot reach the sampler and fail there.
+        message = rf"^scenario must be 1\.\.4, got {scenario}$"
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec(scenario=scenario, gamma=0.0, eta=0.0)
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec.from_scenario(scenario, 0.0)
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec.from_scenario(scenario, 0.0, gamma=1.0)
+
+    @pytest.mark.parametrize("field", ["gamma", "eta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter(self, field, value):
+        params = {"gamma": 1.0, "eta": 0.0, field: value}
+        message = rf"^{field} must be finite, got {value}$"
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec(scenario=2, **params)
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec.from_scenario(2, params["eta"], gamma=params["gamma"])
+
 
 class TestSampleScenario:
     def test_determinism(self):

@@ -27,13 +27,17 @@ design, so ``--diff`` can name every design whose result moved.
   without an intercept, (c), (d) and (d, c), and the intercept alone,
   (1), add fits of scenarios 1-4 at (25, 25) and of scenario 3 at
   (5000, 5000), so one- and two-column designs, with and without an
-  intercept, run at both sizes beside (1, d) and (1, d, c).
+  intercept, run at both sizes beside (1, d) and (1, d, c).  The (50, 50)
+  scenario datasets with the covariate times 10**k, k from -13.5 to -13
+  and from 12.25 to 13.25 in steps of 1/8, add (1, d, c) fits on both
+  sides of each flip of the rank decision, as a fit or as the error.
 - ``rq_oracle``: the enumeration oracle's fit or error, hashed the same
   way, on every one of those designs with at most ``ORACLE_MAX_N`` rows.
 - ``run_coves``, ``run_es``, ``run_ttest``, ``decompose_T``: every field
   of the report, or the error, on the same datasets.  ``run_coves`` and
   ``run_es`` also run on the near-integral designs, and ``run_coves`` on
-  each scenario dataset of ``SIZES`` with its covariate times 1e-10.
+  each scenario dataset of ``SIZES`` with its covariate times 1e-10 and
+  on the rank-boundary datasets.
 - ``simgen``: z, d and c of every dataset the sweep draws from
   ``ScenarioSampler`` and ``TargetedSampler``, so a change to a
   generator or to ``Dataset`` shows up by itself, not only through the
@@ -169,6 +173,19 @@ def tiny_covariate_datasets():
             yield f"tinyc/{name}", Dataset(z=data.z, d=data.d, c=1e-10 * data.c)
 
 
+def rank_boundary_datasets():
+    """Every (50, 50) scenario dataset with its covariate times 10**k, for
+    k from -13.5 to -13 and from 12.25 to 13.25 in steps of 1/8, where the
+    rank decision of (1, d, c) flips."""
+    from coves.coves_test import Dataset
+
+    eighths = [*range(-108, -103), *range(98, 107)]
+    for name, data, _ in datasets():
+        if name.startswith(("s1e", "s2e", "s3e", "s4e")) and "/50x50/" in name:
+            for i in eighths:
+                yield f"rank/{name}/k{i / 8}", Dataset(z=data.z, d=data.d, c=data.c * 10.0 ** (i / 8))
+
+
 def column_subset_designs():
     """(name, y, X, taus) of the one- and two-column designs (1), (c), (d)
     and (d, c) on scenario datasets at (25, 25) and (5000, 5000)."""
@@ -274,6 +291,13 @@ def sweep(record):
         for tau in TINY_TAUS:
             record_fits(record, f"{name}/cov0/tau{tau}", rd, data.z.size, tau)
     for name, data in tiny_covariate_datasets():
+        for tau in (0.75, 0.9):
+            coves = call(run_coves, data, tau)
+            record("run_coves", f"{name}/tau{tau}", coves, summary(coves))
+    for name, data in rank_boundary_datasets():
+        rd = call(RegressionData, data.z, design_matrix(data))
+        for tau in FIT_TAUS:
+            record_fits(record, f"{name}/cov1/tau{tau}", rd, data.z.size, tau)
         for tau in (0.75, 0.9):
             coves = call(run_coves, data, tau)
             record("run_coves", f"{name}/tau{tau}", coves, summary(coves))
