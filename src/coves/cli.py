@@ -78,15 +78,25 @@ def read_dataset_csv(path: str) -> Dataset:
         raise DataError(f"{path}: {exc}") from None
 
 
-def write_dataset_csv(path: str, data: Dataset) -> None:
+def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["z", "d", "c"])
-        for zi, di, ci in zip(data.z, data.d, data.c):
-            writer.writerow([repr(float(zi)), int(di), repr(float(ci))])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _report_dict(report, alpha: float) -> dict:
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def write_dataset_csv(path: str, data: Dataset) -> None:
+    rows = ([repr(float(zi)), int(di), repr(float(ci))] for zi, di, ci in zip(data.z, data.d, data.c))
+    _write_csv(path, ["z", "d", "c"], rows)
+
+
+def _report_dict(report, data: Dataset, alpha: float) -> dict:
     return {
         "method": report.method,
         "tau": report.tau,
@@ -109,6 +119,8 @@ def _report_dict(report, alpha: float) -> dict:
         "z_score": report.z_score,
         "p_value": report.p_value,
         "reject": bool(report.p_value < alpha),
+        "n_treatment": data.n_treat,
+        "n_control": data.n_control,
     }
 
 
@@ -136,13 +148,8 @@ def cmd_test(args) -> int:
         payload = _ttest_dict(run_ttest(data, side), data, args.alpha)
     else:
         runner = run_coves if args.method == "coves" else run_es
-        report = runner(data, args.tau, side)
-        payload = _report_dict(report, args.alpha)
-        payload["n_treatment"] = data.n_treat
-        payload["n_control"] = data.n_control
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        payload = _report_dict(runner(data, args.tau, side), data, args.alpha)
+    _write_json(args.out, payload)
     print(f"{args.method}: p_value={payload['p_value']:.6g} -> {args.out}")
     return 0
 
@@ -155,15 +162,17 @@ def _targeted_dists(args) -> tuple[EmpiricalDist, EmpiricalDist]:
     return load_standin()
 
 
+def _scenario_spec(args) -> ScenarioSpec:
+    if args.scenario is None:
+        raise DataError("either --scenario or --targeted is required")
+    return ScenarioSpec.from_scenario(args.scenario, args.eta, gamma=args.gamma)
+
+
 def cmd_simulate(args) -> int:
     if args.targeted:
-        f_dist, g_dist = _targeted_dists(args)
-        data = sample_targeted(f_dist, g_dist, args.m, args.n, args.seed)
+        data = sample_targeted(*_targeted_dists(args), args.m, args.n, args.seed)
     else:
-        if args.scenario is None:
-            raise DataError("either --scenario or --targeted is required")
-        spec = ScenarioSpec.from_scenario(args.scenario, args.eta, gamma=args.gamma)
-        data = sample_scenario(spec, args.m, args.n, args.seed)
+        data = sample_scenario(_scenario_spec(args), args.m, args.n, args.seed)
     write_dataset_csv(args.out, data)
     print(f"wrote {args.m + args.n} rows -> {args.out}")
     return 0
@@ -171,28 +180,21 @@ def cmd_simulate(args) -> int:
 
 def _make_generator(args):
     if args.targeted:
-        f_dist, g_dist = _targeted_dists(args)
-        return TargetedSampler(f_dist, g_dist)
-    if args.scenario is None:
-        raise DataError("either --scenario or --targeted is required")
-    return ScenarioSampler(ScenarioSpec.from_scenario(args.scenario, args.eta, gamma=args.gamma))
+        return TargetedSampler(*_targeted_dists(args))
+    return ScenarioSampler(_scenario_spec(args))
 
 
 def _parse_sizes(spec: str, allocation: str) -> list[tuple[int, int]]:
     parts = spec.split(":")
+    if len(parts) == 1:
+        parts = [spec, spec, "1"]
     try:
-        if len(parts) == 1:
-            values = [int(parts[0])]
-        elif len(parts) == 3:
-            start, stop, step = (int(x) for x in parts)
-            if step <= 0 or start < 1 or stop < start:
-                raise ValueError
-            values = list(range(start, stop + 1, step))
-        else:
+        start, stop, step = (int(x) for x in parts)
+        if step <= 0 or start < 1 or stop < start:
             raise ValueError
     except ValueError:
         raise DataError(f"bad --sizes {spec!r}; expected N or START:STOP:STEP") from None
-    return [allocate(s, allocation) for s in values]
+    return [allocate(s, allocation) for s in range(start, stop + 1, step)]
 
 
 def cmd_power(args) -> int:
@@ -209,13 +211,8 @@ def cmd_power(args) -> int:
         side=_SIDE_NAMES[args.side],
         workers=args.workers,
     )
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["m", "n", "test", "rate", "mc_se", "reps", "errors"])
-        for est in estimates:
-            writer.writerow(
-                [est.m, est.n, est.test_id, repr(est.rate), repr(est.mc_se), est.reps, est.errors]
-            )
+    rows = ([e.m, e.n, e.test_id, repr(e.rate), repr(e.mc_se), e.reps, e.errors] for e in estimates)
+    _write_csv(args.out, ["m", "n", "test", "rate", "mc_se", "reps", "errors"], rows)
     print(f"wrote {len(estimates)} rows -> {args.out}")
     return 0
 
@@ -254,11 +251,9 @@ def cmd_samplesize(args) -> int:
         "alpha": args.alpha,
         "seed": args.seed,
     }
-    text = json.dumps(payload, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+        _write_json(args.out, payload)
+    print(json.dumps(payload, indent=2))
     return 0
 
 
@@ -287,13 +282,13 @@ def cmd_diagnose(args) -> int:
     data = read_dataset_csv(args.input)
     tau_fits = _parse_float_list(args.tau_fit)
     grid = _parse_grid(args.grid)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["tau_fit", "prob", "quantile_treatment", "quantile_control"])
-        for tau_fit in tau_fits:
-            curves = adjusted_quantile_curves(data, tau_fit, grid)
-            for p, qt, qc in zip(curves.grid, curves.curve_treat, curves.curve_control):
-                writer.writerow([repr(float(tau_fit)), repr(float(p)), repr(float(qt)), repr(float(qc))])
+    fits = [adjusted_quantile_curves(data, tau_fit, grid) for tau_fit in tau_fits]
+    rows = (
+        [repr(float(v)) for v in (cv.tau_fit, p, qt, qc)]
+        for cv in fits
+        for p, qt, qc in zip(cv.grid, cv.curve_treat, cv.curve_control)
+    )
+    _write_csv(args.out, ["tau_fit", "prob", "quantile_treatment", "quantile_control"], rows)
     print(f"wrote {len(tau_fits) * len(grid)} rows -> {args.out}")
     return 0
 

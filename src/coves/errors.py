@@ -23,7 +23,8 @@ class DegenerateDesignError(NumericalError):
 
 
 class ConvergenceError(NumericalError):
-    """The simplex of ``quantreg.fit_rq`` exceeded its pivot cap."""
+    """The simplex of ``quantreg.fit_rq`` exceeded its pivot cap, or found
+    no kink to stop at along an edge."""
 
 
 class OracleSizeError(CovesError):

@@ -277,7 +277,7 @@ def _col_absmax(X: np.ndarray) -> np.ndarray:
     return np.array([np.abs(col).max() for col in X.T])
 
 
-def _start_basis(data: RegressionData, tau: float) -> np.ndarray:
+def _start_basis(data: RegressionData, tau: float, weight: np.ndarray) -> np.ndarray:
     """p linearly independent rows near the tau-quantile plane of the data.
 
     The OLS fit ``data.ols``, from the lstsq that decided the rank in
@@ -289,16 +289,16 @@ def _start_basis(data: RegressionData, tau: float) -> np.ndarray:
     the row with the least (distance, row index) among those whose component
     orthogonal to the rows already taken is at least 1e-6 of the largest
     such component, found by an argmin over the passing rows, so no sort
-    of all n distances is needed.  The rows are divided by each column's
-    max|x| first, so a column far smaller than the others (a covariate
-    of order 1e-10 beside the intercept) is not lost below the rounding
-    residue of a row already taken.
+    of all n distances is needed.  The rows are divided by ``weight``,
+    each column's max|x| as ``fit_rq`` measured it, first, so a column far
+    smaller than the others (a covariate of order 1e-10 beside the
+    intercept) is not lost below the rounding residue of a row taken.
     """
     X = data.X
     r = data.y - X @ data.ols
     k = math.ceil(tau * r.size) - 1
     dist = np.abs(r - np.partition(r, k)[k])
-    R = X / _col_absmax(X)
+    R = X / weight
     p = X.shape[1]
     rows = []
     for step in range(p):
@@ -463,7 +463,7 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
         )
     weight = _col_absmax(X)
     key = _key_columns(p)
-    h = _start_basis(data, tau)
+    h = _start_basis(data, tau, weight)
     side = None
     bland = False
     ytop = float(np.abs(y).max()) + _BOUND_FLOOR

@@ -309,6 +309,29 @@ class TestDiagnose:
         args = build_parser().parse_args(["diagnose", "--input", "x.csv", "--out", "y.csv"])
         assert tuple(_parse_float_list(args.tau_fit)) == DEFAULT_TAU_FIT
 
+    def test_default_grid_is_the_package_default(self):
+        from coves.cli import _parse_grid, build_parser
+        from coves.diagnostics import DEFAULT_GRID
+
+        grid = _parse_grid(build_parser().parse_args(["diagnose", "--input", "x.csv", "--out", "y.csv"]).grid)
+        assert grid.dtype == DEFAULT_GRID.dtype and grid.shape == DEFAULT_GRID.shape
+        assert grid.tobytes() == DEFAULT_GRID.tobytes()
+
+    @pytest.mark.parametrize("tau_fit,code", [("0.5,1.5", 2), ("0.5,0.00001", 3)])
+    def test_failed_fit_writes_nothing(self, tmp_path, fixture_csv, tau_fit, code):
+        # Every fit runs before the file is opened, so a later level that
+        # fails leaves no partial curves file behind.
+        out = tmp_path / "curves.csv"
+        assert main(["diagnose", "--input", str(fixture_csv), "--tau-fit", tau_fit, "--out", str(out)]) == code
+        assert not out.exists()
+
+    def test_constant_covariate_writes_nothing(self, tmp_path):
+        path = tmp_path / "flat.csv"
+        path.write_text("z,d,c\n0,1,1\n1,1,1\n2,1,1\n0,0,1\n1,0,1\n3,0,1\n")
+        out = tmp_path / "curves.csv"
+        assert main(["diagnose", "--input", str(path), "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_bad_grid_exits_2(self, tmp_path, fixture_csv):
         assert main(["diagnose", "--input", str(fixture_csv), "--grid", "0:1:0.1", "--out", str(tmp_path / "c.csv")]) == 2
 
@@ -351,11 +374,13 @@ class TestInputErrors:
         argv = ["samplesize", *self.GEN, "--test", "ttest", "--reps", "10", "--seed", "1", "--bounds", bounds]
         assert_input_error(capsys, argv, f"bad --bounds {bounds!r}; expected LO:HI")
 
-    @pytest.mark.parametrize("sizes", ["10:20:0", "a", "10:20"])
+    @pytest.mark.parametrize("sizes", ["10:20:0", "a", "10:20", "0", "-3"])
     def test_bad_sizes(self, tmp_path, capsys, sizes):
+        out = tmp_path / "p.csv"
         argv = ["power", *self.GEN, "--test", "ttest", "--sizes", sizes, "--reps", "10", "--seed", "1",
-                "--out", str(tmp_path / "p.csv")]
+                "--out", str(out)]
         assert_input_error(capsys, argv, f"bad --sizes {sizes!r}; expected N or START:STOP:STEP")
+        assert not out.exists()
 
     def test_power_needs_generator(self, tmp_path, capsys):
         argv = ["power", "--test", "ttest", "--sizes", "10", "--reps", "10", "--seed", "1",

@@ -114,3 +114,27 @@ def test_group_split_is_made_once():
     modules = sorted(p for p in package.glob("*.py") if p.name != "simgen.py")
     assert modules
     assert [site for path in modules for site in _group_split_sites(path)] == []
+
+
+def _rebound_names(path: Path) -> list[str]:
+    """Each class or function name that a module body or a class body binds
+    a second time, as ``file:line: name``."""
+    tree = ast.parse(path.read_text())
+    bodies = [tree.body, *(node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef))]
+    rebound = []
+    for body in bodies:
+        seen = set()
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name in seen:
+                    rebound.append(f"{path.name}:{node.lineno}: {node.name}")
+                seen.add(node.name)
+    return rebound
+
+
+def test_no_test_name_is_bound_twice():
+    # The later binding replaces the earlier one, so pytest never collects
+    # the tests of the first class or the first function of that name.
+    modules = sorted((ROOT / "tests").glob("test_*.py"))
+    assert modules
+    assert [site for path in modules for site in _rebound_names(path)] == []

@@ -16,6 +16,7 @@ from coves.quantreg import (
     RegressionData,
     _BOUND_FLOOR,
     _NOISE_RTOL,
+    _col_absmax,
     _col_sums,
     _kinks_to_stop,
     _on_plane,
@@ -64,6 +65,14 @@ class TestRegressionData:
     def test_rejects_row_mismatch(self):
         with pytest.raises(ValueError, match=r"^y and X disagree on the number of observations$"):
             RegressionData(np.ones(3), np.ones((4, 1)))
+
+    def test_requires_finite(self):
+        with pytest.raises(ValueError):
+            RegressionData(np.array([1.0, np.nan]), np.ones((2, 1)))
+
+    def test_requires_enough_rows(self):
+        with pytest.raises(ValueError):
+            RegressionData(np.array([1.0]), np.ones((1, 2)))
 
 
 class TestRhoTau:
@@ -204,16 +213,6 @@ class TestFitRq:
         data, tau = random_instance(123)
         fit = fit_rq(data, tau)
         assert fit.objective == pytest.approx(check_objective(fit.residuals, tau), rel=1e-12)
-
-
-class TestRegressionData:
-    def test_requires_finite(self):
-        with pytest.raises(ValueError):
-            RegressionData(np.array([1.0, np.nan]), np.ones((2, 1)))
-
-    def test_requires_enough_rows(self):
-        with pytest.raises(ValueError):
-            RegressionData(np.array([1.0]), np.ones((1, 2)))
 
 
 def highs_objective(X, y, tau):
@@ -824,7 +823,9 @@ class TestStartBasis:
             X = np.vstack([X, X[dup]])
             y = np.concatenate([y, y[dup]])
         assume(np.linalg.matrix_rank(X) == p)
-        assert np.array_equal(_start_basis(RegressionData(y, X), tau), argsort_start_basis(X, y, tau))
+        assert np.array_equal(
+            _start_basis(RegressionData(y, X), tau, _col_absmax(X)), argsort_start_basis(X, y, tau)
+        )
 
     def test_same_rows_on_scenario_designs(self):
         from coves.simgen import ScenarioSpec, sample_scenario
@@ -835,7 +836,7 @@ class TestStartBasis:
                 for cov in (True, False):
                     X = design_matrix(data, cov)
                     for tau in (0.5, 0.75, 0.9):
-                        rows = _start_basis(RegressionData(data.z, X), tau)
+                        rows = _start_basis(RegressionData(data.z, X), tau, _col_absmax(X))
                         assert np.array_equal(rows, argsort_start_basis(X, data.z, tau)), (sc, m, cov, tau)
 
 
