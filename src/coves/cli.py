@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -76,6 +77,24 @@ def read_dataset_csv(path: str) -> Dataset:
         return Dataset(z=np.array(z), d=np.array(d), c=np.array(c))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+
+
+def _check_out(path: str | None) -> None:
+    """Raise DataError unless ``path`` (None for no output) looks
+    writable: its directory exists and is writable, and it is not a
+    directory or a read-only file.  Commands call it before they compute,
+    so a bad --out costs no run; the file itself is opened only to write
+    the finished result, so a failed command leaves none.
+    """
+    if path is None:
+        return
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise DataError(f"cannot write {path}: no directory {folder}")
+    if os.path.isdir(path):
+        raise DataError(f"cannot write {path}: it is a directory")
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise DataError(f"cannot write {path}: permission denied")
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -143,6 +162,7 @@ def _ttest_dict(report, data: Dataset, alpha: float) -> dict:
 def cmd_test(args) -> int:
     check_alpha(args.alpha)
     data = read_dataset_csv(args.input)
+    _check_out(args.out)
     side = _SIDE_NAMES[args.side]
     if args.method == "ttest":
         payload = _ttest_dict(run_ttest(data, side), data, args.alpha)
@@ -200,6 +220,7 @@ def _parse_sizes(spec: str, allocation: str) -> list[tuple[int, int]]:
 def cmd_power(args) -> int:
     generator = _make_generator(args)
     sizes = _parse_sizes(args.sizes, args.allocation)
+    _check_out(args.out)
     estimates = power_curve(
         generator,
         args.test,
@@ -223,6 +244,7 @@ def cmd_samplesize(args) -> int:
         lo, hi = (int(x) for x in args.bounds.split(":"))
     except ValueError:
         raise DataError(f"bad --bounds {args.bounds!r}; expected LO:HI") from None
+    _check_out(args.out)
     result = sample_size_search(
         generator,
         args.test,
@@ -282,6 +304,7 @@ def cmd_diagnose(args) -> int:
     data = read_dataset_csv(args.input)
     tau_fits = _parse_float_list(args.tau_fit)
     grid = _parse_grid(args.grid)
+    _check_out(args.out)
     fits = [adjusted_quantile_curves(data, tau_fit, grid) for tau_fit in tau_fits]
     rows = (
         [repr(float(v)) for v in (cv.tau_fit, p, qt, qc)]

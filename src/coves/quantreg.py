@@ -67,6 +67,12 @@ KINK_WINDOW = 64
 # against the oracle and the groups' order statistics up to n = 10 000,
 # no fit went wrong at any level.
 EXTREME_TAU = 1e-4
+# The start basis runs its pass on the START_WINDOW rows nearest the
+# pilot plane (see _nearest_start) on designs of START_MIN_N rows or more.
+# Around 1000 rows the two cost the same; at 200 rows the prefix took a
+# third longer than the full pass, at 10 000 under a third of its time.
+START_WINDOW = 64
+START_MIN_N = 1024
 
 
 def rho_tau(u, tau: float):
@@ -163,15 +169,6 @@ class QuantileFit:
         """Boolean mask of residuals strictly above the zero tolerance."""
         return self.residuals > self.zero_tol
 
-    def sign_counts(self) -> tuple[int, int]:
-        """(#strictly negative, #nonpositive) under zero-tolerance classification.
-
-        Optimality requires  #neg <= n*tau <= #nonpos.
-        """
-        n_neg = int(np.sum(self.residuals < -self.zero_tol))
-        n_nonpos = int(np.sum(self.residuals <= self.zero_tol))
-        return n_neg, n_nonpos
-
 
 def _make_fit(
     tau: float, beta: np.ndarray, y: np.ndarray, residuals: np.ndarray
@@ -184,7 +181,7 @@ def _make_fit(
         beta=beta,
         residuals=residuals,
         objective=float((residuals * (tau - (residuals < 0))).sum()),
-        zero_set=np.flatnonzero(np.abs(residuals) <= ztol),
+        zero_set=(np.abs(residuals) <= ztol).nonzero()[0],
         zero_tol=ztol,
     )
 
@@ -288,31 +285,121 @@ def _start_basis(data: RegressionData, tau: float, weight: np.ndarray) -> np.nda
     gives each row a distance.  Rows are taken greedily: at each step
     the row with the least (distance, row index) among those whose component
     orthogonal to the rows already taken is at least 1e-6 of the largest
-    such component, found by an argmin over the passing rows, so no sort
-    of all n distances is needed.  The rows are divided by ``weight``,
-    each column's max|x| as ``fit_rq`` measured it, first, so a column far
-    smaller than the others (a covariate of order 1e-10 beside the
-    intercept) is not lost below the rounding residue of a row taken.
+    such component, found by one argmin over the distances with the
+    failing rows set to infinity, so no sort of all n distances is
+    needed.  The rows are divided by ``weight``, each column's max|x| as
+    ``fit_rq`` measured it, first, so a column far smaller than the
+    others (a covariate of order 1e-10 beside the intercept) is not lost
+    below the rounding residue of a row taken.
+
+    From START_MIN_N rows on, the pass first runs on the nearest rows
+    alone (``_nearest_start``), which returns the same rows or None; on
+    None the pass runs over all rows, and so it does where a distance is
+    NaN, since the argmin takes a NaN first and no prefix holds one.
     """
     X = data.X
     r = data.y - X @ data.ols
     k = math.ceil(tau * r.size) - 1
     dist = np.abs(r - np.partition(r, k)[k])
-    R = X / weight
-    p = X.shape[1]
+    if r.size >= START_MIN_N and not np.isnan(dist).any():
+        rows = _nearest_start(X, dist, weight)
+        if rows is not None:
+            return rows
+    return _full_start(X / weight, dist)
+
+
+def _full_start(R: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """The greedy pass of ``_start_basis`` over every row of the scaled
+    design R, which it overwrites."""
+    rows = []
+    for step in range(R.shape[1]):
+        left = np.einsum("ij,ij->i", R, R)
+        passing = left >= _NOISE_RTOL * left.max()
+        j = int(np.where(passing, dist, np.inf).argmin())
+        if not passing[j]:
+            # Every passing distance is infinite: the first passing row.
+            j = int(passing.argmax())
+        rows.append(j)
+        if step + 1 < R.shape[1]:
+            _project_out(R, j, left[j])
+    return np.array(rows)
+
+
+def _project_out(R: np.ndarray, j: int, length2) -> None:
+    """Subtract from every row of R, in place, its component along row j,
+    whose squared length is length2."""
+    q = R[j] / np.sqrt(length2)
+    Rq = R @ q
+    # Column by column: the same products and differences as
+    # R - np.outer(Rq, q), without a length-p inner loop.
+    for col in range(R.shape[1]):
+        R[:, col] -= Rq * q[col]
+
+
+def _nearest_start(X: np.ndarray, dist: np.ndarray, weight: np.ndarray):
+    """``_full_start``'s rows, found from the rows nearest the plane, or
+    None when that cannot be shown.
+
+    The prefix holds the START_WINDOW least distances and every row tied
+    with the largest of them, in (distance, row index) order, as
+    ``_kinks_to_stop`` forms its prefix; every other row comes after all
+    of them in that order.  A row's values in the pass (its scaled row,
+    then each projection) depend on that row and the rows taken alone,
+    so on the prefix they are the full pass's values, up to rounding:
+    a BLAS kernel or einsum may round a row's length-p dot product
+    differently in arrays of other lengths.  So at each step
+
+    - a prefix row is skipped only if its squared length ``left`` is
+      below 1e-12 of a lower bound on the full pass's largest, the
+      prefix's largest less its slack (so it fails there too);
+    - the first row not skipped is taken only if it clears 1e-12 of an
+      upper bound on the full pass's largest (so it passes there, and
+      it is the least passing row in the full order); the bound needs no
+      pass over the rows: R = X / weight has every |R_ij| <= 1, so
+      every ``left`` is at most p, and each projection adds at most a
+      relative 2.2*g + 8u to it, with u = 2^-53 and g = 1.01*p*u;
+    - otherwise the answer is left to the full pass (None).
+
+    The slack bounds the gap between a row's ``left`` on the prefix and
+    on all rows.  With D a bound on the gap between the two computed
+    rows (0 at first, as X / weight is elementwise), S the bound on
+    every row's length and l, e the taken row's ``left`` and slack: the
+    slack is D*(2.1*sqrt(left) + 1.1*D) + 2.1*g*left, since two squared
+    lengths differ by at most the gap times their sum and each
+    ``left`` rounds by at most g of itself; q = R_j / sqrt(l) then
+    differs by at most dq = D/sqrt(l - e) + 0.51*sqrt(l)*e/(l - e)^1.5
+    + 6u, and each projected row by at most
+    D' = 2.03*D + 2.03*S*dq + (2.1*g + 6.2*u)*S.  The constants round up
+    those of a dot product's bound, g of the sum of its terms' sizes in
+    any order of addition, with or without fused multiply-adds, and of
+    each elementwise rounding.  1e-300 in each slack covers the absolute
+    rounding of subnormal values; each threshold is widened by 1e-9
+    relative, far more than the few roundings of its own evaluation.
+    """
+    cut = np.partition(dist, START_WINDOW - 1)[START_WINDOW - 1]
+    near = (dist <= cut).nonzero()[0]
+    near = near[dist[near].argsort(kind="stable")]
+    R = X[near] / weight
+    p = R.shape[1]
+    u = 2.0**-53
+    g = 1.01 * p * u
+    gap, size2 = 0.0, float(p)
     rows = []
     for step in range(p):
         left = np.einsum("ij,ij->i", R, R)
-        passing = np.flatnonzero(left >= _NOISE_RTOL * left.max())
-        j = int(passing[np.argmin(dist[passing])])
-        rows.append(j)
+        slack = gap * (2.1 * np.sqrt(left) + 1.1 * gap) + (2.1 * g * left + 1e-300)
+        skipped = left + slack < _NOISE_RTOL * (left - slack).max() * (1.0 - 1e-9)
+        j = int(skipped.argmin())
+        l, e = float(left[j]), float(slack[j])
+        if skipped[j] or l - e < _NOISE_RTOL * size2 * (1.0 + 1e-9):
+            return None
+        rows.append(int(near[j]))
         if step + 1 < p:
-            q = R[j] / np.sqrt(left[j])
-            Rq = R @ q
-            # Column by column: the same products and differences as
-            # R - np.outer(Rq, q), without a length-p inner loop.
-            for col in range(p):
-                R[:, col] -= Rq * q[col]
+            _project_out(R, j, left[j])
+            size = math.sqrt(size2)
+            dq = gap / math.sqrt(l - e) + 0.51 * math.sqrt(l) * e / (l - e) ** 1.5 + 6.0 * u
+            gap = 2.03 * gap + 2.03 * size * dq + (2.1 * g + 6.2 * u) * size + 1e-300
+            size2 *= 1.0 + 2.2 * g + 8.0 * u
     return np.array(rows)
 
 
@@ -334,7 +421,8 @@ def _plane_cap(ytop, colsum, yh, n):
     _NOISE_RTOL * (|y_i| + |A_i| @ |yh|), from scalars alone.
 
     ``ytop`` is max|y| + _BOUND_FLOOR and ``colsum`` the column sums of
-    |A| (``_col_sums``); n is the number of rows.  In exact arithmetic
+    |A| (``_col_sums``, as an array or a list); n is the number of rows.
+    In exact arithmetic
     |A_i| @ |yh| <= sum_k |A_ik| * max|yh| <= sum(colsum) * max|yh|.  In
     floats the test's product rounds up by at most a relative p*2^-53,
     and the bound's rounds down by at most (n + p + 2)*2^-53 (colsum
@@ -347,7 +435,7 @@ def _plane_cap(ytop, colsum, yh, n):
     and multiplied by _NOISE_RTOL.
     """
     widen = 1.0 + 1e-9 + n * 2.0**-50
-    return _NOISE_RTOL * (ytop + sum(colsum.tolist()) * (max(map(abs, yh.tolist())) * widen))
+    return _NOISE_RTOL * (ytop + sum(colsum) * (max(map(abs, yh.tolist())) * widen))
 
 
 def _on_plane(rc, rows, cap, y, absA, yh):
@@ -386,17 +474,57 @@ def _kinks_to_stop(t, gain, slope, tol):
     window = KINK_WINDOW
     while True:
         if t.size <= window:
-            order = np.argsort(t, kind="stable")
+            order = t.argsort(kind="stable")
         else:
             cut = np.partition(t, window - 1)[window - 1]
-            prefix = np.flatnonzero(t <= cut)
-            order = prefix[np.argsort(t[prefix], kind="stable")]
-        stop = np.flatnonzero(slope + np.cumsum(gain[order]) >= tol)
+            prefix = (t <= cut).nonzero()[0]
+            order = prefix[t[prefix].argsort(kind="stable")]
+        stop = (slope + gain[order].cumsum() >= tol).nonzero()[0]
         if stop.size:
             return order[: stop[0] + 1]
         if order.size == t.size:
             return None
         window *= 2
+
+
+def _first_min(values: list) -> int:
+    """np.argmin of a list of floats: the first NaN, else the first least."""
+    for i, v in enumerate(values):
+        if v != v:
+            return i
+    return values.index(min(values))
+
+
+def _key_edges(B, weight, key, h, slope, flat, descend) -> list:
+    """The candidate edges in the order fit_rq tries them, once no edge
+    descends or after a zero-length step.
+
+    Edge e is a candidate when it descends, or when it is flat and lowers
+    the key: its move of the key has a leading entry, weighted by the
+    coefficient's largest effect on a fitted value, below zero.  V holds
+    those weighted entries, B's rows times ``weight`` in key order; an
+    entry leads its column when its size exceeds TIE_RTOL times the
+    column's sum of sizes (the first entry when none does).  Candidates
+    run by their basis row's index h[e % p], then by e (Bland's rule).
+    Everything is done in Python floats, with the products and the
+    row-order sums the arrays V = (B * weight[:, None])[key] and
+    np.abs(V).sum(axis=0) hold, so the signs and the order are theirs.
+    """
+    p = len(key)
+    rows, weight = B.tolist(), weight.tolist()
+    V = [[b * weight[i] for b in rows[i]] for i in key]
+    lead = []
+    for j in range(p):
+        col = [row[j] for row in V]
+        total = 0.0
+        for v in col:
+            total += abs(v)
+        tol = TIE_RTOL * total
+        lead.append(next((v for v in col if abs(v) > tol), col[0]))
+    lower = [v < 0.0 for v in lead] + [v > 0.0 for v in lead]
+    hl = h.tolist()
+    edges = [e for e in range(2 * p) if descend[e] or (slope[e] <= flat[e] and lower[e])]
+    return sorted(edges, key=lambda e: (hl[e % p], e))
 
 
 def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
@@ -438,6 +566,20 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     of their rounding scale count as zero.  Beta is solved from the final
     basis rows in ascending index order.
 
+    The 2p slopes are priced in Python floats: w'XB and the column sums
+    come out of numpy once per pivot as lists, and the slopes c + (1 -
+    tau) and tau - c, the windows TIE_RTOL * colsum, the descend and flat
+    tests and the entering edge are formed from them.  An IEEE double's
+    +, -, * and comparison round the same in Python as in a float64
+    ufunc, so every value and decision has the bits the array forms had;
+    the entering edge is np.argmin's, the first least slope or the first
+    NaN (``_first_min``), and the key block's products, row-order sums,
+    signs and order are those of its arrays (``_key_edges``).  When no
+    edge descends and none is flat, the candidate list is empty whether
+    or not the last step had zero length, so the walk stops there without
+    the key block, which thus runs only after a zero-length step or when
+    some edge is flat.
+
     Raises
     ------
     DegenerateDesignError
@@ -467,6 +609,7 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     side = None
     bland = False
     ytop = float(np.abs(y).max()) + _BOUND_FLOOR
+    up = 1.0 - tau
     # The (n, p) arrays of every pivot are written into buffers made once
     # per fit: a fresh array of that size costs its page faults each time.
     A, absA = np.empty_like(X), np.empty_like(X)
@@ -482,44 +625,39 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
             # change only where a row changes sides or leaves the basis.
             above = r > 0.0
             side = np.where(above, 1.0, -1.0)
-            w = np.where(above, -tau, 1.0 - tau)
+            w = np.where(above, -tau, up)
         w[h] = 0.0
         np.abs(A, out=absA)
-        c = w @ A
-        slope = np.concatenate((c + (1.0 - tau), tau - c))
-        # Column and row sums of |A|, each added in order (rows one after
-        # another, columns 0 to p-1), without numpy's length-p inner loops.
-        colsum = _col_sums(absA)
-        spread = TIE_RTOL * colsum
+        # The 2p slopes and their flat-edge windows, in Python floats:
+        # each +, -, * and comparison rounds as the float64 ufunc would.
+        c = (w @ A).tolist()
+        colsum = _col_sums(absA).tolist()
+        slope = [ci + up for ci in c] + [tau - ci for ci in c]
+        flat = [TIE_RTOL * s for s in colsum] * 2
+        if not any(map(float.__le__, slope, flat)):
+            break  # no edge descends and none is flat: a strict optimum
+        descend = [sl < -f for sl, f in zip(slope, flat)]
+        if bland or not any(descend):
+            edges = _key_edges(B, weight, key, h, slope, flat, descend)
+        else:
+            edges = [_first_min(slope)]
         cap = _plane_cap(ytop, colsum, yh, y.size)
+        # Row sums of |A|, columns added in order 0 to p-1.
         noise = absA[:, 0].copy()
         for col in range(1, p):
             noise += absA[:, col]
         noise *= _NOISE_RTOL
-        flat_tol = np.concatenate((spread, spread))
-        descend = slope < -flat_tol
-        if bland or not descend.any():
-            # Sign of each edge's move of the key: its leading entry, weighted
-            # by the largest effect of the coefficient on a fitted value.
-            V = (B * weight[:, None])[key]
-            big = np.abs(V) > TIE_RTOL * np.abs(V).sum(axis=0)
-            lead = V[np.argmax(big, axis=0), np.arange(p)]
-            lower = np.concatenate((lead < 0.0, lead > 0.0))
-            edges = np.flatnonzero(descend | ((slope <= flat_tol) & lower))
-            edges = edges[np.lexsort((edges, h[edges % p]))]
-        else:
-            edges = [int(np.argmin(slope))]
         for e in edges:
             k, s = e % p, 1.0 if e < p else -1.0
             a = s * A[:, k]
             a[h] = 0.0
-            cross = np.flatnonzero(a * side > noise)
+            cross = (a * side > noise).nonzero()[0]
             rc, ac = r[cross], a[cross]
             t = np.maximum(rc / ac, 0.0)
             on_plane = _on_plane(rc, cross, cap, y, absA, yh)
             if on_plane is not None:
                 t[on_plane] = 0.0
-            reached = _kinks_to_stop(t, np.abs(ac), slope[e], -flat_tol[e])
+            reached = _kinks_to_stop(t, np.abs(ac), slope[e], -flat[e])
             if reached is not None:
                 break
             if descend[e]:
@@ -531,9 +669,9 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
             break
         passed = cross[reached[:-1]]
         side[passed] = -side[passed]
-        w[passed] = np.where(side[passed] > 0.0, -tau, 1.0 - tau)
+        w[passed] = np.where(side[passed] > 0.0, -tau, up)
         side[h[k]] = -s
-        w[h[k]] = -tau if s < 0.0 else 1.0 - tau
+        w[h[k]] = -tau if s < 0.0 else up
         h[k] = cross[reached[-1]]
         bland = t[reached[-1]] == 0.0
     else:

@@ -424,6 +424,36 @@ class TestInputErrors:
         assert_input_error(capsys, argv, f"bad float list {spec!r}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["test", "power", "samplesize", "diagnose"])
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_before_computing(self, tmp_path, capsys, monkeypatch, fixture_csv,
+                                                   command, target):
+        from coves import cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("computed before checking --out")
+
+        for name in ("run_coves", "run_es", "run_ttest", "power_curve", "sample_size_search",
+                     "adjusted_quantile_curves"):
+            monkeypatch.setattr(cli, name, no_run)
+        if target == "directory":
+            out = tmp_path / "taken"
+            out.mkdir()
+            message = f"cannot write {out}: it is a directory"
+        else:
+            out = tmp_path / "missing" / "out"
+            message = f"cannot write {out}: no directory {out.parent}"
+        run = ["--reps", "1000", "--seed", "1", "--out", str(out)]
+        argv = {
+            "test": ["test", "--input", str(fixture_csv), "--out", str(out)],
+            "power": ["power", *self.GEN, "--test", "coves", "--sizes", "200:400:100", *run],
+            "samplesize": ["samplesize", *self.GEN, "--test", "coves", *run],
+            "diagnose": ["diagnose", "--input", str(fixture_csv), "--out", str(out)],
+        }[command]
+        assert_input_error(capsys, argv, message)
+        assert not (tmp_path / "missing").exists()
+        assert target == "missing-directory" or not any(out.iterdir())
+
     @pytest.mark.parametrize("method", ["coves", "es", "ttest"])
     @pytest.mark.parametrize("alpha", ["-1", "0", "5", "nan"])
     def test_bad_alpha(self, tmp_path, capsys, fixture_csv, method, alpha):

@@ -6,19 +6,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coves import quantreg
 from coves.coves_test import design_matrix
 from coves.errors import ConvergenceError, DegenerateDesignError, NumericalError, OracleSizeError
 from coves.orderstats import empirical_quantile
 from coves.quantreg import (
     EXTREME_TAU,
     KINK_WINDOW,
+    MAX_ITER,
     TIE_RTOL,
     RegressionData,
     _BOUND_FLOOR,
     _NOISE_RTOL,
     _col_absmax,
     _col_sums,
+    _full_start,
+    _key_columns,
     _kinks_to_stop,
+    _nearest_start,
     _on_plane,
     _plane_cap,
     _start_basis,
@@ -171,7 +176,9 @@ class TestFitRq:
         for k in range(80):
             data, tau = random_instance(9000 + k)
             fit = fit_rq(data, tau)
-            n_neg, n_nonpos = fit.sign_counts()
+            # Under the zero tolerance: #negative <= n*tau <= #nonpositive.
+            n_neg = int(np.sum(fit.residuals < -fit.zero_tol))
+            n_nonpos = int(np.sum(fit.residuals <= fit.zero_tol))
             assert n_neg <= data.n * tau <= n_nonpos
 
     def test_vertex_has_p_zeros(self):
@@ -795,49 +802,271 @@ def argsort_start_basis(X, y, tau):
     return np.array(rows)
 
 
+def start_designs(rng, n, p, ties, covariate, duplicates):
+    """(y, X) of (1, d, c)[:p] with n rows, and n // 2 duplicated rows."""
+    c = {
+        "normal": rng.normal(size=n),
+        "discrete": rng.integers(0, 4, size=n).astype(float),
+        "tiny": 1e-10 * rng.normal(size=n),
+        # Nearly a combination of the intercept and d.
+        "collinear": 1.0 + 2.0 * rng.integers(0, 2, size=n) + 1e-7 * rng.normal(size=n),
+    }[covariate]
+    X = np.column_stack([np.ones(n), rng.integers(0, 2, size=n), c])[:, :p]
+    y = rng.integers(0, 5, size=n).astype(float) if ties else rng.normal(size=n)
+    if duplicates:
+        dup = rng.integers(0, n, size=n // 2)
+        X = np.vstack([X, X[dup]])
+        y = np.concatenate([y, y[dup]])
+    return y, X
+
+
+def start_distances(rd, tau):
+    """The distances _start_basis ranks the rows by."""
+    r = rd.y - rd.X @ rd.ols
+    k = int(np.ceil(tau * r.size)) - 1
+    return np.abs(r - np.partition(r, k)[k])
+
+
 class TestStartBasis:
     # The argmin over the passing rows takes the row the stable order of
     # the distances took, so the start basis, and every pivot after it,
-    # is the same.
+    # is the same; so does the pass on the nearest rows, or it declines.
     @settings(max_examples=300, deadline=None)
     @given(
-        n=st.integers(3, 80),
+        n=st.integers(3, 300),
         p=st.integers(1, 3),
         ties=st.booleans(),
-        covariate=st.sampled_from(["normal", "discrete", "tiny"]),
+        covariate=st.sampled_from(["normal", "discrete", "tiny", "collinear"]),
         duplicates=st.booleans(),
+        window=st.integers(1, 80),
         seed=st.integers(0, 2**32 - 1),
         tau=st.sampled_from([0.05, 0.25, 0.5, 0.75, 0.99]),
     )
-    def test_same_rows_as_argsort(self, n, p, ties, covariate, duplicates, seed, tau):
-        rng = np.random.default_rng(seed)
-        c = {
-            "normal": rng.normal(size=n),
-            "discrete": rng.integers(0, 4, size=n).astype(float),
-            "tiny": 1e-10 * rng.normal(size=n),
-        }[covariate]
-        X = np.column_stack([np.ones(n), rng.integers(0, 2, size=n), c])[:, :p]
-        y = rng.integers(0, 5, size=n).astype(float) if ties else rng.normal(size=n)
-        if duplicates:
-            dup = rng.integers(0, n, size=n // 2)
-            X = np.vstack([X, X[dup]])
-            y = np.concatenate([y, y[dup]])
+    def test_same_rows_as_argsort(self, n, p, ties, covariate, duplicates, window, seed, tau):
+        y, X = start_designs(np.random.default_rng(seed), n, p, ties, covariate, duplicates)
         assume(np.linalg.matrix_rank(X) == p)
-        assert np.array_equal(
-            _start_basis(RegressionData(y, X), tau, _col_absmax(X)), argsort_start_basis(X, y, tau)
-        )
+        rd = RegressionData(y, X)
+        ref = argsort_start_basis(X, y, tau)
+        assert np.array_equal(_start_basis(rd, tau, _col_absmax(X)), ref)
+        # The same fit with the nearest-rows pass on every design: a
+        # window of at most n rows, cut among tied distances when the
+        # outcomes are tied.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quantreg, "START_MIN_N", 0)
+            mp.setattr(quantreg, "START_WINDOW", min(window, y.size))
+            assert np.array_equal(_start_basis(rd, tau, _col_absmax(X)), ref)
 
     def test_same_rows_on_scenario_designs(self):
         from coves.simgen import ScenarioSpec, sample_scenario
 
         for sc in (1, 2, 3, 4):
-            for m, n in [(50, 50), (500, 500)]:
+            for m, n in [(50, 50), (500, 500), (600, 600)]:
                 data = sample_scenario(ScenarioSpec.from_scenario(sc, 1.35), m, n, sc)
                 for cov in (True, False):
                     X = design_matrix(data, cov)
                     for tau in (0.5, 0.75, 0.9):
                         rows = _start_basis(RegressionData(data.z, X), tau, _col_absmax(X))
                         assert np.array_equal(rows, argsort_start_basis(X, data.z, tau)), (sc, m, cov, tau)
+
+    def test_nearest_rows_decline_where_they_cannot_decide(self):
+        # (d) alone at (600, 600): when the nearest rows all have d = 0,
+        # every one is a zero row and none can be taken, so the pass
+        # declines and the full pass runs.  With the covariate the
+        # nearest rows span the design and are taken.
+        from coves.simgen import ScenarioSpec, sample_scenario
+
+        for seed in range(4):
+            data = sample_scenario(ScenarioSpec.from_scenario(3, 0.0), 600, 600, seed)
+            d = data.d.astype(float)
+            for name, X in (("d", d[:, None]), ("dc", np.column_stack([d, data.c])), ("1dc", design_matrix(data))):
+                rd = RegressionData(data.z, X)
+                dist = start_distances(rd, 0.75)
+                rows = _nearest_start(X, dist, _col_absmax(X))
+                full = _full_start(X / _col_absmax(X), dist)
+                assert np.array_equal(_start_basis(rd, 0.75, _col_absmax(X)), full)
+                assert np.array_equal(full, argsort_start_basis(X, data.z, 0.75))
+                assert (rows is None) == (name == "d"), (seed, name)
+                assert rows is None or np.array_equal(rows, full)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(3, 300),
+        p=st.integers(1, 3),
+        covariate=st.sampled_from(["normal", "discrete", "tiny", "collinear"]),
+        window=st.integers(1, 80),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_nearest_rows_agree_or_decline_on_near_dependent_rows(self, n, p, covariate, window, seed):
+        # Rows that are nearly copies of one another, at 1e-6 to 1e-9 of
+        # their size, leave components near the pass's 1e-12 threshold.
+        rng = np.random.default_rng(seed)
+        y, X = start_designs(rng, n, p, False, covariate, False)
+        X = np.vstack([X, X * (1.0 + 10.0 ** rng.uniform(-9, -6, size=X.shape))])
+        y = np.concatenate([y, y + 1e-9 * rng.normal(size=n)])
+        assume(np.linalg.matrix_rank(X) == p)
+        rd = RegressionData(y, X)
+        dist = start_distances(rd, 0.5)
+        full = _full_start(X / _col_absmax(X), dist)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quantreg, "START_WINDOW", min(window, y.size))
+            rows = _nearest_start(X, dist, _col_absmax(X))
+        assert rows is None or np.array_equal(rows, full)
+
+
+def reference_fit_rq(rd, tau):
+    """fit_rq as it was with its pricing in numpy arrays: the slopes,
+    windows, descend and flat tests and key signs as arrays of 2p, the key
+    block on every pivot once no edge descends, the start from
+    argsort_start_basis.  Returns (beta, residuals, objective, zero_set,
+    pivots), or raises as fit_rq does."""
+    y, X = rd.y, rd.X
+    p = rd.p
+    if min(tau, 1.0 - tau) < EXTREME_TAU and not (
+        p <= 2 and (X[:, 0] == 1.0).all() and ((X == 0.0) | (X == 1.0)).all()
+    ):
+        raise NumericalError("extreme tau")
+    weight = np.abs(X).max(axis=0)
+    key = _key_columns(p)
+    h = argsort_start_basis(X, y, tau)
+    side = None
+    bland = False
+    ytop = float(np.abs(y).max()) + _BOUND_FLOOR
+    A, absA = np.empty_like(X), np.empty_like(X)
+    pivots = 0
+    for _ in range(MAX_ITER):
+        B = np.linalg.inv(X[h])
+        np.matmul(X, B, out=A)
+        yh = y[h]
+        r = y - A @ yh
+        if side is None:
+            above = r > 0.0
+            side = np.where(above, 1.0, -1.0)
+            w = np.where(above, -tau, 1.0 - tau)
+        w[h] = 0.0
+        np.abs(A, out=absA)
+        c = w @ A
+        slope = np.concatenate((c + (1.0 - tau), tau - c))
+        colsum = _col_sums(absA)
+        spread = TIE_RTOL * colsum
+        cap = _plane_cap(ytop, colsum, yh, y.size)
+        noise = absA[:, 0].copy()
+        for col in range(1, p):
+            noise += absA[:, col]
+        noise *= _NOISE_RTOL
+        flat_tol = np.concatenate((spread, spread))
+        descend = slope < -flat_tol
+        if bland or not descend.any():
+            V = (B * weight[:, None])[key]
+            big = np.abs(V) > TIE_RTOL * np.abs(V).sum(axis=0)
+            lead = V[np.argmax(big, axis=0), np.arange(p)]
+            lower = np.concatenate((lead < 0.0, lead > 0.0))
+            edges = np.flatnonzero(descend | ((slope <= flat_tol) & lower))
+            edges = edges[np.lexsort((edges, h[edges % p]))]
+        else:
+            edges = [int(np.argmin(slope))]
+        for e in edges:
+            k, s = e % p, 1.0 if e < p else -1.0
+            a = s * A[:, k]
+            a[h] = 0.0
+            cross = np.flatnonzero(a * side > noise)
+            rc, ac = r[cross], a[cross]
+            t = np.maximum(rc / ac, 0.0)
+            on_plane = _on_plane(rc, cross, cap, y, absA, yh)
+            if on_plane is not None:
+                t[on_plane] = 0.0
+            reached = _kinks_to_stop(t, np.abs(ac), slope[e], -flat_tol[e])
+            if reached is not None:
+                break
+            if descend[e]:
+                raise ConvergenceError("simplex found no kink to stop at along an edge")
+        else:
+            break
+        pivots += 1
+        passed = cross[reached[:-1]]
+        side[passed] = -side[passed]
+        w[passed] = np.where(side[passed] > 0.0, -tau, 1.0 - tau)
+        side[h[k]] = -s
+        w[h[k]] = -tau if s < 0.0 else 1.0 - tau
+        h[k] = cross[reached[-1]]
+        bland = t[reached[-1]] == 0.0
+    else:
+        raise ConvergenceError(f"simplex did not finish within MAX_ITER = {MAX_ITER} pivots")
+    rows = np.sort(h)
+    beta = np.linalg.solve(X[rows], y[rows])
+    res = y - X @ beta
+    objective = float((res * (tau - (res < 0))).sum())
+    zero_set = np.flatnonzero(np.abs(res) <= TIE_RTOL * float(np.abs(y).max()))
+    return beta, res, objective, zero_set, pivots
+
+
+def counted_fit_rq(rd, tau):
+    """fit_rq's fit as reference_fit_rq returns it, with its pivots
+    counted as the edge steps that reached a kink."""
+    pivots = 0
+
+    def counted(*args):
+        nonlocal pivots
+        reached = _kinks_to_stop(*args)
+        pivots += reached is not None
+        return reached
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantreg, "_kinks_to_stop", counted)
+        fit = fit_rq(rd, tau)
+    return fit.beta, fit.residuals, fit.objective, fit.zero_set, pivots
+
+
+def outcome(fn, rd, tau):
+    """fn's result as bytes, or its error class (and message, but for
+    the extreme-tau refusal, whose text reference_fit_rq does not copy)."""
+    try:
+        beta, res, objective, zero_set, pivots = fn(rd, tau)
+    except NumericalError:
+        return ("NumericalError",)
+    except ConvergenceError as exc:
+        return ("ConvergenceError", str(exc))
+    return beta.tobytes(), res.tobytes(), float(objective).hex(), zero_set.tobytes(), zero_set.dtype, pivots
+
+
+class TestFitBitIdentity:
+    # fit_rq prices its edges in Python floats and stops at a strict
+    # optimum without the key block; every fit must keep the bits of the
+    # array form, and its pivots.
+    @settings(max_examples=400, deadline=None)
+    @given(
+        n=st.integers(3, 300),
+        p=st.integers(1, 3),
+        ties=st.booleans(),
+        covariate=st.sampled_from(["normal", "discrete", "tiny", "collinear"]),
+        duplicates=st.booleans(),
+        scale=st.sampled_from([1e-8, 1.0, 1e8]),
+        tau=st.sampled_from([1e-4, 0.05, 0.25, 0.5, 0.75, 0.9, 1 - 1e-4]),
+        nearest=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_reference(self, n, p, ties, covariate, duplicates, scale, tau, nearest, seed):
+        y, X = start_designs(np.random.default_rng(seed), n, p, ties, covariate, duplicates)
+        assume(np.linalg.matrix_rank(X) == p)
+        rd = RegressionData(scale * y, X)
+        with pytest.MonkeyPatch.context() as mp:
+            if nearest:
+                # The start from the nearest rows at every size.
+                mp.setattr(quantreg, "START_MIN_N", 0)
+                mp.setattr(quantreg, "START_WINDOW", min(16, y.size))
+            got = outcome(counted_fit_rq, rd, tau)
+        assert got == outcome(reference_fit_rq, rd, tau)
+
+    def test_equals_reference_on_scenario_designs(self):
+        from coves.simgen import ScenarioSpec, sample_scenario
+
+        for sc in (1, 2, 3, 4):
+            for size in (30, 50, 700):
+                data = sample_scenario(ScenarioSpec.from_scenario(sc, 1.35), size, size, sc)
+                for cov in (True, False):
+                    rd = RegressionData(data.z, design_matrix(data, cov))
+                    for tau in (0.25, 0.5, 0.75, 0.9):
+                        got = outcome(counted_fit_rq, rd, tau)
+                        assert got == outcome(reference_fit_rq, rd, tau), (sc, size, cov, tau)
 
 
 def scaled_covariate_designs():

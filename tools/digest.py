@@ -52,7 +52,10 @@ and p-value, and for the fits the objective or the error class, which
 
 The sweep also counts the pivots of ``fit_rq`` whose kinks outnumber
 the sort window, and how many of those found no stop in the first
-window and widened it (when the package has that window).
+window and widened it (when the package has that window); and the fits
+that entered the key block, and the starts from the nearest rows that
+fell back to the pass over all rows (when the package has those
+branches).
 """
 
 from __future__ import annotations
@@ -400,9 +403,43 @@ def count_kink_windows():
     return counts
 
 
+def count_solver_branches():
+    """Wrap quantreg's start and key-block helpers to count the fits that
+    entered the key block (ordered their candidate edges by the key) and
+    the nearest-rows starts that fell back to the full pass.  None for a
+    package without those helpers."""
+    from coves import quantreg
+
+    if not all(hasattr(quantreg, name) for name in ("_start_basis", "_key_edges", "_nearest_start")):
+        return None
+    counts = {"fits": 0, "keyed": 0, "nearest": 0, "fallback": 0}
+    start_basis, key_edges, nearest_start = quantreg._start_basis, quantreg._key_edges, quantreg._nearest_start
+    keyed = [False]
+
+    def started(*args):
+        counts["fits"] += 1
+        keyed[0] = False
+        return start_basis(*args)
+
+    def keyed_edges(*args):
+        counts["keyed"] += not keyed[0]
+        keyed[0] = True
+        return key_edges(*args)
+
+    def nearest(*args):
+        rows = nearest_start(*args)
+        counts["nearest"] += 1
+        counts["fallback"] += rows is None
+        return rows
+
+    quantreg._start_basis, quantreg._key_edges, quantreg._nearest_start = started, keyed_edges, nearest
+    return counts
+
+
 def run(out_path: str) -> None:
     designs: dict[str, dict] = {}
     kinks = count_kink_windows()
+    branches = count_solver_branches()
 
     def record(family, key, result, info=None):
         entry = {"hash": sha(result)}
@@ -423,6 +460,9 @@ def run(out_path: str) -> None:
     if kinks is not None:
         print(f"kink sorts: {kinks['pivots']} pivots, {kinks['windowed']} over the window, "
               f"{kinks['widened']} widened it")
+    if branches is not None:
+        print(f"solver branches: {branches['keyed']} of {branches['fits']} fits entered the key block, "
+              f"{branches['fallback']} of {branches['nearest']} nearest-rows starts fell back to the full pass")
     Path(out_path).write_text(json.dumps(designs, indent=0, sort_keys=True) + "\n")
 
 
