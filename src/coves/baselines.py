@@ -16,6 +16,11 @@ from scipy.special import stdtr
 from .coves_test import Dataset, check_scale, check_side, design_matrix, p_value
 from .errors import DegenerateDesignError
 
+# run_ttest takes the design's full rank from X'X alone where the least
+# singular value X'X bounds clears this factor times np.linalg.matrix_rank's
+# tolerance; see _gram_full_rank.
+_RANK_MARGIN = 2.0**16
+
 
 @dataclass
 class OlsReport:
@@ -35,9 +40,9 @@ def run_ttest(data: Dataset, side: str = "two-sided") -> OlsReport:
     n, p = X.shape
     if n < p + 1:
         raise DegenerateDesignError(f"need at least {p + 1} observations")
-    if np.linalg.matrix_rank(X) < p:
-        raise DegenerateDesignError("design matrix is rank deficient")
     xtx = X.T @ X
+    if not _gram_full_rank(xtx, n) and np.linalg.matrix_rank(X) < p:
+        raise DegenerateDesignError("design matrix is rank deficient")
     beta = np.linalg.solve(xtx, X.T @ data.z)
     resid = data.z - X @ beta
     df = n - p
@@ -54,3 +59,50 @@ def run_ttest(data: Dataset, side: str = "two-sided") -> OlsReport:
         side=side,
         df=df,
     )
+
+
+def _gram_full_rank(xtx: np.ndarray, n: int) -> bool:
+    """True when xtx = X.T @ X, as computed, proves that
+    np.linalg.matrix_rank(X) is p for the n x p design X; False when it
+    cannot tell, and matrix_rank decides.
+
+    Let G be the exact X'X, lam the least of np.linalg.eigvalsh(xtx), T
+    the computed trace of xtx, u = 2^-53, eps = 2u, N = max(n, p) and
+    g_n = n*u/(1 - n*u).
+
+    - Each entry of xtx is a dot product of length n, so, in any order
+      of addition and with or without fused multiply-adds,
+      |xtx - G| <= g_n |X|'|X| + n*2^-1074 entrywise, the last term for
+      products that underflow (Higham, Accuracy and Stability of
+      Numerical Algorithms, 2002, section 3.5).  The Frobenius norm of
+      |X|'|X| is at most its trace, which is G's, so
+      ||xtx - G||_2 <= g_n tr(G) + p*n*2^-1074.
+    - The symmetric eigensolver is backward stable: lam is an eigenvalue
+      of xtx + F with ||F||_2 a modest multiple of u ||xtx||_2 (its
+      Householder reduction to tridiagonal form obeys the bounds of
+      section 19.3).  The slack allows 64*p*u ||xtx||_2.
+    - While n*u < 0.01, tr(G) and ||xtx||_2 are at most 1.03 T, up to
+      the underflow terms; the slack takes 1.1 T, and twice those terms,
+      which also covers the rounding of its own evaluation.
+
+    By Weyl's inequality, lam(G) >= lam - slack.  So lam - slack >
+    (M*N*eps)^2 T, with M = _RANK_MARGIN, gives sigma_min(X) > M' N eps
+    sigma_max(X), M' = M/sqrt(1.1), since sigma_max(X)^2 <= tr(G).
+    matrix_rank counts the singular values its SVD returns above
+    sigma_hat_max * N * eps.  That SVD is backward stable too: its
+    values are exact for X + E with ||E||_2 <= q u ||X||_2, where its
+    Householder bidiagonalisation (section 19.3) gives q of the order of
+    c n p^1.5 for a small constant c.  So by Weyl again sigma_hat_min >
+    (M' N eps - q u) sigma_max, and the tolerance is at most
+    N eps sigma_max (1 + q u)(1 + u): every singular value clears it
+    while q < (2M' - 3) N, for p = 3 any c below 2e4.  The margin costs
+    nothing in practice: the slack, about n*u of T, is what bounds the
+    designs this test certifies.  A non-finite xtx (which check_scale's
+    window rules out) makes the test False.
+    """
+    p = xtx.shape[0]
+    u = 2.0**-53
+    trace = float(xtx.trace())
+    slack = 1.1 * (n * u / (1.0 - n * u) + 64.0 * p * u) * trace + 2.0 * p * n * 2.0**-1074
+    tol2 = (_RANK_MARGIN * max(n, p) * 2.0 * u) ** 2 * trace
+    return float(np.linalg.eigvalsh(xtx)[0]) - slack > tol2

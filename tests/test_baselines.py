@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ttest_ind
 
-from coves.baselines import run_ttest
-from coves.coves_test import Dataset
+from coves import baselines
+from coves.baselines import _gram_full_rank, run_ttest
+from coves.coves_test import Dataset, design_matrix
 from coves.errors import DegenerateDesignError
+from coves.simgen import ScenarioSpec, sample_scenario
 
 # Hand-computable fixture: balanced groups, covariate centered within each
 # group (orthogonal to intercept and treatment), and outcomes chosen so the
@@ -112,3 +116,80 @@ class TestDegeneracies:
         )
         with pytest.raises(DegenerateDesignError):
             run_ttest(data)
+
+
+class TestRankDecision:
+    # run_ttest takes full rank from X'X where _gram_full_rank certifies
+    # it and asks np.linalg.matrix_rank otherwise; it must refuse exactly
+    # the designs matrix_rank finds short.
+    def test_refuses_exactly_where_matrix_rank_is_short(self, monkeypatch):
+        decisions = {"gram": 0, "svd": 0}
+
+        def counted(xtx, n):
+            certified = _gram_full_rank(xtx, n)
+            decisions["gram" if certified else "svd"] += 1
+            return certified
+
+        monkeypatch.setattr(baselines, "_gram_full_rank", counted)
+        for size in (50, 5000):
+            for sc in (1, 2, 3, 4):
+                data = sample_scenario(ScenarioSpec.from_scenario(sc, 1.35), size, size, 1)
+                refused = {}
+                for i in range(-120, 121):
+                    scaled = Dataset(z=data.z, d=data.d, c=data.c * 10.0 ** (i / 8))
+                    short = np.linalg.matrix_rank(design_matrix(scaled)) < 3
+                    try:
+                        run_ttest(scaled)
+                        refused[i] = False
+                    except DegenerateDesignError as exc:
+                        assert str(exc) == "design matrix is rank deficient"
+                        refused[i] = True
+                    assert refused[i] == short, (size, sc, i / 8)
+                # The sweep crosses the tolerance at both ends of the scale.
+                assert [refused[i] for i in (-120, 0, 120)] == [True, False, True]
+        # Both branches decide some designs of the sweep.
+        assert decisions["gram"] > 0 and decisions["svd"] > 0, decisions
+        assert sum(decisions.values()) == 8 * 241
+
+    def test_certifies_the_scenario_designs_without_an_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("matrix_rank called")
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", no_svd)
+        for size in (50, 5000):
+            for sc in (1, 2, 3, 4):
+                run_ttest(sample_scenario(ScenarioSpec.from_scenario(sc, 1.35), size, size, 2))
+
+    @pytest.mark.parametrize(
+        "X",
+        [
+            np.column_stack([np.ones(6), np.tile([1.0, 0.0], 3), np.full(6, 2.0)]),
+            np.column_stack([np.ones(8), np.zeros(8)]),
+            np.column_stack([np.arange(5.0), 3.0 * np.arange(5.0)]),
+            np.full((4, 1), np.nan),
+            np.full((4, 1), np.inf),
+        ],
+        ids=["constant-covariate", "zero-column", "multiple", "nan", "inf"],
+    )
+    def test_no_certificate_for_deficient_or_non_finite_designs(self, X):
+        assert not _gram_full_rank(X.T @ X, X.shape[0])
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        n=st.integers(2, 400),
+        p=st.integers(1, 4),
+        log_noise=st.floats(-17.0, 0.0),
+        log_scale=st.floats(-140.0, 140.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_certificate_implies_full_matrix_rank(self, n, p, log_noise, log_scale, seed):
+        # Near-dependent columns: the last is a combination of the others
+        # plus noise from 1e-17 to 1 relative, then scaled, so designs fall
+        # on both sides of the certificate and of matrix_rank's tolerance.
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+        if p > 1:
+            X[:, -1] = X[:, :-1] @ rng.normal(size=p - 1) + 10.0**log_noise * rng.normal(size=n)
+            X[:, -1] *= 10.0**log_scale
+        if _gram_full_rank(X.T @ X, n):
+            assert np.linalg.matrix_rank(X) == p

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import ks_2samp, norm
 
+from coves.coves_test import Dataset
 from coves.errors import DataError
 from coves.orderstats import empirical_quantile
 from coves.simgen import (
@@ -19,6 +20,15 @@ from coves.simgen import (
     sample_targeted,
     tail_shift,
 )
+
+# Each scenario's gamma and covariate law, (mean, sd) per group:
+# (gamma, control C, treatment C).
+LAWS = {
+    1: (0.0, (2.5, 0.5), (2.5, 0.5)),
+    2: (1.0, (2.5, 0.5), (2.5, 0.5)),
+    3: (1.0, (2.5, 0.5), (3.0, 0.5)),
+    4: (1.0, (2.5, 0.5), (2.5, 1.0)),
+}
 
 
 class TestEmpiricalInverseCdf:
@@ -104,16 +114,10 @@ class TestScenarioSpec:
         # Each scenario's gamma and covariate law, (mean, sd) per group,
         # read back from the draws: c = mean + sd*x and z = 5 + gamma*c + e,
         # with x and e the normal scores of the seed's uniforms.
-        laws = {
-            1: (0.0, (2.5, 0.5), (2.5, 0.5)),
-            2: (1.0, (2.5, 0.5), (2.5, 0.5)),
-            3: (1.0, (2.5, 0.5), (3.0, 0.5)),
-            4: (1.0, (2.5, 0.5), (2.5, 1.0)),
-        }
         m, n, seed = 7, 5, 11
         u = _open_uniforms(seed, 2 * (m + n))
         x, e = ndtri(u[: m + n]), ndtri(u[m + n :])
-        for scenario, (gamma, (mu0, sd0), (mu1, sd1)) in laws.items():
+        for scenario, (gamma, (mu0, sd0), (mu1, sd1)) in LAWS.items():
             spec = ScenarioSpec.from_scenario(scenario, 0.0)
             assert (spec.scenario, spec.gamma, spec.eta) == (scenario, gamma, 0.0)
             data = sample_scenario(spec, m, n, seed)
@@ -261,3 +265,75 @@ def test_standin_shapes():
     # outcome changes concentrate near zero with a heavy right tail
     assert abs(np.median(f.values)) < 2.0
     assert f.values.max() > 15.0
+
+
+def integers_uniforms(seed, size):
+    """The uniforms as drawn through Generator.integers."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    raw = rng.integers(0, 1 << 53, size=size, dtype=np.int64)
+    return (raw + 0.5) * 2.0**-53
+
+
+def reference_scenario(spec, m, n, seed):
+    """sample_scenario as whole-array expressions: np.where means and sds
+    and an inflation factor for every row."""
+    total = m + n
+    u = integers_uniforms(seed, 2 * total)
+    d = np.concatenate([np.ones(m, dtype=int), np.zeros(n, dtype=int)])
+    _, (mu0, sd0), (mu1, sd1) = LAWS[spec.scenario]
+    mean = np.where(d == 1, mu1, mu0)
+    sd = np.where(d == 1, sd1, sd0)
+    c = mean + sd * ndtri(u[:total])
+    e = ndtri(u[total:])
+    inflate = 1.0 + spec.eta * ((e > 0.0) & (d == 0))
+    z = 5.0 + spec.gamma * c + inflate * e
+    return Dataset(z=z, d=d, c=c)
+
+
+def reference_targeted(f_dist, g_dist, m, n, seed):
+    """sample_targeted on the uniforms drawn through Generator.integers."""
+    u = integers_uniforms(seed, m + n)
+    d = np.concatenate([np.ones(m, dtype=int), np.zeros(n, dtype=int)])
+    c = empirical_quantile(g_dist.values, u)
+    z = empirical_quantile(f_dist.values, u)
+    z = z + np.where(d == 0, tail_shift(u), 0.0)
+    return Dataset(z=z, d=d, c=c)
+
+
+def assert_same_draw(got, want):
+    for name in ("z", "d", "c"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestGenerationBitIdentity:
+    # The generators draw the raw Philox words and build c and z in place;
+    # every draw must keep the bits of the whole-array forms above.
+    @pytest.mark.parametrize("size", [0, 1, 7, 20_000])
+    @pytest.mark.parametrize("seed", [0, 1, 11, 2**40 + 3, 2**64 - 1])
+    def test_uniforms_are_the_integers_draw(self, seed, size):
+        got, want = _open_uniforms(seed, size), integers_uniforms(seed, size)
+        assert got.dtype == want.dtype == np.float64 and got.shape == (size,)
+        assert got.tobytes() == want.tobytes()
+        assert np.all((got > 0.0) & (got < 1.0))
+
+    @pytest.mark.parametrize("eta", [0.0, 1.35, 5e-324])
+    @pytest.mark.parametrize("gamma", [None, 0.0, -2.5])
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 4), (7, 5), (50, 50), (300, 200)])
+    def test_scenario_draws(self, eta, gamma, m, n):
+        for scenario in (1, 2, 3, 4):
+            spec = ScenarioSpec.from_scenario(scenario, eta, gamma)
+            for seed in (0, 3, 2**40 + 3):
+                assert_same_draw(sample_scenario(spec, m, n, seed), reference_scenario(spec, m, n, seed))
+
+    def test_large_scenario_draws(self):
+        for scenario in (1, 2, 3, 4):
+            spec = ScenarioSpec.from_scenario(scenario, 1.35)
+            assert_same_draw(sample_scenario(spec, 5000, 5000, 17), reference_scenario(spec, 5000, 5000, 17))
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (12, 12), (50, 50), (24, 12)])
+    def test_targeted_draws(self, m, n):
+        f, g = load_standin()
+        for seed in (0, 3, 2**40 + 3):
+            assert_same_draw(sample_targeted(f, g, m, n, seed), reference_targeted(f, g, m, n, seed))

@@ -37,7 +37,9 @@ design, so ``--diff`` can name every design whose result moved.
   of the report, or the error, on the same datasets.  ``run_coves`` and
   ``run_es`` also run on the near-integral designs, and ``run_coves`` on
   each scenario dataset of ``SIZES`` with its covariate times 1e-10 and
-  on the rank-boundary datasets.
+  on the rank-boundary datasets; ``run_ttest`` runs on the tiny-covariate
+  and the rank-boundary datasets too, so its rank decision is pinned on
+  both sides of each flip.
 - ``simgen``: z, d and c of every dataset the sweep draws from
   ``ScenarioSampler`` and ``TargetedSampler``, so a change to a
   generator or to ``Dataset`` shows up by itself, not only through the
@@ -55,7 +57,9 @@ the sort window, and how many of those found no stop in the first
 window and widened it (when the package has that window); and the fits
 that entered the key block, and the starts from the nearest rows that
 fell back to the pass over all rows (when the package has those
-branches).
+branches); and the rank decisions of ``run_ttest`` that its Gram-matrix
+bound certified and those it left to the SVD of ``matrix_rank`` (when
+the package has that bound).
 """
 
 from __future__ import annotations
@@ -297,6 +301,7 @@ def sweep(record):
         for tau in (0.75, 0.9):
             coves = call(run_coves, data, tau)
             record("run_coves", f"{name}/tau{tau}", coves, summary(coves))
+        record("run_ttest", name, call(run_ttest, data))
     for name, data in rank_boundary_datasets():
         rd = call(RegressionData, data.z, design_matrix(data))
         for tau in FIT_TAUS:
@@ -304,6 +309,7 @@ def sweep(record):
         for tau in (0.75, 0.9):
             coves = call(run_coves, data, tau)
             record("run_coves", f"{name}/tau{tau}", coves, summary(coves))
+        record("run_ttest", name, call(run_ttest, data))
     for name, y, X, taus in column_subset_designs():
         rd = call(RegressionData, y, X)
         for tau in taus:
@@ -436,10 +442,31 @@ def count_solver_branches():
     return counts
 
 
+def count_rank_decisions():
+    """Wrap baselines._gram_full_rank to count the rank decisions of
+    run_ttest that the Gram-matrix bound certified and those it left to
+    matrix_rank's SVD.  None for a package without that bound."""
+    from coves import baselines
+
+    if not hasattr(baselines, "_gram_full_rank"):
+        return None
+    counts = {"gram": 0, "svd": 0}
+    gram_full_rank = baselines._gram_full_rank
+
+    def counted(*args):
+        certified = gram_full_rank(*args)
+        counts["gram" if certified else "svd"] += 1
+        return certified
+
+    baselines._gram_full_rank = counted
+    return counts
+
+
 def run(out_path: str) -> None:
     designs: dict[str, dict] = {}
     kinks = count_kink_windows()
     branches = count_solver_branches()
+    ranks = count_rank_decisions()
 
     def record(family, key, result, info=None):
         entry = {"hash": sha(result)}
@@ -463,6 +490,8 @@ def run(out_path: str) -> None:
     if branches is not None:
         print(f"solver branches: {branches['keyed']} of {branches['fits']} fits entered the key block, "
               f"{branches['fallback']} of {branches['nearest']} nearest-rows starts fell back to the full pass")
+    if ranks is not None:
+        print(f"ttest rank decisions: {ranks['gram']} certified by the Gram bound, {ranks['svd']} by the SVD")
     Path(out_path).write_text(json.dumps(designs, indent=0, sort_keys=True) + "\n")
 
 
