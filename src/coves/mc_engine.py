@@ -12,6 +12,7 @@ failure.  A run in which every replication fails is never tolerated.
 from __future__ import annotations
 
 import functools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -58,24 +59,19 @@ def replication_seed(master_seed: int, size_index: int, rep: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _run_one(generator, test_id, m, n, rep_seed, tau, side, alpha) -> bool:
-    data = generator(m, n, rep_seed)
-    if test_id == "coves":
-        report = run_coves(data, tau, side)
-    elif test_id == "es":
-        report = run_es(data, tau, side)
-    else:
-        report = run_ttest(data, side)
-    return report.p_value < alpha
-
-
-def _run_chunk(args) -> tuple[int, int]:
-    generator, test_id, m, n, seeds, tau, side, alpha = args
-    rejections = 0
-    errors = 0
+def _run_chunk(generator, test_id, m, n, tau, side, alpha, seeds) -> tuple[int, int]:
+    """(rejections, failed replications) over the given replication seeds."""
+    rejections = errors = 0
     for rep_seed in seeds:
         try:
-            rejections += _run_one(generator, test_id, m, n, rep_seed, tau, side, alpha)
+            data = generator(m, n, rep_seed)
+            if test_id == "coves":
+                report = run_coves(data, tau, side)
+            elif test_id == "es":
+                report = run_es(data, tau, side)
+            else:
+                report = run_ttest(data, side)
+            rejections += report.p_value < alpha
         except NumericalError:
             errors += 1
     return rejections, errors
@@ -100,9 +96,10 @@ def estimate_rejection_rate(
     ``generator`` is any picklable callable (m, n, seed) -> Dataset.
     The seeds are cut into at most ``workers`` chunks (one when
     ``workers`` is None or <= 1); a single chunk runs in this process,
-    more run on a process pool, one process per chunk.  Results do not
-    depend on the worker count, because each replication depends only on
-    its derived seed and the counts merge commutatively.
+    more run on a process pool of at most one process per chunk and per
+    CPU (``os.cpu_count()``).  Results do not depend on the worker count,
+    because each replication depends only on its derived seed and the
+    counts merge commutatively.
     """
     if test_id not in TEST_IDS:
         raise ValueError(f"test_id must be one of {TEST_IDS}, got {test_id!r}")
@@ -112,15 +109,13 @@ def estimate_rejection_rate(
 
     seeds = [replication_seed(seed, size_index, r) for r in range(reps)]
     chunk_size = -(-reps // max(1, workers or 1))
-    chunks = [
-        (generator, test_id, m, n, seeds[i : i + chunk_size], tau, side, alpha)
-        for i in range(0, reps, chunk_size)
-    ]
+    chunks = [seeds[i : i + chunk_size] for i in range(0, reps, chunk_size)]
+    run = functools.partial(_run_chunk, generator, test_id, m, n, tau, side, alpha)
     if len(chunks) == 1:
-        counts = [_run_chunk(chunks[0])]
+        counts = [run(chunks[0])]
     else:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            counts = list(pool.map(_run_chunk, chunks))
+        with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
+            counts = list(pool.map(run, chunks))
     rejections, errors = map(sum, zip(*counts))
 
     allowed = max(1, int(MAX_ERROR_FRACTION * reps))

@@ -96,11 +96,6 @@ def rho_tau(u, tau: float):
     return float(out) if out.ndim == 0 else out
 
 
-def check_objective(residuals, tau: float) -> float:
-    """Sum of the check-function losses over all residuals."""
-    return float(np.sum(rho_tau(residuals, tau)))
-
-
 def _check_tau(tau: float) -> None:
     if not (0.0 < tau < 1.0):
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
@@ -174,7 +169,7 @@ def _make_fit(
     tau: float, beta: np.ndarray, y: np.ndarray, residuals: np.ndarray
 ) -> QuantileFit:
     # The zero tolerance is scale-relative: scaling y scales it too.  The
-    # objective is check_objective(residuals, tau), without its checks.
+    # objective is sum(rho_tau(residuals, tau)), without its checks.
     ztol = TIE_RTOL * float(np.abs(y).max())
     return QuantileFit(
         tau=tau,
@@ -336,14 +331,29 @@ def _project_out(R: np.ndarray, j: int, length2) -> None:
         R[:, col] -= Rq * q[col]
 
 
+def _stable_head(values: np.ndarray, window: int) -> np.ndarray:
+    """The head of values.argsort(kind="stable") that holds the ``window``
+    least values and every value tied with the largest of them; all of it
+    when values.size <= window.
+
+    np.partition finds the cut and a stable sort orders the entries at or
+    below it, taken in index order.  Every other entry exceeds the cut,
+    so it comes after all of them in the full stable order: these are
+    that order's first entries, in its order.
+    """
+    if values.size <= window:
+        return values.argsort(kind="stable")
+    cut = np.partition(values, window - 1)[window - 1]
+    head = (values <= cut).nonzero()[0]
+    return head[values[head].argsort(kind="stable")]
+
+
 def _nearest_start(X: np.ndarray, dist: np.ndarray, weight: np.ndarray):
     """``_full_start``'s rows, found from the rows nearest the plane, or
     None when that cannot be shown.
 
-    The prefix holds the START_WINDOW least distances and every row tied
-    with the largest of them, in (distance, row index) order, as
-    ``_kinks_to_stop`` forms its prefix; every other row comes after all
-    of them in that order.  A row's values in the pass (its scaled row,
+    The prefix, ``_stable_head(dist, START_WINDOW)``, is the head of the
+    rows' (distance, row index) order.  A row's values in the pass (its scaled row,
     then each projection) depend on that row and the rows taken alone,
     so on the prefix they are the full pass's values, up to rounding:
     a BLAS kernel or einsum may round a row's length-p dot product
@@ -376,9 +386,7 @@ def _nearest_start(X: np.ndarray, dist: np.ndarray, weight: np.ndarray):
     rounding of subnormal values; each threshold is widened by 1e-9
     relative, far more than the few roundings of its own evaluation.
     """
-    cut = np.partition(dist, START_WINDOW - 1)[START_WINDOW - 1]
-    near = (dist <= cut).nonzero()[0]
-    near = near[dist[near].argsort(kind="stable")]
+    near = _stable_head(dist, START_WINDOW)
     R = X[near] / weight
     p = R.shape[1]
     u = 2.0**-53
@@ -463,22 +471,14 @@ def _kinks_to_stop(t, gain, slope, tol):
     sum of gain along that order, and the step stops at the first kink
     where it reaches tol.  Returns None when no kink gets there.
 
-    Only a prefix of that order is sorted.  It holds the KINK_WINDOW
-    smallest t, and every kink tied with the largest of them, in
-    position order: np.partition finds the cut and a stable sort orders
-    the prefix.  These are the first entries of the stable order of all
-    of t, and the running sum is sequential, so the stop is the one the
-    full sort finds.  When the stop lies beyond the prefix, the window
-    doubles until the prefix is all of t.
+    Only the head of that order is sorted, ``_stable_head(t, window)``
+    from a window of KINK_WINDOW, and the running sum is sequential, so
+    the stop is the one the full sort finds.  When the stop lies beyond
+    the head, the window doubles until the head is all of t.
     """
     window = KINK_WINDOW
     while True:
-        if t.size <= window:
-            order = t.argsort(kind="stable")
-        else:
-            cut = np.partition(t, window - 1)[window - 1]
-            prefix = (t <= cut).nonzero()[0]
-            order = prefix[t[prefix].argsort(kind="stable")]
+        order = _stable_head(t, window)
         stop = (slope + gain[order].cumsum() >= tol).nonzero()[0]
         if stop.size:
             return order[: stop[0] + 1]
@@ -506,21 +506,11 @@ def _key_edges(B, weight, key, h, slope, flat, descend) -> list:
     entry leads its column when its size exceeds TIE_RTOL times the
     column's sum of sizes (the first entry when none does).  Candidates
     run by their basis row's index h[e % p], then by e (Bland's rule).
-    Everything is done in Python floats, with the products and the
-    row-order sums the arrays V = (B * weight[:, None])[key] and
-    np.abs(V).sum(axis=0) hold, so the signs and the order are theirs.
     """
     p = len(key)
-    rows, weight = B.tolist(), weight.tolist()
-    V = [[b * weight[i] for b in rows[i]] for i in key]
-    lead = []
-    for j in range(p):
-        col = [row[j] for row in V]
-        total = 0.0
-        for v in col:
-            total += abs(v)
-        tol = TIE_RTOL * total
-        lead.append(next((v for v in col if abs(v) > tol), col[0]))
+    V = (B * weight[:, None])[key]
+    big = np.abs(V) > TIE_RTOL * np.abs(V).sum(axis=0)
+    lead = V[big.argmax(axis=0), range(p)].tolist()
     lower = [v < 0.0 for v in lead] + [v > 0.0 for v in lead]
     hl = h.tolist()
     edges = [e for e in range(2 * p) if descend[e] or (slope[e] <= flat[e] and lower[e])]
@@ -542,17 +532,16 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     ties by row index, and the step stops at the first kink where the
     slope, raised by |x_i' delta| at each kink, is no longer negative.
     The rows passed change sides, and the row at that kink enters the
-    basis.  Only a prefix of that order is sorted: np.partition picks
-    the KINK_WINDOW shortest steps (with every step tied with the
-    longest of them), and the window doubles while the stop lies beyond
-    it, so a pivot at large n sorts a few dozen kinks, not thousands.
-    The prefix is the head of the full stable order, so the stop is the
-    same.  The other O(n) passes of a pivot keep their bits too: the
-    column sums of |XB| behind the flat-edge window are added row after
-    row in one einsum pass (``_col_sums``), and the exact test of which
-    crossing rows lie on the plane runs only when a scalar bound on its
-    right-hand side (``_plane_cap``) cannot rule them all out, which on
-    continuous data it nearly always can.
+    basis.  Only the head of that order is sorted (``_stable_head``): the
+    KINK_WINDOW shortest steps, with every step tied with the longest of
+    them, and the window doubles while the stop lies beyond it, so a
+    pivot at large n sorts a few dozen kinks, not thousands, and stops
+    where the full sort would.  The other O(n) passes of a pivot keep
+    their bits too: the column sums of |XB| behind the flat-edge window
+    are added row after row in one einsum pass (``_col_sums``), and the
+    exact test of which crossing rows lie on the plane runs only when a
+    scalar bound on its right-hand side (``_plane_cap``) cannot rule them
+    all out, which on continuous data it nearly always can.
 
     An edge is flat when its slope is within TIE_RTOL * sum |x_i' delta|
     of zero.  Once no edge descends, flat edges that lower the key (see
@@ -573,12 +562,12 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     +, -, * and comparison round the same in Python as in a float64
     ufunc, so every value and decision has the bits the array forms had;
     the entering edge is np.argmin's, the first least slope or the first
-    NaN (``_first_min``), and the key block's products, row-order sums,
-    signs and order are those of its arrays (``_key_edges``).  When no
-    edge descends and none is flat, the candidate list is empty whether
-    or not the last step had zero length, so the walk stops there without
-    the key block, which thus runs only after a zero-length step or when
-    some edge is flat.
+    NaN (``_first_min``).  The key block (``_key_edges``) forms its
+    leading entries in arrays and filters and orders the candidates on
+    those lists.  When no edge descends and none is flat, the candidate
+    list is empty whether or not the last step had zero length, so the
+    walk stops there without the key block, which thus runs only after a
+    zero-length step or when some edge is flat.
 
     Raises
     ------

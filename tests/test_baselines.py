@@ -108,6 +108,20 @@ class TestDegeneracies:
         with pytest.raises(DegenerateDesignError):
             run_ttest(data)
 
+    def test_exact_fit_refused_and_slight_noise_accepted(self):
+        # Exact fits leave residuals at the rounding level of the fit and
+        # are refused at every size; noise of 1e-9 relative to |z| is
+        # far above it and is tested.
+        rng = np.random.default_rng(5)
+        for size in (5, 50, 500, 5000, 50000):
+            d = np.repeat([1, 0], size)
+            for c in (np.arange(2.0 * size), rng.normal(size=2 * size), 1e8 * rng.normal(size=2 * size)):
+                for z in (np.ones(2 * size), np.full(2 * size, 1e-100), 2 + 3 * c, 5 + d - 7 * c, 1e8 + c):
+                    with pytest.raises(DegenerateDesignError, match="residual variance is zero"):
+                        run_ttest(Dataset(z=z, d=d, c=c))
+                    noisy = z + 1e-9 * np.abs(z) * rng.normal(size=z.size)
+                    assert np.isfinite(run_ttest(Dataset(z=noisy, d=d, c=c)).t_stat)
+
     def test_too_few_observations(self):
         data = Dataset(
             z=np.array([1.0, 2.0, 3.0]),

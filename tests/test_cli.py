@@ -77,6 +77,16 @@ class TestTest:
         path.write_text("\n".join(rows) + "\n")
         assert main(["test", "--input", str(path), "--tau", "0.5", "--out", str(tmp_path / "r.json")]) == 3
 
+    @pytest.mark.parametrize("method", ["coves", "es", "ttest"])
+    def test_constant_outcome_exits_3(self, tmp_path, method):
+        # z = 1 on 10 treated and 10 control rows, c = 0, ..., 19: an exact
+        # fit, with no residual variance to test against.
+        rows = ["z,d,c"] + [f"1,{int(i < 10)},{i}" for i in range(20)]
+        path = tmp_path / "const.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert main(["test", "--input", str(path), "--method", method, "--out", str(tmp_path / "r.json")]) == 3
+        assert not (tmp_path / "r.json").exists()
+
     def test_solver_breakdown_exits_3(self, fixture_csv, tmp_path, monkeypatch):
         # A fit that hits the simplex's pivot cap raises ConvergenceError,
         # a NumericalError; the es test solves no LP.

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from dataclasses import dataclass
 
+from coves import mc_engine
 from coves.coves_test import Dataset
-from coves.errors import SearchBoundsError, UnstableConfigurationError
+from coves.errors import NumericalError, SearchBoundsError, UnstableConfigurationError
 from coves.mc_engine import (
     PowerEstimate,
     estimate_rejection_rate,
@@ -38,6 +39,18 @@ class FailOnSeeds:
 
     def __call__(self, m, n, seed):
         return DegenerateSampler()(m, n, seed) if seed in self.bad else NULL1(m, n, seed)
+
+
+@dataclass(frozen=True)
+class RaiseOnSeeds:
+    """NULL1, except that the generator itself raises on the given replication seeds."""
+
+    bad: frozenset
+
+    def __call__(self, m, n, seed):
+        if seed in self.bad:
+            raise NumericalError("generator failed")
+        return NULL1(m, n, seed)
 
 
 class TestEstimateRejectionRate:
@@ -81,8 +94,40 @@ class TestEstimateRejectionRate:
         assert s1 != replication_seed(8, 0, 3)
 
     def test_unstable_configuration(self):
-        with pytest.raises(UnstableConfigurationError):
-            estimate_rejection_rate(DegenerateSampler(), "coves", 10, 10, 0.05, 50, 1)
+        for test_id in ("coves", "ttest"):
+            with pytest.raises(UnstableConfigurationError, match="50/50"):
+                estimate_rejection_rate(DegenerateSampler(), test_id, 10, 10, 0.05, 50, 1)
+
+    def test_generator_error_counts_as_one_failed_replication(self):
+        bad = frozenset([replication_seed(1, 0, 40)])
+        est = estimate_rejection_rate(RaiseOnSeeds(bad), "es", 10, 10, 0.05, 100, 1)
+        assert est.errors == 1
+        assert est == estimate_rejection_rate(FailOnSeeds(bad), "es", 10, 10, 0.05, 100, 1)
+
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        # One chunk per replication asks for 50 processes; the pool gets
+        # at most one per CPU.  The stand-in pool maps in this process.
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        serial = estimate_rejection_rate(NULL1, "ttest", 15, 15, 0.05, 50, 3)
+        monkeypatch.setattr(mc_engine, "ProcessPoolExecutor", Pool)
+        for cpus, size in ((3, 3), (None, 1)):
+            monkeypatch.setattr(mc_engine.os, "cpu_count", lambda: cpus)
+            assert estimate_rejection_rate(NULL1, "ttest", 15, 15, 0.05, 50, 3, workers=50) == serial
+            assert sizes.pop() == size and not sizes
 
     def test_error_budget_tolerates_one_percent(self):
         seeds = [replication_seed(1, 0, r) for r in range(100)]

@@ -26,8 +26,8 @@ from coves.quantreg import (
     _nearest_start,
     _on_plane,
     _plane_cap,
+    _stable_head,
     _start_basis,
-    check_objective,
     fit_group_quantiles,
     fit_rq,
     rho_tau,
@@ -219,7 +219,7 @@ class TestFitRq:
     def test_objective_consistent_with_residuals(self):
         data, tau = random_instance(123)
         fit = fit_rq(data, tau)
-        assert fit.objective == pytest.approx(check_objective(fit.residuals, tau), rel=1e-12)
+        assert fit.objective == pytest.approx(float(np.sum(rho_tau(fit.residuals, tau))), rel=1e-12)
 
 
 def highs_objective(X, y, tau):
@@ -724,6 +724,25 @@ def full_sort_stop(t, gain, slope, tol):
     order = np.argsort(t, kind="stable")
     stop = np.flatnonzero(slope + np.cumsum(gain[order]) >= tol)
     return None if stop.size == 0 else order[: stop[0] + 1]
+
+
+class TestStableHead:
+    # _stable_head returns the head of the full stable order that holds
+    # the window least values and every tie of the largest of them.
+    @settings(max_examples=400, deadline=None)
+    @given(
+        size=st.integers(1, 200),
+        ties=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_equals_head_of_stable_argsort(self, size, ties, seed, data):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 5, size=size).astype(float) if ties else rng.normal(size=size)
+        window = data.draw(st.integers(1, size + 2))
+        full = values.argsort(kind="stable")
+        k = size if window > size else int(np.count_nonzero(values <= np.sort(values)[window - 1]))
+        assert np.array_equal(_stable_head(values, window), full[:k])
 
 
 class TestKinkPrefix:
@@ -1395,5 +1414,5 @@ class TestExtremeTau:
         d = rng.permutation(np.arange(2000) % 2).astype(float)
         X = np.column_stack([np.ones(2000), d]) if with_d else np.ones((2000, 1))
         groups = [d == 0.0, d == 1.0] if with_d else [np.ones(2000, dtype=bool)]
-        best = sum(check_objective(y[g] - empirical_quantile(y[g], tau), tau) for g in groups)
+        best = sum(float(np.sum(rho_tau(y[g] - empirical_quantile(y[g], tau), tau))) for g in groups)
         assert fit_rq(RegressionData(y, X), tau).objective == pytest.approx(best, rel=1e-12)
