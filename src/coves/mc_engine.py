@@ -12,6 +12,7 @@ failure.  A run in which every replication fails is never tolerated.
 from __future__ import annotations
 
 import functools
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -53,10 +54,103 @@ class SampleSizeResult:
     target: float
 
 
-def replication_seed(master_seed: int, size_index: int, rep: int) -> int:
-    """Derived seed for one replication; independent of execution order."""
-    ss = np.random.SeedSequence((int(master_seed), int(size_index), int(rep)))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+# numpy's SeedSequence: O'Neill's seed_seq hash over a pool of four
+# 32-bit words, each running constant a power series in its multiplier.
+_POOL = 4
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# generate_state's running constant for the two 32-bit halves of a uint64 seed.
+_STATE = np.array([_INIT_B, _INIT_B * _MULT_B & _MASK32, _INIT_B * _MULT_B**2 & _MASK32], np.uint32)[:, None]
+
+
+def _words(value) -> list[int]:
+    """Little-endian 32-bit words of a non-negative integer; one zero word for 0."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"seed entropy must be non-negative, got {value}")
+    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+@functools.cache
+def _hash_steps(length: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(xor, mul) uint32 columns of hashmix's running constant, one pair
+    per stacked step over an entropy of ``length`` >= 4 words.
+
+    hashmix call k xors constant k and multiplies by constant k + 1.
+    The steps are the pool fill (calls 0-3), the four cross-mix rounds
+    (round s makes three calls, for every pool word but s, and its row s
+    is a placeholder), and one round of four calls per word past the pool.
+    """
+    const = [_INIT_A]
+    for _ in range(_POOL * length):
+        const.append(const[-1] * _MULT_A & _MASK32)
+    const = np.array(const, np.uint32)
+    calls = [list(range(_POOL))]
+    for s in range(_POOL):
+        first = _POOL + (_POOL - 1) * s
+        calls.append([first + t - (t > s) if t != s else first for t in range(_POOL)])
+    calls += [list(range(_POOL * s, _POOL * s + _POOL)) for s in range(_POOL, length)]
+    return [(const[k][:, None], const[np.add(k, 1)][:, None]) for k in calls]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """numpy's hashmix of uint32 words, one running constant per row of xor and mul."""
+    value = (value ^ xor) * mul
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's mix of uint32 pool words x with hashed words y."""
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ value >> 16
+
+
+def replication_seed(master_seed: int, size_index: int, rep: int | range) -> int | list[int]:
+    """Derived seed of one replication, or the list of them for a range of reps.
+
+    The seed of replication ``rep`` is
+    ``np.random.SeedSequence((master_seed, size_index, rep)).generate_state(1, np.uint64)[0]``,
+    so it is independent of execution order.  For a range the hash runs
+    once, on uint32 arrays with one lane per replication.  Arguments go
+    through ``operator.index``, so a float raises ``TypeError``; a
+    negative value raises ``ValueError``.
+    """
+    prefix = _words(master_seed) + _words(size_index)
+    if isinstance(rep, range):
+        reps = rep
+    else:
+        rep = operator.index(rep)
+        reps = range(rep, rep + 1)
+    if not reps:
+        return []
+    low, high = sorted((reps[0], reps[-1]))
+    if low < 0:
+        raise ValueError(f"replication index must be non-negative, got {low}")
+    # Entropy: master, size index and rep words, one column per lane; a
+    # lane past its last word reads 0, which is also the pool's padding.
+    width = len(_words(high))
+    entropy = np.zeros((max(_POOL, len(prefix) + width), len(reps)), np.uint32)
+    entropy[: len(prefix)] = np.array(prefix, np.uint32)[:, None]
+    for w in range(width):
+        entropy[len(prefix) + w] = [r >> 32 * w & _MASK32 for r in reps]
+    steps = _hash_steps(len(entropy))
+
+    pool = _hashmix(entropy[:_POOL], *steps[0])
+    for s in range(_POOL):
+        # Round s mixes hashes of word s into every other word; word s stays.
+        mixed = _mix(pool, _hashmix(pool[s], *steps[1 + s]))
+        mixed[s] = pool[s]
+        pool = mixed
+    for s in range(_POOL, len(entropy)):
+        mixed = _mix(pool, _hashmix(entropy[s], *steps[1 + s]))
+        # Rep word w reaches only the lanes whose rep has w + 1 words.
+        w = s - len(prefix)
+        pool = mixed if w < 1 else np.where([r >> 32 * w > 0 for r in reps], mixed, pool)
+    state = _hashmix(pool[:2], _STATE[:2], _STATE[1:])
+    seeds = (state[1].astype(np.uint64) << 32 | state[0]).tolist()
+    return seeds if isinstance(rep, range) else seeds[0]
 
 
 def _run_chunk(generator, test_id, m, n, tau, side, alpha, seeds) -> tuple[int, int]:
@@ -107,7 +201,7 @@ def estimate_rejection_rate(
         raise ValueError("need at least one replication")
     check_alpha(alpha)
 
-    seeds = [replication_seed(seed, size_index, r) for r in range(reps)]
+    seeds = replication_seed(seed, size_index, range(reps))
     chunk_size = -(-reps // max(1, workers or 1))
     chunks = [seeds[i : i + chunk_size] for i in range(0, reps, chunk_size)]
     run = functools.partial(_run_chunk, generator, test_id, m, n, tau, side, alpha)

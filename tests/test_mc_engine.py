@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from dataclasses import dataclass
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coves import mc_engine
 from coves.coves_test import Dataset
@@ -51,6 +53,82 @@ class RaiseOnSeeds:
         if seed in self.bad:
             raise NumericalError("generator failed")
         return NULL1(m, n, seed)
+
+
+def reference_seed(master, size_index, rep):
+    """The derived seed as numpy's SeedSequence computes it."""
+    return int(np.random.SeedSequence((master, size_index, rep)).generate_state(1, np.uint64)[0])
+
+
+# One-, two- and three-word entropies; 2**64 + 5 makes the master alone
+# three words, so the rep's word is mixed in by a round past the pool.
+WORD_EDGES = [0, 2**32 - 1, 2**32, 2**64 + 5]
+
+
+class TestReplicationSeed:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        master=st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**200)),
+        size_index=st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**70)),
+        reps=st.integers(1, 70),
+        data=st.data(),
+    )
+    def test_range_equals_one_seed_sequence_per_rep(self, master, size_index, reps, data):
+        want = [reference_seed(master, size_index, r) for r in range(reps)]
+        assert replication_seed(master, size_index, range(reps)) == want
+        rep = data.draw(st.integers(0, reps - 1))
+        got = replication_seed(master, size_index, rep)
+        assert type(got) is int and got == want[rep]
+
+    @pytest.mark.parametrize("master", [0, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize(
+        "reps",
+        [range(2**32 - 3, 2**32 + 3), range(2**64 - 2, 2**64 + 9, 3), range(2**32 + 2, 2**32 - 4, -1),
+         range(5, 5), range(2**100, 2**100 + 2)],
+        ids=["across-2^32", "across-2^64-step-3", "descending", "empty", "four-words"],
+    )
+    def test_ranges_across_word_counts(self, master, reps):
+        # Lanes with more rep words than others run extra rounds only where
+        # they have the word; numpy's padding covers the rest.
+        assert replication_seed(master, 9, reps) == [reference_seed(master, 9, r) for r in reps]
+
+    def test_numpy_integers_and_bools_are_indices(self):
+        want = reference_seed(7, 1, 3)
+        assert replication_seed(np.int64(7), np.uint8(1), np.int32(3)) == want
+        assert replication_seed(7, True, 3) == want
+
+    @pytest.mark.parametrize("args", [(2.7, 0, 0), (np.float64(2.0), 0, 0), (1, 0.0, 0), (1, 0, 3.0),
+                                      (1, 0, np.float32(3))])
+    def test_non_integers_raise_type_error(self, args):
+        with pytest.raises(TypeError):
+            replication_seed(*args)
+        with pytest.raises(TypeError):
+            np.random.SeedSequence(args)
+
+    @pytest.mark.parametrize("args", [(-1, 0, 0), (1, -2, 0), (1, 0, -3), (1, 0, range(-1, 3))])
+    def test_negative_values_raise_value_error(self, args):
+        with pytest.raises(ValueError):
+            replication_seed(*args)
+
+    def test_estimate_refuses_a_non_integer_seed(self):
+        # int(2.7) used to run seed 2's replications and report seed=2.7.
+        with pytest.raises(TypeError):
+            estimate_rejection_rate(NULL1, "ttest", 20, 20, 0.05, 30, 2.7)
+        with pytest.raises(ValueError):
+            estimate_rejection_rate(NULL1, "ttest", 20, 20, 0.05, 30, -1)
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_one_seed_pass_per_estimate(self, monkeypatch, workers):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return replication_seed(*args)
+
+        serial = estimate_rejection_rate(NULL1, "ttest", 15, 15, 0.05, 30, 3, size_index=4)
+        monkeypatch.setattr(mc_engine, "replication_seed", counted)
+        assert estimate_rejection_rate(NULL1, "ttest", 15, 15, 0.05, 30, 3, size_index=4, workers=workers) == serial
+        assert calls == [(3, 4, range(30))]
 
 
 class TestEstimateRejectionRate:

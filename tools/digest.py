@@ -47,6 +47,13 @@ design, so ``--diff`` can name every design whose result moved.
 - ``cli``: exit code, stdout, stderr and output files of a set of
   ``coves`` commands run through ``coves.cli.main``, among them
   ``test --method es --tau 0.55`` on a (100, 100) file.
+- ``mc_engine``: the Monte Carlo engine by itself, so a change to its
+  seeds or counts shows without the CLI.  The first 64 replication
+  seeds, one ``replication_seed`` call each, of every (master, size
+  index) pair in ``ENGINE_MASTERS`` x ``ENGINE_SIZE_INDICES``, and every
+  ``PowerEstimate`` of a serial ``estimate_rejection_rate`` for coves,
+  es and ttest on scenario 2 (eta 0 and 1.35) at (20, 20), 40
+  replications, seeds 0 and 5, tau 0.75.
 
 For the reports, the file also keeps the shortfall counts, objective
 and p-value, and for the fits the objective or the error class, which
@@ -83,6 +90,9 @@ BREAKDOWN_SEEDS = [((7, 12, 52), 24, 12), ((9, 12, 70), 24, 12), ((8, 20, 195), 
 NEAR_INTEGRAL = [(25, (0.28, 0.56)), (100, (0.55,))]
 # Levels at and below TIE_RTOL, where a downward edge of (1, d) is flat.
 TINY_TAUS = (5e-324, 1e-10, 1e-9, 2e-9, 1e-6)
+# One-, two- and three-word masters and size indices of the seed hash.
+ENGINE_MASTERS = (0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5, 10**30)
+ENGINE_SIZE_INDICES = (0, 1, 9006, 2**33)
 
 
 def encode(obj) -> bytes:
@@ -318,6 +328,23 @@ def sweep(record):
         record_fits(record, f"{name}/tau{tau}", call(RegressionData, y, X), y.size, tau)
 
 
+def engine_sweep(record):
+    from coves.mc_engine import estimate_rejection_rate, replication_seed
+    from coves.simgen import ScenarioSampler, ScenarioSpec
+
+    for master in ENGINE_MASTERS:
+        for size_index in ENGINE_SIZE_INDICES:
+            seeds = [replication_seed(master, size_index, rep) for rep in range(64)]
+            record("mc_engine", f"seeds/{master}/{size_index}", seeds)
+    for eta in (0.0, 1.35):
+        sampler = ScenarioSampler(ScenarioSpec.from_scenario(2, eta))
+        for test in ("coves", "es", "ttest"):
+            for seed in (0, 5):
+                est = call(estimate_rejection_rate, sampler, test, 20, 20, 0.05, 40, seed)
+                info = None if isinstance(est, BaseException) else [est.rate, est.errors]
+                record("mc_engine", f"estimate/s2e{eta}/{test}/seed{seed}", est, info)
+
+
 def cli_commands(work: Path):
     """(name, argv) of every swept command; later commands read earlier outputs."""
     w = str(work)
@@ -476,6 +503,7 @@ def run(out_path: str) -> None:
 
     sweep(record)
     cli_sweep(record)
+    engine_sweep(record)
     families: dict = {}
     counts: dict[str, int] = {}
     for key in sorted(designs):
