@@ -82,9 +82,10 @@ def read_dataset_csv(path: str) -> Dataset:
 def _check_out(path: str | None) -> None:
     """Raise DataError unless ``path`` (None for no output) looks
     writable: its directory exists and is writable, and it is not a
-    directory or a read-only file.  Commands call it before they compute,
-    so a bad --out costs no run; the file itself is opened only to write
-    the finished result, so a failed command leaves none.
+    directory or a read-only file.  ``main`` calls it before any command
+    reads input or computes, so a bad --out costs no run; the file itself
+    is opened only to write the finished result, so a failed command
+    leaves none.
     """
     if path is None:
         return
@@ -162,7 +163,6 @@ def _ttest_dict(report, data: Dataset, alpha: float) -> dict:
 def cmd_test(args) -> int:
     check_alpha(args.alpha)
     data = read_dataset_csv(args.input)
-    _check_out(args.out)
     side = _SIDE_NAMES[args.side]
     if args.method == "ttest":
         payload = _ttest_dict(run_ttest(data, side), data, args.alpha)
@@ -217,21 +217,15 @@ def _parse_sizes(spec: str, allocation: str) -> list[tuple[int, int]]:
     return [allocate(s, allocation) for s in range(start, stop + 1, step)]
 
 
+def _engine_options(args) -> dict:
+    """Keyword arguments that power and samplesize forward to the engine."""
+    return {"tau": args.tau, "side": _SIDE_NAMES[args.side], "workers": args.workers}
+
+
 def cmd_power(args) -> int:
     generator = _make_generator(args)
     sizes = _parse_sizes(args.sizes, args.allocation)
-    _check_out(args.out)
-    estimates = power_curve(
-        generator,
-        args.test,
-        sizes,
-        args.alpha,
-        args.reps,
-        args.seed,
-        tau=args.tau,
-        side=_SIDE_NAMES[args.side],
-        workers=args.workers,
-    )
+    estimates = power_curve(generator, args.test, sizes, args.alpha, args.reps, args.seed, **_engine_options(args))
     rows = ([e.m, e.n, e.test_id, repr(e.rate), repr(e.mc_se), e.reps, e.errors] for e in estimates)
     _write_csv(args.out, ["m", "n", "test", "rate", "mc_se", "reps", "errors"], rows)
     print(f"wrote {len(estimates)} rows -> {args.out}")
@@ -244,19 +238,9 @@ def cmd_samplesize(args) -> int:
         lo, hi = (int(x) for x in args.bounds.split(":"))
     except ValueError:
         raise DataError(f"bad --bounds {args.bounds!r}; expected LO:HI") from None
-    _check_out(args.out)
     result = sample_size_search(
-        generator,
-        args.test,
-        args.target,
-        args.allocation,
-        args.alpha,
-        args.reps,
-        args.seed,
-        (lo, hi),
-        tau=args.tau,
-        side=_SIDE_NAMES[args.side],
-        workers=args.workers,
+        generator, args.test, args.target, args.allocation, args.alpha, args.reps, args.seed, (lo, hi),
+        **_engine_options(args),
     )
     payload = {
         "m": result.m,
@@ -304,7 +288,6 @@ def cmd_diagnose(args) -> int:
     data = read_dataset_csv(args.input)
     tau_fits = _parse_float_list(args.tau_fit)
     grid = _parse_grid(args.grid)
-    _check_out(args.out)
     fits = [adjusted_quantile_curves(data, tau_fit, grid) for tau_fit in tau_fits]
     rows = (
         [repr(float(v)) for v in (cv.tau_fit, p, qt, qc)]
@@ -331,6 +314,17 @@ def _add_test_args(sub) -> None:
     sub.add_argument("--side", choices=tuple(_SIDE_NAMES), default="two")
 
 
+def _add_monte_carlo_args(sub) -> None:
+    """Arguments shared by power and samplesize."""
+    _add_generator_args(sub)
+    sub.add_argument("--test", choices=TEST_IDS, required=True)
+    sub.add_argument("--allocation", choices=ALLOCATIONS, default="equal")
+    _add_test_args(sub)
+    sub.add_argument("--reps", type=int, required=True)
+    sub.add_argument("--seed", type=int, required=True)
+    sub.add_argument("--workers", type=int, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coves",
@@ -354,27 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("power", help="rejection-rate curve over sample sizes")
-    _add_generator_args(p)
-    p.add_argument("--test", choices=TEST_IDS, required=True)
+    _add_monte_carlo_args(p)
     p.add_argument("--sizes", required=True, help="N or START:STOP:STEP (control-group size)")
-    p.add_argument("--allocation", choices=ALLOCATIONS, default="equal")
-    _add_test_args(p)
-    p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_power)
 
     p = subs.add_parser("samplesize", help="search for the size reaching a target power")
-    _add_generator_args(p)
-    p.add_argument("--test", choices=TEST_IDS, required=True)
+    _add_monte_carlo_args(p)
     p.add_argument("--target", type=float, default=0.9)
-    p.add_argument("--allocation", choices=ALLOCATIONS, default="equal")
-    _add_test_args(p)
-    p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--bounds", default="5:500", help="LO:HI bracket for the control-group size")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_samplesize)
 
@@ -391,13 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
-    except (DataError, ValueError, OSError) as exc:
+    except (DataError, NumericalError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, NumericalError) else 2
 
 
 if __name__ == "__main__":

@@ -21,10 +21,11 @@ def bandwidth_rot(samples) -> float:
 
     Falls back to the standard deviation when the IQR degenerates to
     zero; raises DegenerateSpreadError when the sample has no spread at
-    all (sd = IQR = 0).  The sd is np.std(ddof=1) from its own steps (the
-    mean, the sum of squared deviations over n - 1, the square root) and
-    the quartiles are empirical_quantile's order statistics, both from
-    one sort.
+    all (sd = IQR = 0), and ValueError when the sd is not finite (a NaN
+    or infinite sample, or squared deviations that overflow).  The sd is
+    np.std(ddof=1) from its own steps (the mean, the sum of squared
+    deviations over n - 1, the square root) and the quartiles are
+    empirical_quantile's order statistics, both from one sort.
     """
     x = np.asarray(samples, dtype=float)
     n = x.size
@@ -33,6 +34,8 @@ def bandwidth_rot(samples) -> float:
     dev = x - x.sum() / n
     np.square(dev, out=dev)
     sd = math.sqrt(dev.sum() / (n - 1))
+    if not sd < math.inf:
+        raise ValueError(f"sample standard deviation must be finite, got {sd}")
     s = np.sort(x)
     iqr = float(s[math.ceil(0.75 * n) - 1] - s[math.ceil(0.25 * n) - 1])
     lo = min(sd, iqr / 1.34)
@@ -47,10 +50,10 @@ def kde_at_zero(samples, h: float) -> float:
     """Gaussian kernel density estimate evaluated at 0.
 
     Returns (n*h)^(-1) * sum_i K(-s_i / h) with K the standard normal
-    density.
+    density; raises ValueError unless 0 < h < inf.
     """
-    if h <= 0.0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {h}")
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise ValueError("need at least one sample")

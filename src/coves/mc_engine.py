@@ -294,13 +294,14 @@ def sample_size_search(
     power is monotone in size.  A size passes when its estimated rate
     is at least target - mc_se; each probe spends the full replication
     budget, seeded by the probed size so the search path cannot change
-    any estimate.
+    any estimate.  Both bounds are taken through ``operator.index``, so
+    a float raises ``TypeError``.
     """
     if not (0.0 < target < 1.0):
         raise ValueError(f"target power must lie in (0, 1), got {target}")
     if allocation not in ALLOCATIONS:
         raise ValueError(f"allocation must be one of {ALLOCATIONS}, got {allocation!r}")
-    lo, hi = int(bounds[0]), int(bounds[1])
+    lo, hi = operator.index(bounds[0]), operator.index(bounds[1])
     if not (1 <= lo < hi):
         raise ValueError(f"bounds must satisfy 1 <= lo < hi, got {bounds}")
 

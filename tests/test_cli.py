@@ -434,7 +434,7 @@ class TestInputErrors:
         assert_input_error(capsys, argv, f"bad float list {spec!r}")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["test", "power", "samplesize", "diagnose"])
+    @pytest.mark.parametrize("command", ["test", "simulate", "power", "samplesize", "diagnose"])
     @pytest.mark.parametrize("target", ["missing-directory", "directory"])
     def test_unwritable_out_exits_before_computing(self, tmp_path, capsys, monkeypatch, fixture_csv,
                                                    command, target):
@@ -443,8 +443,8 @@ class TestInputErrors:
         def no_run(*args, **kwargs):
             raise AssertionError("computed before checking --out")
 
-        for name in ("run_coves", "run_es", "run_ttest", "power_curve", "sample_size_search",
-                     "adjusted_quantile_curves"):
+        for name in ("run_coves", "run_es", "run_ttest", "sample_scenario", "sample_targeted", "power_curve",
+                     "sample_size_search", "adjusted_quantile_curves"):
             monkeypatch.setattr(cli, name, no_run)
         if target == "directory":
             out = tmp_path / "taken"
@@ -456,6 +456,7 @@ class TestInputErrors:
         run = ["--reps", "1000", "--seed", "1", "--out", str(out)]
         argv = {
             "test": ["test", "--input", str(fixture_csv), "--out", str(out)],
+            "simulate": ["simulate", *self.GEN, "--m", "5", "--n", "5", "--seed", "1", "--out", str(out)],
             "power": ["power", *self.GEN, "--test", "coves", "--sizes", "200:400:100", *run],
             "samplesize": ["samplesize", *self.GEN, "--test", "coves", *run],
             "diagnose": ["diagnose", "--input", str(fixture_csv), "--out", str(out)],
@@ -471,3 +472,33 @@ class TestInputErrors:
         argv = ["test", "--input", str(fixture_csv), "--method", method, f"--alpha={alpha}", "--out", str(out)]
         assert_input_error(capsys, argv, f"alpha must lie in (0, 1], got {float(alpha)}")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["power", "samplesize"])
+def test_monte_carlo_arguments_reach_the_engine(monkeypatch, tmp_path, command):
+    from coves import cli
+    from coves.mc_engine import PowerEstimate, SampleSizeResult
+
+    calls = []
+
+    def power_curve(generator, test_id, sizes, alpha, reps, seed, **options):
+        calls.append(((test_id, sizes, alpha, reps, seed), options))
+        return []
+
+    def sample_size_search(generator, test_id, target, allocation, alpha, reps, seed, bounds, **options):
+        calls.append(((test_id, target, allocation, alpha, reps, seed, bounds), options))
+        est = PowerEstimate(rate=0.9, reps=reps, mc_se=0.0, seed=seed, test_id=test_id, m=40, n=20, alpha=alpha)
+        return SampleSizeResult(m=40, n=20, allocation=allocation, achieved_power=est, target=target)
+
+    monkeypatch.setattr(cli, "power_curve", power_curve)
+    monkeypatch.setattr(cli, "sample_size_search", sample_size_search)
+    shared = ["--scenario", "2", "--test", "es", "--side", "lower", "--tau", "0.9", "--alpha", "0.1",
+              "--allocation", "two-to-one", "--workers", "3", "--reps", "7", "--seed", "11"]
+    if command == "power":
+        argv = ["power", *shared, "--sizes", "20", "--out", str(tmp_path / "p.csv")]
+        want = ("es", [(40, 20)], 0.1, 7, 11)
+    else:
+        argv = ["samplesize", *shared, "--target", "0.8", "--bounds", "10:30"]
+        want = ("es", 0.8, "two-to-one", 0.1, 7, 11, (10, 30))
+    assert main(argv) == 0
+    assert calls == [(want, {"tau": 0.9, "side": "one-sided-lower", "workers": 3})]

@@ -61,6 +61,17 @@ class TestBandwidth:
         with pytest.raises(ValueError):
             bandwidth_rot([1.0])
 
+    @pytest.mark.parametrize(
+        "samples",
+        [[1.0, np.nan, 3.0], [np.nan, np.nan], [1.0, np.inf, 3.0], [-np.inf, 0.0, 2.0], [1e200, -1e200, 0.0]],
+        ids=["nan", "all-nan", "inf", "minus-inf", "overflow"],
+    )
+    def test_non_finite_sd(self, samples):
+        # An infinite sample or an overflowing square warns on the way.
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(ValueError, match=r"^sample standard deviation must be finite, got "):
+                bandwidth_rot(samples)
+
 
 class TestKdeAtZero:
     def test_single_kernel_at_origin(self):
@@ -83,6 +94,9 @@ class TestKdeAtZero:
             kde_at_zero([1.0, 2.0], 0.0)
         with pytest.raises(ValueError):
             kde_at_zero([1.0, 2.0], -1.0)
+        for h in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=r"^bandwidth must be positive and finite, got "):
+                kde_at_zero([1.0, 2.0], h)
 
     def test_scale_equivariance(self):
         x = np.array([0.4, -0.8, 1.7, -0.1, 0.9, 2.2])

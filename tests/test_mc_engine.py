@@ -299,6 +299,10 @@ class TestSampleSizeSearch:
             sample_size_search(ALT1, "ttest", 0.9, "balanced", 0.05, 10, 1, (5, 10))
         with pytest.raises(ValueError):
             sample_size_search(ALT1, "ttest", 0.9, "equal", 0.05, 10, 1, (10, 10))
+        with pytest.raises(TypeError):
+            sample_size_search(ALT1, "ttest", 0.9, "equal", 0.05, 10, 1, (5.9, 8.2))
+        with pytest.raises(ValueError, match="1 <= lo < hi"):  # NumPy integers are taken as they are
+            sample_size_search(ALT1, "ttest", 0.9, "equal", 0.05, 10, 1, (np.int64(10), np.int64(10)))
 
     def test_reference_size_bands(self):
         # Sizes reaching power 0.9 land inside the acceptance gate's

@@ -46,7 +46,9 @@ design, so ``--diff`` can name every design whose result moved.
   reports computed from it.
 - ``cli``: exit code, stdout, stderr and output files of a set of
   ``coves`` commands run through ``coves.cli.main``, among them
-  ``test --method es --tau 0.55`` on a (100, 100) file.
+  ``test --method es --tau 0.55`` on a (100, 100) file, and one
+  ``power`` and one ``samplesize`` run with every shared Monte Carlo
+  flag away from its default.
 - ``mc_engine``: the Monte Carlo engine by itself, so a change to its
   seeds or counts shows without the CLI.  The first 64 replication
   seeds, one ``replication_seed`` call each, of every (master, size
@@ -389,6 +391,11 @@ def cli_commands(work: Path):
         cmds.append((f"samplesize/{alloc}", ["samplesize", "--scenario", "1", "--eta", "1.35", "--test", "es",
                                              "--allocation", alloc, "--reps", "60", "--seed", "2",
                                              "--bounds", "20:80", "--out", f"{w}/ss-{alloc}.json"]))
+    shared = ["--scenario", "2", "--eta", "1.35", "--test", "es", "--side", "lower", "--tau", "0.9",
+              "--alpha", "0.1", "--allocation", "two-to-one", "--reps", "20", "--seed", "6", "--workers", "1"]
+    cmds.append(("power/shared-flags", ["power", *shared, "--sizes", "10:20:10", "--out", f"{w}/power-shared.csv"]))
+    cmds.append(("samplesize/shared-flags", ["samplesize", *shared, "--target", "0.8", "--bounds", "10:40",
+                                             "--out", f"{w}/ss-shared.json"]))
     return cmds
 
 
