@@ -7,13 +7,16 @@ quantile-regression residuals.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 
 import numpy as np
 
 from .errors import DegenerateSpreadError
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 
 def bandwidth_rot(samples) -> float:
@@ -31,12 +34,18 @@ def bandwidth_rot(samples) -> float:
     n = x.size
     if n < 2:
         raise ValueError("need at least two samples for a bandwidth")
-    dev = x - x.sum() / n
-    np.square(dev, out=dev)
-    sd = math.sqrt(dev.sum() / (n - 1))
+    s = np.sort(x)
+    # Within +-sqrt(float max)/(2n) no step can overflow; outside it (a NaN
+    # fails the test too) the steps run with numpy's warnings silenced, so
+    # a sample they overflow or make NaN ends in the ValueError below.
+    bound = _SQRT_FLOAT_MAX / (2 * n)
+    quiet = not (-bound <= s[0] and s[-1] <= bound)
+    with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
+        dev = x - x.sum() / n
+        np.square(dev, out=dev)
+        sd = math.sqrt(dev.sum() / (n - 1))
     if not sd < math.inf:
         raise ValueError(f"sample standard deviation must be finite, got {sd}")
-    s = np.sort(x)
     iqr = float(s[math.ceil(0.75 * n) - 1] - s[math.ceil(0.25 * n) - 1])
     lo = min(sd, iqr / 1.34)
     if lo <= 0.0:

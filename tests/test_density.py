@@ -72,6 +72,23 @@ class TestBandwidth:
             with pytest.raises(ValueError, match=r"^sample standard deviation must be finite, got "):
                 bandwidth_rot(samples)
 
+    @pytest.mark.parametrize(
+        "samples",
+        [[1.0, np.inf, 3.0], [1e200, -1e200, 0.0], [1e308, 1e308]],
+        ids=["inf", "overflowing-square", "overflowing-sum"],
+    )
+    def test_non_finite_sd_refused_without_warning(self, samples):
+        # Under the suite's error::RuntimeWarning a warning on the way
+        # would be raised in place of the ValueError.
+        with pytest.raises(ValueError, match=r"^sample standard deviation must be finite, got "):
+            bandwidth_rot(samples)
+
+    def test_window_edge_is_finite(self):
+        # Samples at +-sqrt(float max)/(2n) pass the window test and
+        # square without overflow.
+        edge = np.sqrt(np.finfo(float).max) / 4
+        assert bandwidth_rot([-edge, edge]) == pytest.approx(0.9 * np.sqrt(2.0) * edge * 2 ** -0.2, rel=1e-12)
+
 
 class TestKdeAtZero:
     def test_single_kernel_at_origin(self):

@@ -1,12 +1,25 @@
-"""tools/digest.py --diff compares two written sweeps without the package."""
+"""tools/digest.py: --diff compares two written sweeps without the
+package, and its counters hook package functions without changing them."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from coves import baselines, density, quantreg
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_digest():
+    spec = importlib.util.spec_from_file_location("digest", ROOT / "tools" / "digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    return digest
 
 
 def test_diff_names_moved_design_without_package(tmp_path):
@@ -32,3 +45,45 @@ def test_diff_names_moved_design_without_package(tmp_path):
     assert any(line.startswith("run_es/b/tau0.5: ") and "[25, 25]" in line for line in lines), out.stdout
     assert not any(line.startswith("fit_rq/a") for line in lines), out.stdout
     assert "run_es            1 differ" in lines and "fit_rq            0 differ" in lines, out.stdout
+
+
+def test_instrument_hook_sees_arguments_and_result(monkeypatch):
+    digest = load_digest()
+    bandwidth = density.bandwidth_rot
+    monkeypatch.setattr(density, "bandwidth_rot", bandwidth)
+    x = np.array([0.3, -1.2, 0.9, 2.4, -0.5])
+    want = density.group_density_at_zero(x)
+    seen = []
+    assert digest.instrument(density, {"bandwidth_rot": lambda result, *args: seen.append((result, args))})
+    assert density.bandwidth_rot is not bandwidth
+    assert density.group_density_at_zero(x) == want
+    assert density.group_density_at_zero(2.0 * x) == density.kde_at_zero(2.0 * x, bandwidth(2.0 * x))
+    (h1, args1), (h2, args2) = seen
+    assert len(args1) == 1 and args1[0] is x and h1 == bandwidth(x)
+    assert len(args2) == 1 and np.array_equal(args2[0], 2.0 * x) and h2 == bandwidth(2.0 * x)
+
+
+def test_instrument_wraps_nothing_when_a_name_is_missing(monkeypatch):
+    digest = load_digest()
+    bandwidth = density.bandwidth_rot
+    monkeypatch.setattr(density, "bandwidth_rot", bandwidth)
+    seen = []
+    assert not digest.instrument(density, {"bandwidth_rot": seen.append, "no_such_function": seen.append})
+    assert density.bandwidth_rot is bandwidth
+    density.group_density_at_zero(np.array([0.3, -1.2, 0.9]))
+    assert seen == []
+
+
+def test_counter_without_its_names_is_left_out(monkeypatch):
+    digest = load_digest()
+    for name in ("_kinks_to_stop", "_start_basis", "_key_edges", "_nearest_start"):
+        monkeypatch.setattr(quantreg, name, getattr(quantreg, name))
+    monkeypatch.delattr(baselines, "_gram_full_rank")
+    rows = digest.instrumented()
+    assert [line.split(":")[0] for _, line in rows] == ["kink sorts", "solver branches"]
+    rng = np.random.default_rng(0)
+    X = np.column_stack([np.ones(30), rng.normal(size=30)])
+    quantreg.fit_rq(quantreg.RegressionData(rng.normal(size=30), X), 0.5)
+    branches, line = rows[1]
+    assert branches["fits"] == 1 and rows[0][0]["pivots"] >= 1
+    assert line.format_map(branches).startswith(f"solver branches: {branches['keyed']} of 1 fits entered")

@@ -23,7 +23,8 @@ design, so ``--diff`` can name every design whose result moved.
   and 0.56 and at (100, 100) with tau 0.55, where tau*N_d is a float a
   hair above an integer.  Tiny-tau two-sample designs add (1, d) fits at
   five levels from 5e-324 to 1e-6, below and above TIE_RTOL, under
-  which every downward edge is flat.  Designs of one or two columns
+  which every downward edge is flat, and the (1, d, c) fit at 5e-5,
+  below EXTREME_TAU, which ``fit_rq`` refuses.  Designs of one or two columns
   without an intercept, (c), (d) and (d, c), and the intercept alone,
   (1), add fits of scenarios 1-4 at (25, 25) and of scenario 3 at
   (5000, 5000), so one- and two-column designs, with and without an
@@ -48,27 +49,26 @@ design, so ``--diff`` can name every design whose result moved.
   ``coves`` commands run through ``coves.cli.main``, among them
   ``test --method es --tau 0.55`` on a (100, 100) file, and one
   ``power`` and one ``samplesize`` run with every shared Monte Carlo
-  flag away from its default.
+  flag away from its default, and two ``samplesize`` searches: one whose
+  lower bound already reaches the target, one whose upper bound falls
+  short of it (exit 3).
 - ``mc_engine``: the Monte Carlo engine by itself, so a change to its
   seeds or counts shows without the CLI.  The first 64 replication
   seeds, one ``replication_seed`` call each, of every (master, size
   index) pair in ``ENGINE_MASTERS`` x ``ENGINE_SIZE_INDICES``, and every
   ``PowerEstimate`` of a serial ``estimate_rejection_rate`` for coves,
   es and ttest on scenario 2 (eta 0 and 1.35) at (20, 20), 40
-  replications, seeds 0 and 5, tau 0.75.
+  replications, seeds 0 and 5, tau 0.75, and the coves estimate at
+  (6, 6) and tau 0.95, which fails in every replication and is refused.
 
 For the reports, the file also keeps the shortfall counts, objective
 and p-value, and for the fits the objective or the error class, which
 ``--diff`` prints beside each moved design.
 
-The sweep also counts the pivots of ``fit_rq`` whose kinks outnumber
-the sort window, and how many of those found no stop in the first
-window and widened it (when the package has that window); and the fits
-that entered the key block, and the starts from the nearest rows that
-fell back to the pass over all rows (when the package has those
-branches); and the rank decisions of ``run_ttest`` that its Gram-matrix
-bound certified and those it left to the SVD of ``matrix_rank`` (when
-the package has that bound).
+The sweep also prints the counters of ``counters``: kink sorts, solver
+branches and t-test rank decisions, each counted by hooks that
+``instrument`` puts on package functions.  A package that lacks one of
+a counter's functions prints no line for it.
 """
 
 from __future__ import annotations
@@ -78,9 +78,11 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -88,10 +90,14 @@ import numpy as np
 SIZES = [(6, 6), (8, 8), (9, 7), (10, 10), (12, 12), (30, 21), (33, 33), (50, 50), (99, 50), (300, 150)]
 FIT_TAUS = (0.05, 0.5, 0.75, 0.9, 0.99)
 BREAKDOWN_SEEDS = [((7, 12, 52), 24, 12), ((9, 12, 70), 24, 12), ((8, 20, 195), 40, 20)]
-# (size per group, taus) where some tau*N_d is a float a hair above an integer.
-NEAR_INTEGRAL = [(25, (0.28, 0.56)), (100, (0.55,))]
+SCENARIOS = [(sc, eta) for sc in (1, 2, 3, 4) for eta in (0.0, 1.35)]
+# Size per group -> taus, where some tau*N_d is a float a hair above an integer.
+NEAR_INTEGRAL = {25: (0.28, 0.56), 100: (0.55,)}
 # Levels at and below TIE_RTOL, where a downward edge of (1, d) is flat.
 TINY_TAUS = (5e-324, 1e-10, 1e-9, 2e-9, 1e-6)
+# Eighths k of the powers 10**k times the covariate where the rank
+# decision of (1, d, c) on a (50, 50) scenario dataset flips.
+RANK_EIGHTHS = [*range(-108, -103), *range(98, 107)]
 # One-, two- and three-word masters and size indices of the seed hash.
 ENGINE_MASTERS = (0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5, 10**30)
 ENGINE_SIZE_INDICES = (0, 1, 9006, 2**33)
@@ -120,28 +126,38 @@ def sha(obj) -> str:
     return hashlib.sha256(encode(obj)).hexdigest()
 
 
-def call(fn, *args):
-    """fn(*args), or the package or numpy error it raises."""
+def call(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or the package or numpy error it raises."""
     from coves.errors import CovesError
 
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except (CovesError, ValueError, np.linalg.LinAlgError) as exc:
         return exc
+
+
+def scenario_draws(sizes, seeds, scenarios=SCENARIOS):
+    """(name, dataset, generating (alpha, delta, gamma)) of each (scenario,
+    eta) at each (m, n) and seed; a seed "repK" is the Monte Carlo
+    engine's replication_seed(0, 0, K)."""
+    from coves.mc_engine import replication_seed
+    from coves.simgen import ScenarioSampler, ScenarioSpec
+
+    for sc, eta in scenarios:
+        spec = ScenarioSpec.from_scenario(sc, eta)
+        for m, n in sizes:
+            for seed in seeds:
+                drawn = replication_seed(0, 0, int(seed[3:])) if isinstance(seed, str) else seed
+                yield f"s{sc}e{eta}/{m}x{n}/{seed}", ScenarioSampler(spec)(m, n, drawn), (5.0, 0.0, spec.gamma)
 
 
 def datasets():
     """(name, dataset, generating (alpha, delta, gamma)) for every swept design."""
     from coves.mc_engine import replication_seed
-    from coves.simgen import ScenarioSampler, ScenarioSpec, TargetedSampler, load_standin
+    from coves.simgen import TargetedSampler, load_standin
 
+    yield from scenario_draws(SIZES, range(5))
     standin = TargetedSampler(*load_standin())
-    for sc in (1, 2, 3, 4):
-        for eta in (0.0, 1.35):
-            spec = ScenarioSpec.from_scenario(sc, eta)
-            for m, n in SIZES:
-                for seed in range(5):
-                    yield f"s{sc}e{eta}/{m}x{n}/{seed}", ScenarioSampler(spec)(m, n, seed), (5.0, 0.0, spec.gamma)
     for m, n in [(12, 12), (50, 50), (99, 50)]:
         for seed in range(100):
             data = standin(m, n, seed)
@@ -152,80 +168,7 @@ def datasets():
                 yield f"standin-shuffled/{m}x{n}/{seed}", shuffled, (0.0, 0.0, 0.0)
     for key, m, n in BREAKDOWN_SEEDS:
         yield f"breakdown/{m}x{n}/{key}", standin(m, n, replication_seed(*key)), (0.0, 0.0, 0.0)
-    spec = ScenarioSpec.from_scenario(3, 0.0)
-    for size in (5000, 5001):
-        for rep in range(3):
-            data = ScenarioSampler(spec)(size, size, replication_seed(0, 0, rep))
-            yield f"s3e0.0/{size}x{size}/rep{rep}", data, (5.0, 0.0, spec.gamma)
-
-
-def near_integral_datasets():
-    """(name, dataset, taus) for the near-integral designs."""
-    from coves.simgen import ScenarioSampler, ScenarioSpec
-
-    for sc in (1, 2, 3, 4):
-        for eta in (0.0, 1.35):
-            sampler = ScenarioSampler(ScenarioSpec.from_scenario(sc, eta))
-            for size, taus in NEAR_INTEGRAL:
-                for seed in range(5):
-                    yield f"near/s{sc}e{eta}/{size}x{size}/{seed}", sampler(size, size, seed), taus
-
-
-def tiny_tau_datasets():
-    """Scenario datasets at (6, 6) and (50, 50) for the tiny-tau (1, d) fits."""
-    from coves.simgen import ScenarioSampler, ScenarioSpec
-
-    for sc in (1, 2, 3, 4):
-        for eta in (0.0, 1.35):
-            sampler = ScenarioSampler(ScenarioSpec.from_scenario(sc, eta))
-            for size in (6, 50):
-                for seed in range(3):
-                    yield f"tinytau/s{sc}e{eta}/{size}x{size}/{seed}", sampler(size, size, seed)
-
-
-def tiny_covariate_datasets():
-    """Every scenario dataset of SIZES with its covariate multiplied by 1e-10."""
-    from coves.coves_test import Dataset
-
-    for name, data, _ in datasets():
-        if name.startswith(("s1e", "s2e", "s3e", "s4e")) and data.z.size <= 1000:
-            yield f"tinyc/{name}", Dataset(z=data.z, d=data.d, c=1e-10 * data.c)
-
-
-def rank_boundary_datasets():
-    """Every (50, 50) scenario dataset with its covariate times 10**k, for
-    k from -13.5 to -13 and from 12.25 to 13.25 in steps of 1/8, where the
-    rank decision of (1, d, c) flips."""
-    from coves.coves_test import Dataset
-
-    eighths = [*range(-108, -103), *range(98, 107)]
-    for name, data, _ in datasets():
-        if name.startswith(("s1e", "s2e", "s3e", "s4e")) and "/50x50/" in name:
-            for i in eighths:
-                yield f"rank/{name}/k{i / 8}", Dataset(z=data.z, d=data.d, c=data.c * 10.0 ** (i / 8))
-
-
-def column_subset_designs():
-    """(name, y, X, taus) of the one- and two-column designs (1), (c), (d)
-    and (d, c) on scenario datasets at (25, 25) and (5000, 5000)."""
-    from coves.mc_engine import replication_seed
-    from coves.simgen import ScenarioSampler, ScenarioSpec
-
-    def draws():
-        for sc in (1, 2, 3, 4):
-            for eta in (0.0, 1.35):
-                sampler = ScenarioSampler(ScenarioSpec.from_scenario(sc, eta))
-                for seed in range(3):
-                    yield f"s{sc}e{eta}/25x25/{seed}", sampler(25, 25, seed), FIT_TAUS
-        sampler = ScenarioSampler(ScenarioSpec.from_scenario(3, 0.0))
-        for rep in range(2):
-            yield f"s3e0.0/5000x5000/rep{rep}", sampler(5000, 5000, replication_seed(0, 0, rep)), (0.25, 0.75)
-
-    for name, data, taus in draws():
-        d = data.d.astype(float)
-        for cols, X in (("1", np.ones((d.size, 1))), ("c", data.c[:, None]), ("d", d[:, None]),
-                        ("dc", np.column_stack([d, data.c]))):
-            yield f"columns/{cols}/{name}", data.z, X, taus
+    yield from scenario_draws([(5000, 5000), (5001, 5001)], ("rep0", "rep1", "rep2"), [(3, 0.0)])
 
 
 def random_designs():
@@ -254,80 +197,76 @@ def summary(report) -> dict | None:
     }
 
 
-def record_fits(record, key, rd, n, tau):
-    """fit_rq on one design, and rq_oracle where n <= ORACLE_MAX_N."""
-    from coves.quantreg import ORACLE_MAX_N, fit_rq, rq_oracle
-
-    failed = isinstance(rd, BaseException)
-    fit = rd if failed else call(fit_rq, rd, tau)
-    record("fit_rq", key, fit, fit_summary(fit))
-    if n <= ORACLE_MAX_N:
-        oracle = rd if failed else call(rq_oracle, rd, tau)
-        record("rq_oracle", key, oracle, fit_summary(oracle))
-
-
 def fit_summary(fit):
     return type(fit).__name__ if isinstance(fit, BaseException) else fit.objective
 
 
-def record_draw(record, name, data):
-    """z, d and c of a dataset drawn from a sampler."""
-    record("simgen", name, (data.z, data.d, data.c))
+def record_fits(record, key, y, X, taus):
+    """fit_rq of y on X at each tau, and rq_oracle where y has at most
+    ORACLE_MAX_N rows; a design RegressionData refuses records its error."""
+    from coves.quantreg import ORACLE_MAX_N, RegressionData, fit_rq, rq_oracle
+
+    rd = call(RegressionData, y, X)
+    fits = [("fit_rq", fit_rq), ("rq_oracle", rq_oracle)] if y.size <= ORACLE_MAX_N else [("fit_rq", fit_rq)]
+    for tau in taus:
+        for family, fit in fits:
+            result = rd if isinstance(rd, BaseException) else call(fit, rd, tau)
+            record(family, f"{key}/tau{tau}", result, fit_summary(result))
+
+
+def record_reports(record, name, data, coves_taus, es_taus, ttest):
+    """run_coves and run_es at each of their taus and, if ttest, run_ttest
+    on one dataset; returns the run_coves reports by tau."""
+    from coves.baselines import run_ttest
+    from coves.coves_test import run_coves, run_es
+
+    coves = {tau: call(run_coves, data, tau) for tau in coves_taus}
+    for family, reports in (("run_coves", coves), ("run_es", {tau: call(run_es, data, tau) for tau in es_taus})):
+        for tau, report in reports.items():
+            record(family, f"{name}/tau{tau}", report, summary(report))
+    if ttest:
+        record("run_ttest", name, call(run_ttest, data))
+    return coves
 
 
 def sweep(record):
-    from coves.baselines import run_ttest
-    from coves.coves_test import decompose_T, design_matrix, run_coves, run_es
-    from coves.quantreg import RegressionData
+    from coves.coves_test import Dataset, decompose_T, design_matrix
 
     for name, data, params in datasets():
         if not name.startswith("standin-shuffled/"):
-            record_draw(record, name, data)
+            record("simgen", name, (data.z, data.d, data.c))
         for cov in (True, False):
-            rd = call(RegressionData, data.z, design_matrix(data, cov))
-            for tau in FIT_TAUS if data.z.size <= 1000 else (0.75,):
-                record_fits(record, f"{name}/cov{int(cov)}/tau{tau}", rd, data.z.size, tau)
-        for tau in (0.75, 0.9):
-            coves = call(run_coves, data, tau)
-            record("run_coves", f"{name}/tau{tau}", coves, summary(coves))
-            if tau == 0.75 and not isinstance(coves, BaseException):
-                record("decompose_T", name, call(decompose_T, data, coves.fit, params))
-        for tau in (0.5, 0.75, 0.9):
-            es = call(run_es, data, tau)
-            record("run_es", f"{name}/tau{tau}", es, summary(es))
-        record("run_ttest", name, call(run_ttest, data))
-    for name, data, taus in near_integral_datasets():
-        record_draw(record, name, data)
-        rd = call(RegressionData, data.z, design_matrix(data, False))
-        for tau in taus:
-            record_fits(record, f"{name}/cov0/tau{tau}", rd, data.z.size, tau)
-            for family, test in (("run_coves", run_coves), ("run_es", run_es)):
-                report = call(test, data, tau)
-                record(family, f"{name}/tau{tau}", report, summary(report))
-    for name, data in tiny_tau_datasets():
-        record_draw(record, name, data)
-        rd = call(RegressionData, data.z, design_matrix(data, False))
-        for tau in TINY_TAUS:
-            record_fits(record, f"{name}/cov0/tau{tau}", rd, data.z.size, tau)
-    for name, data in tiny_covariate_datasets():
-        for tau in (0.75, 0.9):
-            coves = call(run_coves, data, tau)
-            record("run_coves", f"{name}/tau{tau}", coves, summary(coves))
-        record("run_ttest", name, call(run_ttest, data))
-    for name, data in rank_boundary_datasets():
-        rd = call(RegressionData, data.z, design_matrix(data))
-        for tau in FIT_TAUS:
-            record_fits(record, f"{name}/cov1/tau{tau}", rd, data.z.size, tau)
-        for tau in (0.75, 0.9):
-            coves = call(run_coves, data, tau)
-            record("run_coves", f"{name}/tau{tau}", coves, summary(coves))
-        record("run_ttest", name, call(run_ttest, data))
-    for name, y, X, taus in column_subset_designs():
-        rd = call(RegressionData, y, X)
-        for tau in taus:
-            record_fits(record, f"{name}/tau{tau}", rd, y.size, tau)
+            taus = FIT_TAUS if data.z.size <= 1000 else (0.75,)
+            record_fits(record, f"{name}/cov{int(cov)}", data.z, design_matrix(data, cov), taus)
+        coves = record_reports(record, name, data, (0.75, 0.9), (0.5, 0.75, 0.9), True)[0.75]
+        if not isinstance(coves, BaseException):
+            record("decompose_T", name, call(decompose_T, data, coves.fit, params))
+        if name.startswith(("s1e", "s2e", "s3e", "s4e")) and data.z.size <= 1000:
+            tiny = Dataset(z=data.z, d=data.d, c=1e-10 * data.c)
+            record_reports(record, f"tinyc/{name}", tiny, (0.75, 0.9), (), True)
+            for i in RANK_EIGHTHS if "/50x50/" in name else ():
+                rank = Dataset(z=data.z, d=data.d, c=data.c * 10.0 ** (i / 8))
+                record_fits(record, f"rank/{name}/k{i / 8}/cov1", rank.z, design_matrix(rank), FIT_TAUS)
+                record_reports(record, f"rank/{name}/k{i / 8}", rank, (0.75, 0.9), (), True)
+    for name, data, _ in scenario_draws([(size, size) for size in NEAR_INTEGRAL], range(5)):
+        name, taus = f"near/{name}", NEAR_INTEGRAL[data.z.size // 2]
+        record("simgen", name, (data.z, data.d, data.c))
+        record_fits(record, f"{name}/cov0", data.z, design_matrix(data, False), taus)
+        record_reports(record, name, data, taus, taus, False)
+    for name, data, _ in scenario_draws([(6, 6), (50, 50)], range(3)):
+        name = f"tinytau/{name}"
+        record("simgen", name, (data.z, data.d, data.c))
+        record_fits(record, f"{name}/cov0", data.z, design_matrix(data, False), TINY_TAUS)
+        # Below EXTREME_TAU = 1e-4, where fit_rq refuses (1, d, c).
+        record_fits(record, f"{name}/cov1", data.z, design_matrix(data), (5e-5,))
+    large = scenario_draws([(5000, 5000)], ("rep0", "rep1"), [(3, 0.0)])
+    for name, data, _ in itertools.chain(scenario_draws([(25, 25)], range(3)), large):
+        d = data.d.astype(float)
+        for cols, X in (("1", np.ones((d.size, 1))), ("c", data.c[:, None]), ("d", d[:, None]),
+                        ("dc", np.column_stack([d, data.c]))):
+            record_fits(record, f"columns/{cols}/{name}", data.z, X, FIT_TAUS if d.size <= 1000 else (0.25, 0.75))
     for name, y, X, tau in random_designs():
-        record_fits(record, f"{name}/tau{tau}", call(RegressionData, y, X), y.size, tau)
+        record_fits(record, name, y, X, (tau,))
 
 
 def engine_sweep(record):
@@ -345,8 +284,10 @@ def engine_sweep(record):
                 est = call(estimate_rejection_rate, sampler, test, 20, 20, 0.05, 40, seed)
                 info = None if isinstance(est, BaseException) else [est.rate, est.errors]
                 record("mc_engine", f"estimate/s2e{eta}/{test}/seed{seed}", est, info)
-
-
+    # At (6, 6) and tau 0.95 every coves replication fails, so the engine refuses the estimate.
+    sampler = ScenarioSampler(ScenarioSpec.from_scenario(2, 0.0))
+    refused = call(estimate_rejection_rate, sampler, "coves", 6, 6, 0.05, 40, 0, tau=0.95)
+    record("mc_engine", "estimate/s2e0.0/coves/6x6/tau0.95/seed0", refused)
 def cli_commands(work: Path):
     """(name, argv) of every swept command; later commands read earlier outputs."""
     w = str(work)
@@ -387,10 +328,14 @@ def cli_commands(work: Path):
     cmds.append(("power/workers2", ["power", "--scenario", "1", "--eta", "1.35", "--test", "es",
                                     "--sizes", "30", "--reps", "60", "--seed", "9", "--workers", "2",
                                     "--out", f"{w}/power-w2.csv"]))
+    search = ["samplesize", "--scenario", "1", "--eta", "1.35", "--test", "es"]
     for alloc in ("equal", "two-to-one"):
-        cmds.append((f"samplesize/{alloc}", ["samplesize", "--scenario", "1", "--eta", "1.35", "--test", "es",
-                                             "--allocation", alloc, "--reps", "60", "--seed", "2",
+        cmds.append((f"samplesize/{alloc}", [*search, "--allocation", alloc, "--reps", "60", "--seed", "2",
                                              "--bounds", "20:80", "--out", f"{w}/ss-{alloc}.json"]))
+    # The lower bound already reaches the target; the upper bound falls short of it (exit 3).
+    for name, bounds, target in (("lower-bound", "60:80", "0.5"), ("beyond-bounds", "5:6", "0.99")):
+        cmds.append((f"samplesize/{name}", [*search, "--reps", "60", "--seed", "2", "--bounds", bounds,
+                                            "--target", target, "--out", f"{w}/ss-{name}.json"]))
     shared = ["--scenario", "2", "--eta", "1.35", "--test", "es", "--side", "lower", "--tau", "0.9",
               "--alpha", "0.1", "--allocation", "two-to-one", "--reps", "20", "--seed", "6", "--workers", "1"]
     cmds.append(("power/shared-flags", ["power", *shared, "--sizes", "10:20:10", "--out", f"{w}/power-shared.csv"]))
@@ -418,89 +363,75 @@ def cli_sweep(record):
             record("cli", name, (code, text, written))
 
 
-def count_kink_windows():
-    """Wrap quantreg._kinks_to_stop to count the pivots whose kinks
-    outnumber KINK_WINDOW, and those whose stop lay beyond the first
-    window (or nowhere), so the window was widened.  None for a package
-    without the window."""
-    from coves import quantreg
+def instrument(module, hooks) -> bool:
+    """Wrap each module.<name> of hooks so that every call also runs
+    hook(result, *args) on its arguments and result.  Wraps nothing and
+    returns False when the module lacks one of the names."""
+    if not all(hasattr(module, name) for name in hooks):
+        return False
+    for name, hook in hooks.items():
+        def wrapped(*args, _fn=getattr(module, name), _hook=hook):
+            result = _fn(*args)
+            _hook(result, *args)
+            return result
 
-    if not hasattr(quantreg, "_kinks_to_stop"):
-        return None
-    counts = {"pivots": 0, "windowed": 0, "widened": 0}
-    kinks_to_stop, window = quantreg._kinks_to_stop, quantreg.KINK_WINDOW
-
-    def counted(t, gain, slope, tol):
-        reached = kinks_to_stop(t, gain, slope, tol)
-        counts["pivots"] += 1
-        if t.size > window:
-            counts["windowed"] += 1
-            first = np.count_nonzero(t <= np.partition(t, window - 1)[window - 1])
-            counts["widened"] += reached is None or reached.size > first
-        return reached
-
-    quantreg._kinks_to_stop = counted
-    return counts
+        setattr(module, name, wrapped)
+    return True
 
 
-def count_solver_branches():
-    """Wrap quantreg's start and key-block helpers to count the fits that
-    entered the key block (ordered their candidate edges by the key) and
-    the nearest-rows starts that fell back to the full pass.  None for a
-    package without those helpers."""
-    from coves import quantreg
+def counters():
+    """(counts, line, module, hooks) of each counter the sweep prints:
+    the pivots of quantreg._kinks_to_stop whose kinks outnumber
+    KINK_WINDOW, and those whose stop lay beyond the first window (or
+    nowhere), so the window was widened; the fits that entered the key
+    block (ordered their candidate edges by the key) and the
+    nearest-rows starts that fell back to the full pass; and the rank
+    decisions of run_ttest that baselines._gram_full_rank certified and
+    those it left to matrix_rank's SVD."""
+    from coves import baselines, quantreg
 
-    if not all(hasattr(quantreg, name) for name in ("_start_basis", "_key_edges", "_nearest_start")):
-        return None
-    counts = {"fits": 0, "keyed": 0, "nearest": 0, "fallback": 0}
-    start_basis, key_edges, nearest_start = quantreg._start_basis, quantreg._key_edges, quantreg._nearest_start
+    kinks, branches, ranks = Counter(), Counter(), Counter()
     keyed = [False]
 
-    def started(*args):
-        counts["fits"] += 1
+    def kink_sort(reached, t, *_):
+        kinks["pivots"] += 1
+        window = quantreg.KINK_WINDOW
+        if t.size > window:
+            kinks["windowed"] += 1
+            first = np.count_nonzero(t <= np.partition(t, window - 1)[window - 1])
+            kinks["widened"] += reached is None or reached.size > first
+
+    def started(*_):
+        branches["fits"] += 1
         keyed[0] = False
-        return start_basis(*args)
 
-    def keyed_edges(*args):
-        counts["keyed"] += not keyed[0]
+    def keyed_edges(*_):
+        branches["keyed"] += not keyed[0]
         keyed[0] = True
-        return key_edges(*args)
 
-    def nearest(*args):
-        rows = nearest_start(*args)
-        counts["nearest"] += 1
-        counts["fallback"] += rows is None
-        return rows
+    def nearest(rows, *_):
+        branches["nearest"] += 1
+        branches["fallback"] += rows is None
 
-    quantreg._start_basis, quantreg._key_edges, quantreg._nearest_start = started, keyed_edges, nearest
-    return counts
+    return [
+        (kinks, "kink sorts: {pivots} pivots, {windowed} over the window, {widened} widened it",
+         quantreg, {"_kinks_to_stop": kink_sort}),
+        (branches, "solver branches: {keyed} of {fits} fits entered the key block, "
+         "{fallback} of {nearest} nearest-rows starts fell back to the full pass",
+         quantreg, {"_start_basis": started, "_key_edges": keyed_edges, "_nearest_start": nearest}),
+        (ranks, "ttest rank decisions: {gram} certified by the Gram bound, {svd} by the SVD",
+         baselines, {"_gram_full_rank": lambda certified, *_: ranks.update(["gram" if certified else "svd"])}),
+    ]
 
 
-def count_rank_decisions():
-    """Wrap baselines._gram_full_rank to count the rank decisions of
-    run_ttest that the Gram-matrix bound certified and those it left to
-    matrix_rank's SVD.  None for a package without that bound."""
-    from coves import baselines
-
-    if not hasattr(baselines, "_gram_full_rank"):
-        return None
-    counts = {"gram": 0, "svd": 0}
-    gram_full_rank = baselines._gram_full_rank
-
-    def counted(*args):
-        certified = gram_full_rank(*args)
-        counts["gram" if certified else "svd"] += 1
-        return certified
-
-    baselines._gram_full_rank = counted
-    return counts
+def instrumented():
+    """(counts, line) of each counter whose names the package has, hooked in."""
+    return [(counts, line) for counts, line, module, hooks in counters() if instrument(module, hooks)]
 
 
 def run(out_path: str) -> None:
     designs: dict[str, dict] = {}
-    kinks = count_kink_windows()
-    branches = count_solver_branches()
-    ranks = count_rank_decisions()
+    lines = instrumented()
 
     def record(family, key, result, info=None):
         entry = {"hash": sha(result)}
@@ -519,14 +450,8 @@ def run(out_path: str) -> None:
         counts[family] = counts.get(family, 0) + 1
     for family, h in families.items():
         print(f"{family:12s} {counts[family]:6d} {h.hexdigest()}")
-    if kinks is not None:
-        print(f"kink sorts: {kinks['pivots']} pivots, {kinks['windowed']} over the window, "
-              f"{kinks['widened']} widened it")
-    if branches is not None:
-        print(f"solver branches: {branches['keyed']} of {branches['fits']} fits entered the key block, "
-              f"{branches['fallback']} of {branches['nearest']} nearest-rows starts fell back to the full pass")
-    if ranks is not None:
-        print(f"ttest rank decisions: {ranks['gram']} certified by the Gram bound, {ranks['svd']} by the SVD")
+    for tally, line in lines:
+        print(line.format_map(tally))
     Path(out_path).write_text(json.dumps(designs, indent=0, sort_keys=True) + "\n")
 
 
