@@ -139,23 +139,26 @@ def _mean(x: np.ndarray) -> float:
     return float(x.sum() / x.size)
 
 
-def _require_shortfall(sel: np.ndarray, group: int) -> int:
-    """The size of a group's shortfall set; EmptyShortfallError when it is 0."""
-    s = int(np.count_nonzero(sel))
-    if s == 0:
+def _shortfall_rows(pos: np.ndarray, in_group: np.ndarray, group: int) -> np.ndarray:
+    """Row indices, ascending, of the group's residuals strictly above the
+    plane, from the positive mask and the group's mask; EmptyShortfallError
+    when there are none.  A gather by these indices (``take``) holds the
+    same values in the same order as one by the mask, and so sums to the
+    same bits."""
+    rows = (pos & in_group).nonzero()[0]
+    if rows.size == 0:
         raise EmptyShortfallError(
             f"no observation above the fitted quantile plane in group {group} "
             "(tau too high or data degenerate)"
         )
-    return s
+    return rows
 
 
-def _shortfall_sets(fit: QuantileFit, groups) -> tuple[tuple, tuple]:
-    """Masks and sizes of the (treated, control) shortfall sets, from the
+def _shortfall_sets(fit: QuantileFit, groups) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of the (treated, control) shortfall sets, from the
     (treated, control) group masks; an empty treated set is reported first."""
     pos = fit.positive_mask()
-    sels = tuple(pos & in_g for in_g in groups)
-    return sels, tuple(_require_shortfall(sel, g) for sel, g in zip(sels, (1, 0)))
+    return _shortfall_rows(pos, groups[0], 1), _shortfall_rows(pos, groups[1], 0)
 
 
 def coves_stat(data: Dataset, fit: QuantileFit, group: int) -> float:
@@ -165,10 +168,8 @@ def coves_stat(data: Dataset, fit: QuantileFit, group: int) -> float:
     """
     if group not in (0, 1):
         raise ValueError("group must be 0 or 1")
-    y = adjusted_outcomes(data, fit)
-    sel = fit.positive_mask() & data.groups[0 if group == 1 else 1]
-    _require_shortfall(sel, group)
-    return _mean(y[sel])
+    rows = _shortfall_rows(fit.positive_mask(), data.groups[0 if group == 1 else 1], group)
+    return _mean(adjusted_outcomes(data, fit).take(rows))
 
 
 def orthogonalized_covariate(data: Dataset) -> np.ndarray:
@@ -307,12 +308,13 @@ def _shortfall_test(data: Dataset, tau: float, side: str, method: str) -> CovesR
     # Each pair runs (treatment d=1, control d=0).  Both shortfall sets
     # are checked before either density, so an empty shortfall set is
     # reported first.
-    sels, s = _shortfall_sets(fit, data.groups)
+    sets = _shortfall_sets(fit, data.groups)
+    s = tuple(rows.size for rows in sets)
     res = fit.residuals
     y = adjusted_outcomes(data, fit)
-    coves = tuple(_mean(y[sel]) for sel in sels)
-    cbar = tuple(_mean(data.c[sel]) for sel in sels)
-    v = (_tail_variation(res[sels[0]], data.n_treat), _tail_variation(res[sels[1]], data.n_control))
+    coves = tuple(_mean(y.take(rows)) for rows in sets)
+    cbar = tuple(_mean(data.c.take(rows)) for rows in sets)
+    v = tuple(_tail_variation(res.take(rows), n) for rows, n in zip(sets, (data.n_treat, data.n_control)))
     cstar = orthogonalized_covariate(data)
     cstar_sq = cstar * cstar
     cstar_sumsq = float(cstar_sq.sum())
@@ -367,12 +369,12 @@ def decompose_T(
     simulation studies where the generating parameters are known.
     """
     alpha, delta, gamma = (float(x) for x in true_params)
-    sels, _ = _shortfall_sets(fit, data.groups)
+    sets = _shortfall_sets(fit, data.groups)
     y = adjusted_outcomes(data, fit)
     e = data.z - alpha - delta * data.d - gamma * data.c
-    coves1, coves0 = (_mean(y[sel]) for sel in sels)
-    ebar1, ebar0 = (_mean(e[sel]) for sel in sels)
-    cbar1, cbar0 = (_mean(data.c[sel]) for sel in sels)
+    coves1, coves0 = (_mean(y.take(rows)) for rows in sets)
+    ebar1, ebar0 = (_mean(e.take(rows)) for rows in sets)
+    cbar1, cbar0 = (_mean(data.c.take(rows)) for rows in sets)
     direct = coves1 - coves0
     decomposed = delta - (_gamma_hat(fit) - gamma) * (cbar1 - cbar0) + (ebar1 - ebar0)
     return direct, decomposed

@@ -258,10 +258,20 @@ def fit_group_quantiles(z, groups, tau: float) -> QuantileFit:
 
 
 def _lower_end(values: np.ndarray, tau: float) -> float:
-    """The max(1, ceil(tau*n - TIE_RTOL*n))-th smallest of n values."""
+    """The max(1, ceil(tau*n - TIE_RTOL*n))-th smallest of n values, as
+    np.sort(values) holds it, found by np.partition.
+
+    The two agree on the value.  Where it is a zero tied with zeros of
+    the other sign, they can disagree on its sign, since they order the
+    tied entries by different paths; the sign reaches beta and the
+    residuals of -0.0 outcomes, so a zero is read from the full sort.
+    """
     n = values.size
     k = max(1, int(np.ceil(tau * n - TIE_RTOL * n)))
-    return float(np.sort(values)[k - 1])
+    q = np.partition(values, k - 1)[k - 1]
+    if q == 0.0:
+        q = np.sort(values)[k - 1]
+    return float(q)
 
 
 def _col_absmax(X: np.ndarray) -> np.ndarray:

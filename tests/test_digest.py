@@ -1,5 +1,6 @@
 """tools/digest.py: --diff compares two written sweeps without the
-package, and its counters hook package functions without changing them."""
+package, its counters hook package functions without changing them, and
+its signed-zero designs tie zeros of both signs where they claim to."""
 
 import importlib.util
 import json
@@ -87,3 +88,16 @@ def test_counter_without_its_names_is_left_out(monkeypatch):
     branches, line = rows[1]
     assert branches["fits"] == 1 and rows[0][0]["pivots"] >= 1
     assert line.format_map(branches).startswith(f"solver branches: {branches['keyed']} of 1 fits entered")
+
+
+def test_signed_zero_designs_tie_both_zeros_at_each_tau():
+    digest = load_digest()
+    designs = list(digest.signed_zero_draws())
+    assert len(designs) == 36
+    for name, data in designs:
+        for in_group in data.groups:
+            z = data.z[in_group]
+            zeros = np.signbit(z[z == 0.0])
+            assert z.size >= 100 and zeros.any() and not zeros.all(), name
+            for tau in digest.SIGNED_ZERO_TAUS:
+                assert quantreg._lower_end(z, tau) == 0.0, (name, tau)

@@ -2,9 +2,11 @@
 convenience form it replaces.
 
 The convenience forms are written out here as the package had them:
-np.mean, np.std(ddof=1) with empirical_quantile, np.sum and
-np.column_stack.  Samples cover ties, n = 2, constant samples and
-scales from 1e-100 to 1e100.
+np.mean, np.std(ddof=1) with empirical_quantile, np.sum,
+np.column_stack, a full np.sort for an order statistic and boolean
+masks for a shortfall set.  Samples cover ties, n = 2, constant samples
+and scales from 1e-100 to 1e100; the order statistic is also checked on
+groups whose zeros of both signs tie at it.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from coves.coves_test import (
     Dataset,
     _mean,
+    _shortfall_rows,
     _tail_variation,
     design_matrix,
     orthogonalized_covariate,
@@ -22,9 +25,9 @@ from coves.coves_test import (
     run_es,
 )
 from coves.density import bandwidth_rot
-from coves.errors import CovesError, DegenerateSpreadError
+from coves.errors import CovesError, DegenerateSpreadError, EmptyShortfallError
 from coves.orderstats import empirical_quantile
-from coves.quantreg import rho_tau
+from coves.quantreg import TIE_RTOL, _lower_end, rho_tau
 
 SCALES = [1e-100, 1e-3, 1.0, 1e3, 1e100]
 
@@ -69,6 +72,21 @@ def np_bandwidth(x):
 
 def np_tail_variation(r, n_group):
     return float(np.sum(r * r) - np.sum(r) ** 2 / n_group)
+
+
+def sorted_lower_end(values, tau):
+    """quantreg._lower_end as a full sort: np.sort(values)[k - 1]."""
+    n = values.size
+    k = max(1, int(np.ceil(tau * n - TIE_RTOL * n)))
+    return float(np.sort(values)[k - 1])
+
+
+def signed_zero_group(seed, n):
+    """n values from {-1, -0.0, 0.0, 1}, two thirds of them zeros, so the
+    order statistics at tau 0.25, 0.5 and 0.75 are zeros tied with zeros
+    of the other sign."""
+    rng = np.random.default_rng(seed)
+    return rng.choice([-1.0, -0.0, 0.0, 1.0], size=n, p=[1 / 6, 1 / 3, 1 / 3, 1 / 6])
 
 
 def np_orthogonalized_covariate(data):
@@ -116,6 +134,59 @@ class TestGroupSums:
     def test_tail_variation_matches_np_sum(self, r, extra):
         n_group = r.size + extra
         assert same(_tail_variation(r, n_group), np_tail_variation(r, n_group))
+
+
+class TestLowerEnd:
+    """np.partition finds the order statistic, and a zero is read from the
+    full sort, so the sign of a tied zero is the sort's."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(x=samples, tau=st.one_of(st.sampled_from([0.25, 0.5, 0.55, 0.75, 0.9]),
+                                    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+    def test_matches_full_sort(self, x, tau):
+        assert same(_lower_end(x, tau), sorted_lower_end(x, tau))
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("n", [100, 5000])
+    def test_tied_zero_keeps_the_sort_sign(self, n, seed):
+        x = signed_zero_group(seed, n)
+        for tau in (0.25, 0.5, 0.75):
+            want = sorted_lower_end(x, tau)
+            assert want == 0.0
+            assert same(_lower_end(x, tau), want), tau
+
+
+class TestShortfallGathers:
+    """A shortfall set gathered by its row indices gives the same _mean and
+    _tail_variation bits as gathered by its mask."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=samples, seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 300))
+    def test_index_gather_matches_mask_gather(self, x, seed, extra):
+        rng = np.random.default_rng(seed)
+        pos = rng.random(x.size) < rng.random()
+        in_group = rng.random(x.size) < 0.7
+        sel = pos & in_group
+        try:
+            rows = _shortfall_rows(pos, in_group, 1)
+        except EmptyShortfallError:
+            assert not sel.any()
+            return
+        assert same(_mean(x.take(rows)), _mean(x[sel]))
+        assert same(_tail_variation(x.take(rows), x.size + extra), _tail_variation(x[sel], x.size + extra))
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_one_element_sets(self, scale):
+        x = scale * np.array([0.3, -1.1, 2.5, -0.0, 7.0])
+        in_group = np.array([True, True, False, True, True])
+        for i in in_group.nonzero()[0]:
+            pos = np.arange(x.size) == i
+            rows = _shortfall_rows(pos, in_group, 0)
+            assert rows.tolist() == [i]
+            assert same(_mean(x.take(rows)), _mean(x[pos & in_group]))
+            assert same(_tail_variation(x.take(rows), 4), _tail_variation(x[pos & in_group], 4))
+        with pytest.raises(EmptyShortfallError, match="group 0"):
+            _shortfall_rows(np.arange(x.size) == 2, in_group, 0)
 
 
 def two_groups(seed, m, n, kind, scale):

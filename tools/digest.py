@@ -32,6 +32,14 @@ design, so ``--diff`` can name every design whose result moved.
   scenario datasets with the covariate times 10**k, k from -13.5 to -13
   and from 12.25 to 13.25 in steps of 1/8, add (1, d, c) fits on both
   sides of each flip of the rank decision, as a fit or as the error.
+- ``signed_zero``: z, d and c, the (1, d) fits and every ``run_coves``
+  and ``run_es`` report or error of the signed-zero designs, each filed
+  under its own family name (``signed_zero/run_es/...``).  These are the
+  scenario 1-4 draws at eta 0, seeds 0-2, at (100, 100), (500, 500) and
+  (5000, 5000), with z cut toward zero in whole interquartile ranges
+  about its median, so that in each group zeros of both signs tie at
+  every tau of ``SIGNED_ZERO_TAUS``.  The ``es`` fit reads each group's
+  order statistic there, and its sign reaches beta and the residuals.
 - ``rq_oracle``: the enumeration oracle's fit or error, hashed the same
   way, on every one of those designs with at most ``ORACLE_MAX_N`` rows.
 - ``run_coves``, ``run_es``, ``run_ttest``, ``decompose_T``: every field
@@ -93,6 +101,8 @@ BREAKDOWN_SEEDS = [((7, 12, 52), 24, 12), ((9, 12, 70), 24, 12), ((8, 20, 195), 
 SCENARIOS = [(sc, eta) for sc in (1, 2, 3, 4) for eta in (0.0, 1.35)]
 # Size per group -> taus, where some tau*N_d is a float a hair above an integer.
 NEAR_INTEGRAL = {25: (0.28, 0.56), 100: (0.55,)}
+# Levels at which each group of a signed-zero design has a zero order statistic.
+SIGNED_ZERO_TAUS = (0.25, 0.5, 0.75)
 # Levels at and below TIE_RTOL, where a downward edge of (1, d) is flat.
 TINY_TAUS = (5e-324, 1e-10, 1e-9, 2e-9, 1e-6)
 # Eighths k of the powers 10**k times the covariate where the rank
@@ -169,6 +179,26 @@ def datasets():
     for key, m, n in BREAKDOWN_SEEDS:
         yield f"breakdown/{m}x{n}/{key}", standin(m, n, replication_seed(*key)), (0.0, 0.0, 0.0)
     yield from scenario_draws([(5000, 5000), (5001, 5001)], ("rep0", "rep1", "rep2"), [(3, 0.0)])
+
+
+def signed_zero(data):
+    """data with its outcomes cut toward zero in whole interquartile ranges
+    about their median, so its central half ties at -0.0 and 0.0."""
+    q25, q50, q75 = np.percentile(data.z, [25, 50, 75])
+    return type(data)(z=np.trunc((data.z - q50) / (q75 - q25)), d=data.d, c=data.c)
+
+
+def signed_zero_draws():
+    """(name, dataset) of each signed-zero design: the scenario 1-4 draws
+    at eta 0, seeds 0-2, at three sizes, through ``signed_zero``."""
+    draws = scenario_draws([(100, 100), (500, 500), (5000, 5000)], range(3), [(sc, 0.0) for sc in (1, 2, 3, 4)])
+    return ((name, signed_zero(data)) for name, data, _ in draws)
+
+
+def filed(record, family):
+    """record, filing every result under ``family`` with the result's own
+    family heading its key."""
+    return lambda inner, key, *rest: record(family, f"{inner}/{key}", *rest)
 
 
 def random_designs():
@@ -248,11 +278,13 @@ def sweep(record):
                 rank = Dataset(z=data.z, d=data.d, c=data.c * 10.0 ** (i / 8))
                 record_fits(record, f"rank/{name}/k{i / 8}/cov1", rank.z, design_matrix(rank), FIT_TAUS)
                 record_reports(record, f"rank/{name}/k{i / 8}", rank, (0.75, 0.9), (), True)
-    for name, data, _ in scenario_draws([(size, size) for size in NEAR_INTEGRAL], range(5)):
-        name, taus = f"near/{name}", NEAR_INTEGRAL[data.z.size // 2]
-        record("simgen", name, (data.z, data.d, data.c))
-        record_fits(record, f"{name}/cov0", data.z, design_matrix(data, False), taus)
-        record_reports(record, name, data, taus, taus, False)
+    near = ((f"near/{name}", data, NEAR_INTEGRAL[data.z.size // 2], record)
+            for name, data, _ in scenario_draws([(size, size) for size in NEAR_INTEGRAL], range(5)))
+    signed = ((name, data, SIGNED_ZERO_TAUS, filed(record, "signed_zero")) for name, data in signed_zero_draws())
+    for name, data, taus, rec in itertools.chain(near, signed):
+        rec("simgen", name, (data.z, data.d, data.c))
+        record_fits(rec, f"{name}/cov0", data.z, design_matrix(data, False), taus)
+        record_reports(rec, name, data, taus, taus, False)
     for name, data, _ in scenario_draws([(6, 6), (50, 50)], range(3)):
         name = f"tinytau/{name}"
         record("simgen", name, (data.z, data.d, data.c))
