@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -66,6 +67,8 @@ def read_dataset_csv(path: str) -> Dataset:
                 zi, di, ci = (float(x) for x in row)
             except ValueError:
                 raise DataError(f"{path}: line {lineno}: non-numeric value") from None
+            if not (math.isfinite(zi) and math.isfinite(ci)):
+                raise DataError(f"{path}: line {lineno}: z and c must be finite")
             if di not in (0.0, 1.0):
                 raise DataError(f"{path}: line {lineno}: d must be 0 or 1, got {row[1]}")
             z.append(zi)

@@ -172,10 +172,15 @@ def coves_stat(data: Dataset, fit: QuantileFit, group: int) -> float:
     return _mean(adjusted_outcomes(data, fit).take(rows))
 
 
+def group_centred(x: np.ndarray, groups) -> tuple[np.ndarray, float, float]:
+    """x less its mean within each group, and the (treated, control) means."""
+    m1, m0 = (_mean(x[in_g]) for in_g in groups)
+    return x - np.where(groups[0], m1, m0), m1, m0
+
+
 def orthogonalized_covariate(data: Dataset) -> np.ndarray:
     """Covariate centered within each treatment group; sums to zero per group."""
-    m1, m0 = (_mean(data.c[in_g]) for in_g in data.groups)
-    return data.c - np.where(data.groups[0], m1, m0)
+    return group_centred(data.c, data.groups)[0]
 
 
 def _tail_variation(r: np.ndarray, n_group: int) -> float:

@@ -363,8 +363,11 @@ class TestInputErrors:
             ("z,d,c\n", "no data rows"),
             ("z,d,c\n1.0,1\n", "line 2: expected 3 fields, got 2"),
             ("z,d,c\n1.0,1,0.5\n2.0,1,0.6\n", "both treatment groups must be nonempty"),
+            ("z,d,c\n1.0,1,0.5\nnan,0,0.6\n", "line 3: z and c must be finite"),
+            ("z,d,c\n1.0,1,0.5\n2.0,0,0.6\n3.0,0,-inf\n", "line 4: z and c must be finite"),
+            ("z,d,c\n1e400,1,0.5\n2.0,0,0.6\n", "line 2: z and c must be finite"),
         ],
-        ids=["empty", "header-only", "two-fields", "one-group"],
+        ids=["empty", "header-only", "two-fields", "one-group", "nan", "inf", "overflow"],
     )
     def test_bad_csv(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.csv"

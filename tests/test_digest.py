@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from coves import baselines, density, quantreg
+from coves import density, quantreg
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -77,17 +77,19 @@ def test_instrument_wraps_nothing_when_a_name_is_missing(monkeypatch):
 
 def test_counter_without_its_names_is_left_out(monkeypatch):
     digest = load_digest()
-    for name in ("_kinks_to_stop", "_start_basis", "_key_edges", "_nearest_start"):
+    for name in ("_kinks_to_stop", "_start_basis", "_key_edges"):
         monkeypatch.setattr(quantreg, name, getattr(quantreg, name))
-    monkeypatch.delattr(baselines, "_gram_full_rank")
+    start_basis = quantreg._start_basis
+    monkeypatch.delattr(quantreg, "_nearest_start")
     rows = digest.instrumented()
-    assert [line.split(":")[0] for _, line in rows] == ["kink sorts", "solver branches"]
+    assert [line.split(":")[0] for _, line in rows] == ["kink sorts"]
+    assert quantreg._start_basis is start_basis
     rng = np.random.default_rng(0)
     X = np.column_stack([np.ones(30), rng.normal(size=30)])
     quantreg.fit_rq(quantreg.RegressionData(rng.normal(size=30), X), 0.5)
-    branches, line = rows[1]
-    assert branches["fits"] == 1 and rows[0][0]["pivots"] >= 1
-    assert line.format_map(branches).startswith(f"solver branches: {branches['keyed']} of 1 fits entered")
+    kinks, line = rows[0]
+    assert kinks["pivots"] >= 1
+    assert line.format_map(kinks).startswith(f"kink sorts: {kinks['pivots']} pivots")
 
 
 def test_signed_zero_designs_tie_both_zeros_at_each_tau():

@@ -47,8 +47,11 @@ design, so ``--diff`` can name every design whose result moved.
   ``run_es`` also run on the near-integral designs, and ``run_coves`` on
   each scenario dataset of ``SIZES`` with its covariate times 1e-10 and
   on the rank-boundary datasets; ``run_ttest`` runs on the tiny-covariate
-  and the rank-boundary datasets too, so its rank decision is pinned on
-  both sides of each flip.
+  and the rank-boundary datasets too, and on the offset-covariate
+  designs: the (50, 50) scenario datasets with the covariate plus 1e4,
+  1e6, 1e7, 1e13 and 1e14 (the last refused as rank deficient), and
+  z = 1 on 50 + 50 rows with c = 1e6 + N(0, 1), an exact fit it
+  refuses.  So both of its refusal rules are pinned on both sides.
 - ``simgen``: z, d and c of every dataset the sweep draws from
   ``ScenarioSampler`` and ``TargetedSampler``, so a change to a
   generator or to ``Dataset`` shows up by itself, not only through the
@@ -70,13 +73,14 @@ design, so ``--diff`` can name every design whose result moved.
   (6, 6) and tau 0.95, which fails in every replication and is refused.
 
 For the reports, the file also keeps the shortfall counts, objective
-and p-value, and for the fits the objective or the error class, which
+and p-value (for ``run_ttest`` the t statistic and p-value, or the
+error), and for the fits the objective or the error class, which
 ``--diff`` prints beside each moved design.
 
-The sweep also prints the counters of ``counters``: kink sorts, solver
-branches and t-test rank decisions, each counted by hooks that
-``instrument`` puts on package functions.  A package that lacks one of
-a counter's functions prints no line for it.
+The sweep also prints the counters of ``counters``: kink sorts and
+solver branches, each counted by hooks that ``instrument`` puts on
+package functions.  A package that lacks one of a counter's functions
+prints no line for it.
 """
 
 from __future__ import annotations
@@ -108,6 +112,8 @@ TINY_TAUS = (5e-324, 1e-10, 1e-9, 2e-9, 1e-6)
 # Eighths k of the powers 10**k times the covariate where the rank
 # decision of (1, d, c) on a (50, 50) scenario dataset flips.
 RANK_EIGHTHS = [*range(-108, -103), *range(98, 107)]
+# Powers of ten added to the covariate of the (50, 50) scenario datasets.
+TTEST_OFFSETS = (4, 6, 7, 13, 14)
 # One-, two- and three-word masters and size indices of the seed hash.
 ENGINE_MASTERS = (0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5, 10**30)
 ENGINE_SIZE_INDICES = (0, 1, 9006, 2**33)
@@ -231,6 +237,10 @@ def fit_summary(fit):
     return type(fit).__name__ if isinstance(fit, BaseException) else fit.objective
 
 
+def ttest_summary(report):
+    return str(report) if isinstance(report, BaseException) else [report.t_stat, report.p_value]
+
+
 def record_fits(record, key, y, X, taus):
     """fit_rq of y on X at each tau, and rq_oracle where y has at most
     ORACLE_MAX_N rows; a design RegressionData refuses records its error."""
@@ -255,7 +265,8 @@ def record_reports(record, name, data, coves_taus, es_taus, ttest):
         for tau, report in reports.items():
             record(family, f"{name}/tau{tau}", report, summary(report))
     if ttest:
-        record("run_ttest", name, call(run_ttest, data))
+        report = call(run_ttest, data)
+        record("run_ttest", name, report, ttest_summary(report))
     return coves
 
 
@@ -278,6 +289,12 @@ def sweep(record):
                 rank = Dataset(z=data.z, d=data.d, c=data.c * 10.0 ** (i / 8))
                 record_fits(record, f"rank/{name}/k{i / 8}/cov1", rank.z, design_matrix(rank), FIT_TAUS)
                 record_reports(record, f"rank/{name}/k{i / 8}", rank, (0.75, 0.9), (), True)
+            for k in TTEST_OFFSETS if "/50x50/" in name else ():
+                offset = Dataset(z=data.z, d=data.d, c=data.c + 10.0**k)
+                record_reports(record, f"offset/{name}/1e{k}", offset, (), (), True)
+    # An exact fit on a covariate far from zero relative to its spread.
+    exact = Dataset(z=np.ones(100), d=np.repeat([1, 0], 50), c=1e6 + np.random.default_rng(0).normal(size=100))
+    record_reports(record, "exact/1e6", exact, (), (), True)
     near = ((f"near/{name}", data, NEAR_INTEGRAL[data.z.size // 2], record)
             for name, data, _ in scenario_draws([(size, size) for size in NEAR_INTEGRAL], range(5)))
     signed = ((name, data, SIGNED_ZERO_TAUS, filed(record, "signed_zero")) for name, data in signed_zero_draws())
@@ -417,12 +434,10 @@ def counters():
     KINK_WINDOW, and those whose stop lay beyond the first window (or
     nowhere), so the window was widened; the fits that entered the key
     block (ordered their candidate edges by the key) and the
-    nearest-rows starts that fell back to the full pass; and the rank
-    decisions of run_ttest that baselines._gram_full_rank certified and
-    those it left to matrix_rank's SVD."""
-    from coves import baselines, quantreg
+    nearest-rows starts that fell back to the full pass."""
+    from coves import quantreg
 
-    kinks, branches, ranks = Counter(), Counter(), Counter()
+    kinks, branches = Counter(), Counter()
     keyed = [False]
 
     def kink_sort(reached, t, *_):
@@ -451,8 +466,6 @@ def counters():
         (branches, "solver branches: {keyed} of {fits} fits entered the key block, "
          "{fallback} of {nearest} nearest-rows starts fell back to the full pass",
          quantreg, {"_start_basis": started, "_key_edges": keyed_edges, "_nearest_start": nearest}),
-        (ranks, "ttest rank decisions: {gram} certified by the Gram bound, {svd} by the SVD",
-         baselines, {"_gram_full_rank": lambda certified, *_: ranks.update(["gram" if certified else "svd"])}),
     ]
 
 
