@@ -44,9 +44,10 @@ _SIDE_NAMES = {
 
 
 def read_dataset_csv(path: str) -> Dataset:
-    """Parse a z,d,c CSV; raises DataError with the offending line number."""
+    """Parse a z,d,c CSV, with or without a UTF-8 byte-order mark;
+    raises DataError with the offending line number."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from None
     with fh:

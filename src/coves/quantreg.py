@@ -68,7 +68,7 @@ KINK_WINDOW = 64
 # no fit went wrong at any level.
 EXTREME_TAU = 1e-4
 # The start basis runs its pass on the START_WINDOW rows nearest the
-# pilot plane (see _nearest_start) on designs of START_MIN_N rows or more.
+# pilot plane (see _start_basis) on designs of START_MIN_N rows or more.
 # Around 1000 rows the two cost the same; at 200 rows the prefix took a
 # third longer than the full pass, at 10 000 under a third of its time.
 START_WINDOW = 64
@@ -298,43 +298,71 @@ def _start_basis(data: RegressionData, tau: float, weight: np.ndarray) -> np.nda
     below the rounding residue of a row taken.
 
     From START_MIN_N rows on, the pass first runs on the nearest rows
-    alone (``_nearest_start``), which returns the same rows or None; on
-    None the pass runs over all rows, and so it does where a distance is
-    NaN, since the argmin takes a NaN first and no prefix holds one.
+    alone, ``_stable_head(dist, START_WINDOW)``, which gives the same
+    rows or declines (see ``_greedy_rows``); on a decline the pass runs
+    over all rows, and so it does where a distance is NaN, since the
+    argmin takes a NaN first and no prefix holds one.
     """
     X = data.X
     r = data.y - X @ data.ols
     k = math.ceil(tau * r.size) - 1
     dist = np.abs(r - np.partition(r, k)[k])
     if r.size >= START_MIN_N and not np.isnan(dist).any():
-        rows = _nearest_start(X, dist, weight)
+        near = _stable_head(dist, START_WINDOW)
+        rows = _greedy_rows(X[near] / weight, dist[near], True)
         if rows is not None:
-            return rows
-    return _full_start(X / weight, dist)
+            return near[rows]
+    return _greedy_rows(X / weight, dist, False)
 
 
-def _full_start(R: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """The greedy pass of ``_start_basis`` over every row of the scaled
-    design R, which it overwrites."""
+def _greedy_rows(R: np.ndarray, dist: np.ndarray, prefix: bool):
+    """The greedy pass of ``_start_basis`` over the rows of the scaled
+    design R, which it overwrites; with ``prefix``, None where it cannot
+    show that the pass over all rows takes the same rows.
+
+    Every product is formed row by row (einsum's row sums and the
+    column-by-column update of ``_project_out``), so a row's values
+    depend on that row and the rows taken alone.  On a prefix, the head
+    of the rows' (distance, row index) order, they are the bits of the
+    pass over all rows, and only the test's threshold, 1e-12 of the
+    largest ``left``, can differ there, as the full pass's largest may
+    lie outside the prefix.  It is no smaller, so a prefix row that
+    fails the test fails it in the full pass too, and the row taken is
+    the full pass's row if it passes there.  That holds when its
+    ``left`` clears 1e-12 of a bound on every row's, found without a
+    pass over the rows: R = X / weight has every |R_ij| <= 1, so every
+    ``left`` is at most p, and each projection adds at most a relative
+    2.2*g + 8u to it, with u = 2^-53 and g = 1.01*p*u.  Otherwise the
+    prefix pass declines.  The threshold is widened by 1e-9 relative,
+    far more than the few roundings of its own evaluation.
+    """
+    p = R.shape[1]
+    u = 2.0**-53
+    grow = 1.0 + 2.2 * (1.01 * p * u) + 8.0 * u
+    size2 = float(p)
     rows = []
-    for step in range(R.shape[1]):
+    for step in range(p):
         left = np.einsum("ij,ij->i", R, R)
         passing = left >= _NOISE_RTOL * left.max()
         j = int(np.where(passing, dist, np.inf).argmin())
         if not passing[j]:
             # Every passing distance is infinite: the first passing row.
             j = int(passing.argmax())
+        if prefix and left[j] < _NOISE_RTOL * size2 * (1.0 + 1e-9):
+            return None
         rows.append(j)
-        if step + 1 < R.shape[1]:
+        if step + 1 < p:
             _project_out(R, j, left[j])
+            size2 *= grow
     return np.array(rows)
 
 
 def _project_out(R: np.ndarray, j: int, length2) -> None:
     """Subtract from every row of R, in place, its component along row j,
-    whose squared length is length2."""
+    whose squared length is length2; each row's result depends on that
+    row and row j alone."""
     q = R[j] / np.sqrt(length2)
-    Rq = R @ q
+    Rq = np.einsum("ij,j->i", R, q)
     # Column by column: the same products and differences as
     # R - np.outer(Rq, q), without a length-p inner loop.
     for col in range(R.shape[1]):
@@ -356,69 +384,6 @@ def _stable_head(values: np.ndarray, window: int) -> np.ndarray:
     cut = np.partition(values, window - 1)[window - 1]
     head = (values <= cut).nonzero()[0]
     return head[values[head].argsort(kind="stable")]
-
-
-def _nearest_start(X: np.ndarray, dist: np.ndarray, weight: np.ndarray):
-    """``_full_start``'s rows, found from the rows nearest the plane, or
-    None when that cannot be shown.
-
-    The prefix, ``_stable_head(dist, START_WINDOW)``, is the head of the
-    rows' (distance, row index) order.  A row's values in the pass (its scaled row,
-    then each projection) depend on that row and the rows taken alone,
-    so on the prefix they are the full pass's values, up to rounding:
-    a BLAS kernel or einsum may round a row's length-p dot product
-    differently in arrays of other lengths.  So at each step
-
-    - a prefix row is skipped only if its squared length ``left`` is
-      below 1e-12 of a lower bound on the full pass's largest, the
-      prefix's largest less its slack (so it fails there too);
-    - the first row not skipped is taken only if it clears 1e-12 of an
-      upper bound on the full pass's largest (so it passes there, and
-      it is the least passing row in the full order); the bound needs no
-      pass over the rows: R = X / weight has every |R_ij| <= 1, so
-      every ``left`` is at most p, and each projection adds at most a
-      relative 2.2*g + 8u to it, with u = 2^-53 and g = 1.01*p*u;
-    - otherwise the answer is left to the full pass (None).
-
-    The slack bounds the gap between a row's ``left`` on the prefix and
-    on all rows.  With D a bound on the gap between the two computed
-    rows (0 at first, as X / weight is elementwise), S the bound on
-    every row's length and l, e the taken row's ``left`` and slack: the
-    slack is D*(2.1*sqrt(left) + 1.1*D) + 2.1*g*left, since two squared
-    lengths differ by at most the gap times their sum and each
-    ``left`` rounds by at most g of itself; q = R_j / sqrt(l) then
-    differs by at most dq = D/sqrt(l - e) + 0.51*sqrt(l)*e/(l - e)^1.5
-    + 6u, and each projected row by at most
-    D' = 2.03*D + 2.03*S*dq + (2.1*g + 6.2*u)*S.  The constants round up
-    those of a dot product's bound, g of the sum of its terms' sizes in
-    any order of addition, with or without fused multiply-adds, and of
-    each elementwise rounding.  1e-300 in each slack covers the absolute
-    rounding of subnormal values; each threshold is widened by 1e-9
-    relative, far more than the few roundings of its own evaluation.
-    """
-    near = _stable_head(dist, START_WINDOW)
-    R = X[near] / weight
-    p = R.shape[1]
-    u = 2.0**-53
-    g = 1.01 * p * u
-    gap, size2 = 0.0, float(p)
-    rows = []
-    for step in range(p):
-        left = np.einsum("ij,ij->i", R, R)
-        slack = gap * (2.1 * np.sqrt(left) + 1.1 * gap) + (2.1 * g * left + 1e-300)
-        skipped = left + slack < _NOISE_RTOL * (left - slack).max() * (1.0 - 1e-9)
-        j = int(skipped.argmin())
-        l, e = float(left[j]), float(slack[j])
-        if skipped[j] or l - e < _NOISE_RTOL * size2 * (1.0 + 1e-9):
-            return None
-        rows.append(int(near[j]))
-        if step + 1 < p:
-            _project_out(R, j, left[j])
-            size = math.sqrt(size2)
-            dq = gap / math.sqrt(l - e) + 0.51 * math.sqrt(l) * e / (l - e) ** 1.5 + 6.0 * u
-            gap = 2.03 * gap + 2.03 * size * dq + (2.1 * g + 6.2 * u) * size + 1e-300
-            size2 *= 1.0 + 2.2 * g + 8.0 * u
-    return np.array(rows)
 
 
 def _col_sums(absA: np.ndarray) -> np.ndarray:
@@ -463,14 +428,16 @@ def _on_plane(rc, rows, cap, y, absA, yh):
     |r_i| <= _NOISE_RTOL * (|y_i| + |A_i| @ |yh|).  ``cap`` bounds that
     right-hand side over all rows (``_plane_cap``), so when every |r_i|
     exceeds it, no row is on the plane and the product is not formed.
-    Otherwise the test runs as it is written, over all of rows: a product
-    over some of them can round differently, row by row.  A NaN fails
-    |r_i| > cap, so it too leaves the decision to the test.
+    Otherwise the test runs as it is written, the product row by row
+    (einsum), so each row's decision depends on that row alone, not on
+    which other rows cross the edge.  A NaN fails |r_i| > cap, so it too
+    leaves the decision to the test.
     """
     absr = np.abs(rc)
     if np.count_nonzero(absr > cap) == rows.size:
         return None
-    return absr <= _NOISE_RTOL * (np.abs(y[rows]) + absA.take(rows, axis=0) @ np.abs(yh))
+    product = np.einsum("ij,j->i", absA.take(rows, axis=0), np.abs(yh))
+    return absr <= _NOISE_RTOL * (np.abs(y[rows]) + product)
 
 
 def _kinks_to_stop(t, gain, slope, tol):
@@ -531,10 +498,13 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     """Fit the tau-th linear regression quantile: the canonical optimum.
 
     An exact simplex (Barrodale & Roberts 1974; Koenker & d'Orey 1987).
-    Its state is a basis h of p rows on the fitted plane and a side label
-    for every other row, the sign of its residual; a row on the plane but
-    outside the basis keeps its last label, which keeps degenerate
-    vertices exact.  With B = X_h^-1, edge (k, s) moves beta along
+    It starts from p independent rows near the pilot plane
+    (``_start_basis``), which one greedy pass takes, on designs of
+    START_MIN_N rows or more from the nearest rows alone where that gives
+    the same rows.  Its state is a basis h of p rows on the fitted plane
+    and a side label for every other row, the sign of its residual; a row
+    on the plane but outside the basis keeps its last label, which keeps
+    degenerate vertices exact.  With B = X_h^-1, edge (k, s) moves beta along
     s * B e_k, taking basis row k below (s = +1) or above (s = -1) the
     plane; the slopes of all 2p edges come from one product w'XB.  Each
     pivot follows an edge to the minimum of the objective along it: the
@@ -551,7 +521,8 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     are added row after row in one einsum pass (``_col_sums``), and the
     exact test of which crossing rows lie on the plane runs only when a
     scalar bound on its right-hand side (``_plane_cap``) cannot rule them
-    all out, which on continuous data it nearly always can.
+    all out, which on continuous data it nearly always can, and then
+    decides each row from that row alone.
 
     An edge is flat when its slope is within TIE_RTOL * sum |x_i' delta|
     of zero.  Once no edge descends, flat edges that lower the key (see

@@ -62,19 +62,28 @@ class EmpiricalDist:
 
     @classmethod
     def from_file(cls, path) -> "EmpiricalDist":
-        """Plain text, one finite real per line, no header."""
+        """Plain text, one finite real per line, no header; a UTF-8
+        byte-order mark is allowed."""
         vals = []
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 text = line.strip()
                 if not text:
                     continue
                 try:
-                    vals.append(float(text))
+                    value = float(text)
                 except ValueError:
                     raise DataError(
                         f"{path}: line {lineno}: not a number: {text!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"{path}: line {lineno}: empirical distribution "
+                        f"values must be finite, got {text!r}"
+                    )
+                vals.append(value)
+        if not vals:
+            raise DataError(f"{path}: empirical distribution must be nonempty")
         return cls(np.asarray(vals))
 
 

@@ -382,6 +382,53 @@ class TestInputErrors:
         assert main(["test", "--input", str(path), "--tau", "0.5", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["t_stat"] == 6.0
 
+    @pytest.mark.parametrize("command", ["test", "diagnose"])
+    def test_byte_order_mark_csv_reads_as_without(self, tmp_path, capsys, command):
+        # A CSV saved with a UTF-8 byte-order mark gives the same output
+        # bytes and the same message as the file without it.
+        outputs = []
+        for name, mark in (("plain", ""), ("bom", "\ufeff")):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(mark + FIXTURE_CSV, encoding="utf-8")
+            out = tmp_path / f"{name}.out"
+            assert main([command, "--input", str(path), "--tau", "0.5", "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out.replace(str(out), "OUT")))
+        assert outputs[0] == outputs[1]
+
+    def test_byte_order_mark_distribution_files_read_as_without(self, tmp_path):
+        outputs = []
+        for name, mark in (("plain", ""), ("bom", "\ufeff")):
+            f, g = tmp_path / f"{name}-f.txt", tmp_path / f"{name}-g.txt"
+            f.write_text(mark + "".join(f"{v / 4}\n" for v in range(10)), encoding="utf-8")
+            g.write_text(mark + "".join(f"{v / 3 + 1}\n" for v in range(10)), encoding="utf-8")
+            out = tmp_path / f"{name}.csv"
+            argv = ["simulate", "--targeted", "--f", str(f), "--g", str(g), "--m", "15", "--n", "15",
+                    "--seed", "3", "--out", str(out)]
+            assert main(argv) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1.0\nnan\n", "line 2: empirical distribution values must be finite, got 'nan'"),
+            ("1.0\n\n2.0\n1e400\n", "line 4: empirical distribution values must be finite, got '1e400'"),
+            ("-inf\n", "line 1: empirical distribution values must be finite, got '-inf'"),
+            ("", "empirical distribution must be nonempty"),
+            ("\n \n", "empirical distribution must be nonempty"),
+        ],
+        ids=["nan", "overflow", "inf", "empty", "blank"],
+    )
+    def test_bad_distribution_file(self, tmp_path, capsys, text, message):
+        f, g = tmp_path / "f.txt", tmp_path / "g.txt"
+        f.write_text(text)
+        g.write_text("1\n2\n3\n")
+        out = tmp_path / "x.csv"
+        argv = ["simulate", "--targeted", "--f", str(f), "--g", str(g), "--m", "5", "--n", "5", "--seed", "1",
+                "--out", str(out)]
+        assert_input_error(capsys, argv, f"{f}: {message}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("bounds", ["5", "5:a", "1:2:3"])
     def test_bad_bounds(self, capsys, bounds):
         argv = ["samplesize", *self.GEN, "--test", "ttest", "--reps", "10", "--seed", "1", "--bounds", bounds]

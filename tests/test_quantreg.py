@@ -20,12 +20,12 @@ from coves.quantreg import (
     _NOISE_RTOL,
     _col_absmax,
     _col_sums,
-    _full_start,
+    _greedy_rows,
     _key_columns,
     _kinks_to_stop,
-    _nearest_start,
     _on_plane,
     _plane_cap,
+    _project_out,
     _stable_head,
     _start_basis,
     fit_group_quantiles,
@@ -900,8 +900,8 @@ class TestStartBasis:
             for name, X in (("d", d[:, None]), ("dc", np.column_stack([d, data.c])), ("1dc", design_matrix(data))):
                 rd = RegressionData(data.z, X)
                 dist = start_distances(rd, 0.75)
-                rows = _nearest_start(X, dist, _col_absmax(X))
-                full = _full_start(X / _col_absmax(X), dist)
+                rows = prefix_start(X, dist, quantreg.START_WINDOW)
+                full = _greedy_rows(X / _col_absmax(X), dist, False)
                 assert np.array_equal(_start_basis(rd, 0.75, _col_absmax(X)), full)
                 assert np.array_equal(full, argsort_start_basis(X, data.z, 0.75))
                 assert (rows is None) == (name == "d"), (seed, name)
@@ -925,11 +925,17 @@ class TestStartBasis:
         assume(np.linalg.matrix_rank(X) == p)
         rd = RegressionData(y, X)
         dist = start_distances(rd, 0.5)
-        full = _full_start(X / _col_absmax(X), dist)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(quantreg, "START_WINDOW", min(window, y.size))
-            rows = _nearest_start(X, dist, _col_absmax(X))
+        full = _greedy_rows(X / _col_absmax(X), dist, False)
+        rows = prefix_start(X, dist, min(window, y.size))
         assert rows is None or np.array_equal(rows, full)
+
+
+def prefix_start(X, dist, window):
+    """The start pass on the window nearest rows, as rows of X, or None
+    where it declines."""
+    near = _stable_head(dist, window)
+    rows = _greedy_rows(X[near] / _col_absmax(X), dist[near], True)
+    return None if rows is None else near[rows]
 
 
 def reference_fit_rq(rd, tau):
@@ -1204,9 +1210,14 @@ def pivot_state(X, y, h):
     return y - A @ y[h], np.setdiff1d(np.arange(y.size), h), absA, _plane_cap(ytop, _col_sums(absA), y[h], y.size)
 
 
+def full_on_plane_rhs(y, absA, yh, rows):
+    """The on-plane test's right-hand side, the product row by row."""
+    return _NOISE_RTOL * (np.abs(y[rows]) + np.einsum("ij,j->i", absA.take(rows, axis=0), np.abs(yh)))
+
+
 def full_on_plane(rc, rows, y, absA, yh):
-    """The on-plane test as every pivot of fit_rq once made it."""
-    return np.abs(rc) <= _NOISE_RTOL * (np.abs(y[rows]) + absA.take(rows, axis=0) @ np.abs(yh))
+    """The on-plane test as written, without _plane_cap's shortcut."""
+    return np.abs(rc) <= full_on_plane_rhs(y, absA, yh, rows)
 
 
 def as_mask(got, size):
@@ -1267,7 +1278,7 @@ class TestOnPlaneBound:
         # one row (the rest far off the plane).
         for name, X, y, h in self.cases():
             _, rows, absA, cap = pivot_state(X, y, h)
-            rhs = _NOISE_RTOL * (np.abs(y[rows]) + absA.take(rows, axis=0) @ np.abs(y[h]))
+            rhs = full_on_plane_rhs(y, absA, y[h], rows)
             assert np.all(rhs <= cap), name
             pos = np.arange(rows.size)
             for edge in (np.full(rows.size, cap), rhs):
@@ -1292,7 +1303,7 @@ class TestOnPlaneBound:
             absA = np.abs(rng.normal(size=(1, p))) * 10.0 ** float(rng.integers(-100, 101))
             yh = float(rng.exponential()) * rng.choice([-1.0, 1.0], size=p)
             cap = _plane_cap(_BOUND_FLOOR, _col_sums(absA), yh, 1)
-            rhs = _NOISE_RTOL * (absA @ np.abs(yh))
+            rhs = _NOISE_RTOL * np.einsum("ij,j->i", absA, np.abs(yh))
             for rc in (rhs, np.nextafter(rhs, np.inf)):
                 assert np.array_equal(as_mask(_on_plane(rc, rows, cap, y, absA, yh), 1), np.abs(rc) <= rhs)
 
@@ -1330,6 +1341,51 @@ class TestOnPlaneBound:
                     except (ConvergenceError, DegenerateDesignError) as exc:
                         fits.setdefault((name, tau), []).append(type(exc).__name__)
         assert all(a == b for a, b in fits.values())
+
+
+class TestRowIndependence:
+    # The start pass and the on-plane test form their products row by
+    # row, so a row's result is the same in any batch that holds it.
+    pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 1000),
+        p=st.integers(1, 12),
+        scales=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_project_out_on_row_subsets(self, n, p, scales, seed, data):
+        rng = np.random.default_rng(seed)
+        R = rng.uniform(-1.0, 1.0, size=(n, p))
+        if scales:
+            R *= 10.0 ** rng.uniform(-8, 0, size=p)
+        j = data.draw(st.integers(0, n - 1))
+        size = data.draw(st.integers(1, n))
+        sub = np.union1d(rng.choice(n, size=size, replace=False), [j])
+        left = float(R[j] @ R[j])
+        full, part = R.copy(), R[sub]
+        _project_out(full, j, left)
+        _project_out(part, int(np.searchsorted(sub, j)), left)
+        assert part.tobytes() == full[sub].tobytes()
+        # The pass's other product, each row's squared length.
+        assert np.einsum("ij,ij->i", part, part).tobytes() == np.einsum("ij,ij->i", full, full)[sub].tobytes()
+
+    def test_on_plane_on_sub_batches(self):
+        # Residuals one ulp either side of each row's threshold, and on
+        # it: each row gets the same decision on the whole crossing set as
+        # on batches of 1, 4 and 8 of its rows.
+        for name, X, y, h in TestOnPlaneBound().cases():
+            _, rows, absA, cap = pivot_state(X, y, h)
+            rhs = np.concatenate([full_on_plane_rhs(y, absA, y[h], rows[i:i + 1]) for i in range(rows.size)])
+            for rc in (rhs, np.nextafter(rhs, np.inf), np.nextafter(rhs, 0.0)):
+                whole = as_mask(_on_plane(rc, rows, cap, y, absA, y[h]), rows.size)
+                for batch in (1, 4, 8):
+                    parts = [slice(i, i + batch) for i in range(0, rows.size, batch)]
+                    got = [as_mask(_on_plane(rc[s], rows[s], cap, y, absA, y[h]), rows[s].size) for s in parts]
+                    assert np.array_equal(np.concatenate(got), whole), (name, batch)
+
 
 EXACT_AT_ANY_TAU = ("(1)", "(1, d)")
 EXTREME_KINDS = EXACT_AT_ANY_TAU + ("(1, c)", "(1, d, c)", "(1, d, b)")

@@ -101,8 +101,9 @@ class TestEmpiricalInverseCdf:
     def test_file_with_inf_rejected(self, tmp_path):
         path = tmp_path / "inf.txt"
         path.write_text("1.0\ninf\n")
-        with pytest.raises(DataError, match=r"^empirical distribution values must be finite$"):
+        with pytest.raises(DataError) as exc:
             EmpiricalDist.from_file(path)
+        assert str(exc.value) == f"{path}: line 2: empirical distribution values must be finite, got 'inf'"
 
     def test_empty_sample_quantile(self):
         with pytest.raises(ValueError, match=r"^empty sample$"):

@@ -456,8 +456,8 @@ def counters():
         branches["keyed"] += not keyed[0]
         keyed[0] = True
 
-    def nearest(rows, *_):
-        branches["nearest"] += 1
+    def nearest(rows, R, dist, prefix):
+        branches["nearest"] += prefix
         branches["fallback"] += rows is None
 
     return [
@@ -465,7 +465,7 @@ def counters():
          quantreg, {"_kinks_to_stop": kink_sort}),
         (branches, "solver branches: {keyed} of {fits} fits entered the key block, "
          "{fallback} of {nearest} nearest-rows starts fell back to the full pass",
-         quantreg, {"_start_basis": started, "_key_edges": keyed_edges, "_nearest_start": nearest}),
+         quantreg, {"_start_basis": started, "_key_edges": keyed_edges, "_greedy_rows": nearest}),
     ]
 
 
