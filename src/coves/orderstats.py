@@ -2,8 +2,8 @@
 
 The generators, the bandwidth and the diagnostic use one quantile
 convention: the p-th quantile of a sample of size n is the
-ceil(p*n)-th order statistic.  No interpolation.  Fitted quantile
-planes follow the fit rule of ``quantreg`` instead.
+ceil(p*n)-th order statistic, a zero as +0.0.  No interpolation.
+Fitted quantile planes follow the fit rule of ``quantreg`` instead.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ def empirical_quantile(values, p):
     Returns
     -------
     float or ndarray
-        The ceil(p*n)-th smallest value for each p.
+        The ceil(p*n)-th smallest value for each p, a zero as +0.0.
     """
     s = np.sort(np.asarray(values, dtype=float))
     if s.size == 0:
@@ -33,5 +33,5 @@ def empirical_quantile(values, p):
     if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError("probability levels must lie strictly in (0, 1)")
     # For p in (0, 1) the float product p*n lies in (0, n]: its ceil is in [1, n].
-    out = s[np.ceil(p * s.size).astype(int) - 1]
+    out = s[np.ceil(p * s.size).astype(int) - 1] + 0.0
     return float(out) if out.ndim == 0 else out

@@ -248,8 +248,8 @@ def fit_group_quantiles(z, groups, tau: float) -> QuantileFit:
     end of the optimal interval under ``fit_rq``'s flat-edge window,
     TIE_RTOL*N_d on this design, so a tau*N_d at or a hair above an
     integer k in floats (0.55*100) takes the k-th.  beta = (q_0, q_1 - q_0)
-    and the residuals are z - q_d.  The fit depends on the data only
-    through each group's sorted values, so not on their row order.
+    and the residuals are z - q_d, with a zero q_d as +0.0.  The fit
+    depends only on each group's values, not on their row order.
     """
     _check_tau(tau)
     q1, q0 = (_lower_end(z[in_g], tau) for in_g in groups)
@@ -258,20 +258,12 @@ def fit_group_quantiles(z, groups, tau: float) -> QuantileFit:
 
 
 def _lower_end(values: np.ndarray, tau: float) -> float:
-    """The max(1, ceil(tau*n - TIE_RTOL*n))-th smallest of n values, as
-    np.sort(values) holds it, found by np.partition.
-
-    The two agree on the value.  Where it is a zero tied with zeros of
-    the other sign, they can disagree on its sign, since they order the
-    tied entries by different paths; the sign reaches beta and the
-    residuals of -0.0 outcomes, so a zero is read from the full sort.
-    """
+    """The max(1, ceil(tau*n - TIE_RTOL*n))-th smallest of n values, by
+    np.partition.  A zero is read as +0.0, since which of tied zeros of
+    both signs lands there differs between numpy's CPU kernels."""
     n = values.size
     k = max(1, int(np.ceil(tau * n - TIE_RTOL * n)))
-    q = np.partition(values, k - 1)[k - 1]
-    if q == 0.0:
-        q = np.sort(values)[k - 1]
-    return float(q)
+    return float(np.partition(values, k - 1)[k - 1]) + 0.0
 
 
 def _col_absmax(X: np.ndarray) -> np.ndarray:

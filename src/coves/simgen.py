@@ -49,12 +49,13 @@ _SCENARIO_TABLE = {
 
 @dataclass
 class EmpiricalDist:
-    """A finite sample defining a distribution via its order statistics."""
+    """A finite sample defining a distribution via its order statistics,
+    sorted, every zero as +0.0."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.sort(np.asarray(self.values, dtype=float))
+        self.values = np.sort(np.asarray(self.values, dtype=float)) + 0.0
         if self.values.size == 0:
             raise DataError("empirical distribution must be nonempty")
         if not np.all(np.isfinite(self.values)):
@@ -172,9 +173,10 @@ def sample_scenario(spec: ScenarioSpec, m: int, n: int, seed: int) -> Dataset:
 
 
 def tail_shift(u):
-    """Control-group outcome lift above the kink: 8*(u-0.65)^(1/4) for u > 0.65."""
-    u = np.asarray(u, dtype=float)
-    out = np.where(u > TAIL_KINK, TAIL_SCALE * np.abs(u - TAIL_KINK) ** 0.25, 0.0)
+    """Control-group outcome lift 8*(u-0.65)^(1/4) above the kink, 0 at and
+    below it and at NaN: two correctly rounded square roots, whose bits,
+    unlike np.power's, do not depend on numpy's CPU kernel."""
+    out = TAIL_SCALE * np.sqrt(np.sqrt(np.fmax(np.asarray(u, dtype=float) - TAIL_KINK, 0.0)))
     return float(out) if out.ndim == 0 else out
 
 

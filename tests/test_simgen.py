@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from coves.coves_test import Dataset
 from coves.errors import DataError
 from coves.orderstats import empirical_quantile
 from coves.simgen import (
+    TAIL_KINK,
     EmpiricalDist,
     ScenarioSpec,
     _open_uniforms,
@@ -108,6 +110,19 @@ class TestEmpiricalInverseCdf:
     def test_empty_sample_quantile(self):
         with pytest.raises(ValueError, match=r"^empty sample$"):
             empirical_quantile([], 0.5)
+
+    def test_zeros_are_positive(self):
+        # Zeros of both signs tie; which a sort puts first is the CPU
+        # kernel's choice, so both hold every zero as +0.0.
+        values = np.random.default_rng(5).choice([-1.0, -0.0, 0.0, 1.0], size=999)
+        dist = EmpiricalDist(values)
+        q = empirical_quantile(values, np.arange(1, 1000) / 1000)
+        for held in (dist.values, q, load_standin()[0].values):
+            assert np.count_nonzero(held == 0.0) > 0
+            assert not np.signbit(held[held == 0.0]).any()
+        for p in (0.3, 0.5, 0.7):
+            q = empirical_quantile(values, p)
+            assert q == 0.0 and not np.signbit(q)
 
 
 class TestScenarioSpec:
@@ -222,6 +237,24 @@ class TestTargeted:
         assert tail_shift(0.65) == 0.0
         assert tail_shift(0.9) == pytest.approx(8.0 * 0.25**0.25, rel=1e-12)
         assert tail_shift(0.9) == pytest.approx(5.65685, abs=1e-4)
+        # Exactly +0.0 at and below the kink, and 0.0 at NaN.
+        below = np.concatenate([_open_uniforms(4, 1000), [TAIL_KINK, np.nextafter(TAIL_KINK, 0.0), 0.0, -1.0]])
+        below = below[below <= TAIL_KINK]
+        for out in (tail_shift(below), np.array([tail_shift(float(x)) for x in below])):
+            assert np.all(out == 0.0) and not np.signbit(out).any()
+        assert tail_shift(np.nan) == 0.0
+        assert np.array_equal(tail_shift(np.array([np.nan, 0.9])), [0.0, tail_shift(0.9)])
+
+    def test_tail_shift_within_one_ulp_of_fourth_root(self):
+        # 8*(u - 0.65)^(1/4) to 60 digits; u - 0.65 is exact on (0.65, 1).
+        u = _open_uniforms(3, 4000)
+        u = np.concatenate([u[u > TAIL_KINK], [np.nextafter(TAIL_KINK, 1.0), TAIL_KINK + 2.0**-40, 1.0 - 2.0**-53]])
+        got = tail_shift(u)
+        with decimal.localcontext(decimal.Context(prec=60)):
+            want = [8 * (decimal.Decimal(x) - decimal.Decimal(TAIL_KINK)).sqrt().sqrt() for x in u]
+        ulps = [abs(decimal.Decimal(g) - w) / decimal.Decimal(np.spacing(g)) for g, w in zip(got, want)]
+        assert max(ulps) <= 1
+        assert tail_shift(float(u[0])) == got[0]
 
     def test_empty_group_rejected(self):
         f, g = load_standin()

@@ -6,6 +6,11 @@ Run it once on each of two source trees and compare:
     PYTHONPATH=src     python3 tools/digest.py new.json
     python3 tools/digest.py --diff old.json new.json
 
+Run natively and with numpy's SIMD kernels switched off
+(``NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR"``), the
+two sweeps differ only in ``run_coves``, whose KDE's ``np.exp`` rounds
+by kernel.
+
 Everything runs in this process.  Each family of results gets one
 digest, printed as the sweep ends; the output file holds one hash per
 design, so ``--diff`` can name every design whose result moved.
@@ -39,7 +44,8 @@ design, so ``--diff`` can name every design whose result moved.
   (5000, 5000), with z cut toward zero in whole interquartile ranges
   about its median, so that in each group zeros of both signs tie at
   every tau of ``SIGNED_ZERO_TAUS``.  The ``es`` fit reads each group's
-  order statistic there, and its sign reaches beta and the residuals.
+  order statistic there, and reads it as +0.0 whichever of the tied
+  zeros numpy's selection kernel puts at its place.
 - ``rq_oracle``: the enumeration oracle's fit or error, hashed the same
   way, on every one of those designs with at most ``ORACLE_MAX_N`` rows.
 - ``run_coves``, ``run_es``, ``run_ttest``, ``decompose_T``: every field
