@@ -153,9 +153,10 @@ def replication_seed(master_seed: int, size_index: int, rep: int | range) -> int
     return seeds if isinstance(rep, range) else seeds[0]
 
 
-def _run_chunk(generator, test_id, m, n, tau, side, alpha, seeds) -> tuple[int, int]:
-    """(rejections, failed replications) over the given replication seeds."""
-    rejections = errors = 0
+def _run_chunk(generator, test_id, m, n, tau, side, alpha, seeds) -> tuple[int, list[str]]:
+    """(rejections, "class: message" of each failed replication) over the
+    given replication seeds."""
+    rejections, failures = 0, []
     for rep_seed in seeds:
         try:
             data = generator(m, n, rep_seed)
@@ -166,9 +167,9 @@ def _run_chunk(generator, test_id, m, n, tau, side, alpha, seeds) -> tuple[int, 
             else:
                 report = run_ttest(data, side)
             rejections += report.p_value < alpha
-        except NumericalError:
-            errors += 1
-    return rejections, errors
+        except NumericalError as exc:
+            failures.append(f"{type(exc).__name__}: {exc}")
+    return rejections, failures
 
 
 def estimate_rejection_rate(
@@ -193,7 +194,8 @@ def estimate_rejection_rate(
     more run on a process pool of at most one process per chunk and per
     CPU (``os.cpu_count()``).  Results do not depend on the worker count,
     because each replication depends only on its derived seed and the
-    counts merge commutatively.
+    counts merge commutatively; a refused estimate names the first failure
+    in seed order, as the chunks come back in that order.
     """
     if test_id not in TEST_IDS:
         raise ValueError(f"test_id must be one of {TEST_IDS}, got {test_id!r}")
@@ -210,13 +212,16 @@ def estimate_rejection_rate(
     else:
         with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
             counts = list(pool.map(run, chunks))
-    rejections, errors = map(sum, zip(*counts))
+    rejections = sum(chunk[0] for chunk in counts)
+    failures = [failure for chunk in counts for failure in chunk[1]]
+    errors = len(failures)
 
     allowed = max(1, int(MAX_ERROR_FRACTION * reps))
     if errors > allowed or errors == reps:
         raise UnstableConfigurationError(
             f"{errors}/{reps} replications failed; configuration too degenerate "
-            f"for a trustworthy estimate (at most {allowed} may fail, and never all)"
+            f"for a trustworthy estimate (at most {allowed} may fail, and never all); "
+            f"the first raised {failures[0]}"
         )
     rate = rejections / reps
     return PowerEstimate(

@@ -52,9 +52,8 @@ _BOUND_FLOOR = float(np.finfo(float).tiny)
 # at (5000,5000), 132 pivots crossed about 4100 kinks each and stopped at
 # kink 4 in the median and 19 at the 90th percentile; one went past 64.
 KINK_WINDOW = 64
-# fit_rq refuses tau within this of 0 or 1 on any design but an
-# intercept alone or an intercept and one 0/1 indicator, (1) and (1, d).
-# Elsewhere the flat-edge window, TIE_RTOL * sum|x_i' delta|, can be wider
+# fit_rq refuses tau below this or above 1 - this, on every design.
+# There the flat-edge window, TIE_RTOL * sum|x_i' delta|, can be wider
 # than an ascending edge's slope, which shrinks with min(tau, 1 - tau), so
 # the walk can follow that edge and stop off the optimum.  Against
 # rq_oracle on up to 16 000 random (1, c) and (1, d, c) designs of 5-20
@@ -63,9 +62,8 @@ KINK_WINDOW = 64
 # designs at 5e-5, 1e-4, 1 - 1e-4 or 1 - 5e-5; nor at 1e-4 or 1 - 1e-4 on
 # (1, d, c) with n = 100, 1000 and 10 000 against an LP solver.  Designs
 # of 0/1 entries alone are not safe: (1, d, b) with a binary b and
-# (b1, b2) went wrong at 1e-9 and 1 - 1e-9.  On (1) and (1, d), checked
-# against the oracle and the groups' order statistics up to n = 10 000,
-# no fit went wrong at any level.
+# (b1, b2) went wrong at 1e-9 and 1 - 1e-9.  The unadjusted es test fits
+# (1, d) at any tau from order statistics (fit_group_quantiles).
 EXTREME_TAU = 1e-4
 # The start basis runs its pass on the START_WINDOW rows nearest the
 # pilot plane (see _start_basis) on designs of START_MIN_N rows or more.
@@ -464,17 +462,18 @@ def _first_min(values: list) -> int:
     return values.index(min(values))
 
 
-def _key_edges(B, weight, key, h, slope, flat, descend) -> list:
-    """The candidate edges in the order fit_rq tries them, once no edge
-    descends or after a zero-length step.
+def _key_edge(B, weight, key, h, slope, flat, descend) -> int | None:
+    """The edge fit_rq enters once no edge descends or after a zero-length
+    step, or None when there is no candidate and the fit is optimal.
 
     Edge e is a candidate when it descends, or when it is flat and lowers
     the key: its move of the key has a leading entry, weighted by the
     coefficient's largest effect on a fitted value, below zero.  V holds
     those weighted entries, B's rows times ``weight`` in key order; an
     entry leads its column when its size exceeds TIE_RTOL times the
-    column's sum of sizes (the first entry when none does).  Candidates
-    run by their basis row's index h[e % p], then by e (Bland's rule).
+    column's sum of sizes (the first entry when none does).  The edge
+    entered is the candidate with the least basis row index h[e % p],
+    then the least e (Bland's rule).
     """
     p = len(key)
     V = (B * weight[:, None])[key]
@@ -483,7 +482,7 @@ def _key_edges(B, weight, key, h, slope, flat, descend) -> list:
     lower = [v < 0.0 for v in lead] + [v > 0.0 for v in lead]
     hl = h.tolist()
     edges = [e for e in range(2 * p) if descend[e] or (slope[e] <= flat[e] and lower[e])]
-    return sorted(edges, key=lambda e: (hl[e % p], e))
+    return min(edges, key=lambda e: (hl[e % p], e), default=None)
 
 
 def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
@@ -517,16 +516,19 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     decides each row from that row alone.
 
     An edge is flat when its slope is within TIE_RTOL * sum |x_i' delta|
-    of zero.  Once no edge descends, flat edges that lower the key (see
-    the module docstring) are followed to their first kink, so the fit
-    ends on the key's lexicographic minimum over the optimal face.  A
-    flat edge with no kink ahead (every downward edge of (1, d) when tau
-    is at most TIE_RTOL) is skipped, and the next candidate is tried.
-    After a zero-length step the entering edge is the improving one with
-    the lowest row index (Bland's rule), which rules out cycling on
-    degenerate vertices.  Residuals and entries of XB within _NOISE_RTOL
-    of their rounding scale count as zero.  Beta is solved from the final
-    basis rows in ascending index order.
+    of zero.  Each pivot enters one edge: the steepest descending one,
+    or, once no edge descends or after a zero-length step, the first
+    candidate of the key block in Bland's order (``_key_edge``), or none,
+    and then the fit is optimal.  Once no edge descends, the candidates
+    are the flat edges that lower the key (see the module docstring), each
+    followed to its first kink, so the fit ends on the key's
+    lexicographic minimum over the optimal face.  After a zero-length
+    step they are the improving edges, and the one with the lowest row
+    index enters (Bland's rule), which rules out cycling on degenerate
+    vertices.  An edge with no kink ahead raises ConvergenceError.
+    Residuals and entries of XB within _NOISE_RTOL of their rounding
+    scale count as zero.  Beta is solved from the final basis rows in
+    ascending index order.
 
     The 2p slopes are priced in Python floats: w'XB and the column sums
     come out of numpy once per pivot as lists, and the slopes c + (1 -
@@ -534,13 +536,13 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     tests and the entering edge are formed from them.  An IEEE double's
     +, -, * and comparison round the same in Python as in a float64
     ufunc, so every value and decision has the bits the array forms had;
-    the entering edge is np.argmin's, the first least slope or the first
-    NaN (``_first_min``).  The key block (``_key_edges``) forms its
-    leading entries in arrays and filters and orders the candidates on
-    those lists.  When no edge descends and none is flat, the candidate
-    list is empty whether or not the last step had zero length, so the
-    walk stops there without the key block, which thus runs only after a
-    zero-length step or when some edge is flat.
+    the steepest edge is np.argmin's, the first least slope or the first
+    NaN (``_first_min``).  The key block forms its leading entries in
+    arrays and filters and orders the candidates on those lists.  When
+    no edge descends and none is flat, there is no candidate whether or
+    not the last step had zero length, so the walk stops there without
+    the key block, which thus runs only after a zero-length step or when
+    some edge is flat.
 
     Raises
     ------
@@ -548,23 +550,19 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
         If the design is rank deficient (via RegressionData validation).
     ConvergenceError
         If the simplex exceeds MAX_ITER pivots, or, in rounding, finds
-        no kink to stop at along a descending edge.
+        no kink to stop at along the edge it enters.
     NumericalError
-        If min(tau, 1 - tau) < EXTREME_TAU and the design is not an
-        intercept alone or an intercept and one 0/1 indicator.
+        If tau < EXTREME_TAU or tau > 1 - EXTREME_TAU, on any design.
     """
     _check_tau(tau)
+    if tau < EXTREME_TAU or tau > 1.0 - EXTREME_TAU:
+        raise NumericalError(
+            f"tau = {tau!r} lies within {EXTREME_TAU:g} of 0 or 1 where the "
+            "simplex's tie window can exceed the slopes of the objective; "
+            f"use a tau in [{EXTREME_TAU:g}, 1 - {EXTREME_TAU:g}]"
+        )
     y, X = data.y, data.X
     p = data.p
-    if min(tau, 1.0 - tau) < EXTREME_TAU and not (
-        p <= 2 and (X[:, 0] == 1.0).all() and ((X == 0.0) | (X == 1.0)).all()
-    ):
-        raise NumericalError(
-            f"tau = {tau!r} lies within {EXTREME_TAU:g} of 0 or 1 on a design "
-            "other than (1) or (1, d), where the simplex's tie window "
-            "exceeds the slopes of the objective; use a tau in "
-            f"[{EXTREME_TAU:g}, 1 - {EXTREME_TAU:g}]"
-        )
     weight = _col_absmax(X)
     key = _key_columns(p)
     h = _start_basis(data, tau, weight)
@@ -600,35 +598,28 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
             break  # no edge descends and none is flat: a strict optimum
         descend = [sl < -f for sl, f in zip(slope, flat)]
         if bland or not any(descend):
-            edges = _key_edges(B, weight, key, h, slope, flat, descend)
+            e = _key_edge(B, weight, key, h, slope, flat, descend)
+            if e is None:
+                break
         else:
-            edges = [_first_min(slope)]
-        cap = _plane_cap(ytop, colsum, yh, y.size)
+            e = _first_min(slope)
+        k, s = e % p, 1.0 if e < p else -1.0
         # Row sums of |A|, columns added in order 0 to p-1.
         noise = absA[:, 0].copy()
         for col in range(1, p):
             noise += absA[:, col]
         noise *= _NOISE_RTOL
-        for e in edges:
-            k, s = e % p, 1.0 if e < p else -1.0
-            a = s * A[:, k]
-            a[h] = 0.0
-            cross = (a * side > noise).nonzero()[0]
-            rc, ac = r[cross], a[cross]
-            t = np.maximum(rc / ac, 0.0)
-            on_plane = _on_plane(rc, cross, cap, y, absA, yh)
-            if on_plane is not None:
-                t[on_plane] = 0.0
-            reached = _kinks_to_stop(t, np.abs(ac), slope[e], -flat[e])
-            if reached is not None:
-                break
-            if descend[e]:
-                raise ConvergenceError("simplex found no kink to stop at along an edge")
-            # A flat edge with no kink ahead is a ray that ascends, if at
-            # all, by less than the tie window (tau below TIE_RTOL on (1, d)):
-            # it is not followed, and the next candidate edge is tried.
-        else:
-            break
+        a = s * A[:, k]
+        a[h] = 0.0
+        cross = (a * side > noise).nonzero()[0]
+        rc, ac = r[cross], a[cross]
+        t = np.maximum(rc / ac, 0.0)
+        on_plane = _on_plane(rc, cross, _plane_cap(ytop, colsum, yh, y.size), y, absA, yh)
+        if on_plane is not None:
+            t[on_plane] = 0.0
+        reached = _kinks_to_stop(t, np.abs(ac), slope[e], -flat[e])
+        if reached is None:
+            raise ConvergenceError("simplex found no kink to stop at along an edge")
         passed = cross[reached[:-1]]
         side[passed] = -side[passed]
         w[passed] = np.where(side[passed] > 0.0, -tau, up)

@@ -164,6 +164,21 @@ class TestTest:
         assert main(["test", "--input", str(fixture_csv), "--tau", "1e-9", "--method", "es",
                      "--out", str(tmp_path / "es.json")]) == 0
 
+    def test_both_ends_of_the_tau_range_are_fitted(self, fixture_csv, tmp_path, capsys):
+        # 1 - 0.0001 is 0.9999 in floats, and 1.0 - 0.9999 a hair below
+        # 0.0001: the fit was once refused there.  At both ends the
+        # diagnostic curves come out; at 0.9999 the test finds no
+        # shortfall, as es does.
+        out = tmp_path / "curves.csv"
+        assert main(["diagnose", "--input", str(fixture_csv), "--tau-fit", "0.0001,0.9999", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 2 * 99
+        capsys.readouterr()
+        for method in ("coves", "es"):
+            assert main(["test", "--input", str(fixture_csv), "--tau", "0.9999", "--method", method,
+                         "--out", str(tmp_path / "r.json")]) == 3
+            err = capsys.readouterr().err.splitlines()[-1]
+            assert err.startswith("error: no observation above the fitted quantile plane in group "), method
+
     def test_extreme_tau_binary_covariate_exits_3(self, tmp_path, capsys):
         # Entries of 0 and 1 alone do not make (1, d, c) safe at such a tau.
         path = tmp_path / "bin.csv"
@@ -262,6 +277,17 @@ class TestPower:
         ]) == 0
         errors = [row.split(",")[-1] for row in out.read_text().strip().splitlines()[1:]]
         assert errors == ["1", "1", "0"]
+
+    def test_all_failed_names_the_first_failure(self, tmp_path, capsys):
+        # Every replication is refused at tau = 1e-9; the message says why.
+        capsys.readouterr()
+        assert main([
+            "power", "--scenario", "2", "--test", "coves", "--tau", "1e-9", "--sizes", "50",
+            "--reps", "40", "--seed", "1", "--out", str(tmp_path / "p.csv"),
+        ]) == 3
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("error: 40/40 replications failed; configuration too degenerate ")
+        assert "; the first raised NumericalError: tau = 1e-09 lies within 0.0001 of 0 or 1 " in err
 
     def test_bad_sizes_exits_2(self, tmp_path):
         assert main([

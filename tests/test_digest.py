@@ -77,7 +77,7 @@ def test_instrument_wraps_nothing_when_a_name_is_missing(monkeypatch):
 
 def test_counter_without_its_names_is_left_out(monkeypatch):
     digest = load_digest()
-    for name in ("_kinks_to_stop", "_start_basis", "_key_edges", "_greedy_rows"):
+    for name in ("_kinks_to_stop", "_start_basis", "_key_edge", "_greedy_rows"):
         monkeypatch.setattr(quantreg, name, getattr(quantreg, name))
     start_basis = quantreg._start_basis
     # The start pass is missing only while the counters are hooked in:

@@ -51,7 +51,7 @@ class RaiseOnSeeds:
 
     def __call__(self, m, n, seed):
         if seed in self.bad:
-            raise NumericalError("generator failed")
+            raise NumericalError(f"generator failed on seed {seed}")
         return NULL1(m, n, seed)
 
 
@@ -175,6 +175,20 @@ class TestEstimateRejectionRate:
         for test_id in ("coves", "ttest"):
             with pytest.raises(UnstableConfigurationError, match="50/50"):
                 estimate_rejection_rate(DegenerateSampler(), test_id, 10, 10, 0.05, 50, 1)
+
+    @pytest.mark.parametrize("workers", [None, 2, 3])
+    def test_refusal_names_the_first_failure_in_seed_order(self, workers):
+        # Replications 7, 12 and 25 fail, one in each chunk of three
+        # workers; the message names replication 7's failure.
+        seeds = replication_seed(1, 0, range(30))
+        sampler = RaiseOnSeeds(frozenset(seeds[i] for i in (25, 12, 7)))
+        with pytest.raises(UnstableConfigurationError) as exc:
+            estimate_rejection_rate(sampler, "es", 10, 10, 0.05, 30, 1, workers=workers)
+        assert str(exc.value) == (
+            "3/30 replications failed; configuration too degenerate for a trustworthy "
+            "estimate (at most 1 may fail, and never all); the first raised "
+            f"NumericalError: generator failed on seed {seeds[7]}"
+        )
 
     def test_generator_error_counts_as_one_failed_replication(self):
         bad = frozenset([replication_seed(1, 0, 40)])

@@ -537,17 +537,16 @@ class TestGroupQuantileFit:
     @pytest.mark.parametrize("tau", [5e-324, 1e-10, TIE_RTOL, 2e-9, 1e-6])
     def test_tau_inside_tie_window_takes_least_value(self, tau):
         # tau*N_d - TIE_RTOL*N_d <= 0 (or tau*N_d < 1): k_d clamps to 1,
-        # each group's least value, the oracle's point.  For tau up to
-        # TIE_RTOL every downward edge of fit_rq is flat with no kink
-        # ahead; it once raised ConvergenceError there, and now skips
-        # those edges and returns the same fit bit for bit.
+        # each group's least value, the oracle's point.  fit_rq refuses
+        # every such tau, below EXTREME_TAU, on (1, d) as on every design.
         z = np.random.default_rng(0).normal(size=12)
         rd = two_sample(z, [1] * 6 + [0] * 6)
         fit = group_fit(rd, tau)
         assert tuple(fit.beta) == (z[6:].min(), z[:6].min() - z[6:].min())
         assert np.array_equal(fit.beta, rq_oracle(rd, tau).beta)
         assert_lower_end(rd, fit, tau)
-        assert_same_fit(fit_rq(rd, tau), fit)
+        with pytest.raises(NumericalError, match=r"^tau = .* lies within 0\.0001 of 0 or 1 "):
+            fit_rq(rd, tau)
 
     def test_row_order_does_not_matter(self):
         # Scenario 2 at (50,50), tau = 0.5: tau*N_d = 25, so the optimum is
@@ -942,13 +941,15 @@ def reference_fit_rq(rd, tau):
     """fit_rq as it was with its pricing in numpy arrays: the slopes,
     windows, descend and flat tests and key signs as arrays of 2p, the key
     block on every pivot once no edge descends, the start from
-    argsort_start_basis.  Returns (beta, residuals, objective, zero_set,
-    pivots), or raises as fit_rq does."""
+    argsort_start_basis.  It also keeps the loop over the candidate edges
+    that skipped a flat edge with no kink ahead, where fit_rq enters one
+    edge and raises, so the two agree only while that skip never fires;
+    it fired only on (1) and (1, d) at tau up to 1e-6, which both refuse.
+    Returns (beta, residuals, objective, zero_set, pivots), or raises as
+    fit_rq does."""
     y, X = rd.y, rd.X
     p = rd.p
-    if min(tau, 1.0 - tau) < EXTREME_TAU and not (
-        p <= 2 and (X[:, 0] == 1.0).all() and ((X == 0.0) | (X == 1.0)).all()
-    ):
+    if tau < EXTREME_TAU or tau > 1.0 - EXTREME_TAU:
         raise NumericalError("extreme tau")
     weight = np.abs(X).max(axis=0)
     key = _key_columns(p)
@@ -1387,8 +1388,7 @@ class TestRowIndependence:
                     assert np.array_equal(np.concatenate(got), whole), (name, batch)
 
 
-EXACT_AT_ANY_TAU = ("(1)", "(1, d)")
-EXTREME_KINDS = EXACT_AT_ANY_TAU + ("(1, c)", "(1, d, c)", "(1, d, b)")
+EXTREME_KINDS = ("(1)", "(1, d)", "(1, c)", "(1, d, c)", "(1, d, b)")
 
 
 def extreme_designs(count=300):
@@ -1411,25 +1411,18 @@ def extreme_designs(count=300):
     return out
 
 
-def upper_bound_tau():
-    """The largest tau whose 1 - tau, in floats, is at least EXTREME_TAU."""
-    tau = 1.0 - EXTREME_TAU
-    while 1.0 - tau < EXTREME_TAU:
-        tau = np.nextafter(tau, 0.0)
-    return float(tau)
-
-
 class TestExtremeTau:
     # Beyond EXTREME_TAU the flat-edge window TIE_RTOL * sum|x_i' delta|
     # is wider than slopes of order min(tau, 1 - tau) * sum|x_i' delta|.
     # On designs with a continuous covariate the walk then followed
     # ascending edges and returned a fit up to 20 times the oracle's
-    # objective, with no error; so did (1, d, b) with a binary b.  On (1)
-    # and (1, d) the fit is exact at any tau.
+    # objective, with no error; so did (1, d, b) with a binary b.  fit_rq
+    # refuses every design there, (1) and (1, d) too, whose es fit comes
+    # from order statistics at any tau.
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
     def test_matches_oracle_at_bound(self, side):
-        tau = EXTREME_TAU if side == "lower" else upper_bound_tau()
+        tau = EXTREME_TAU if side == "lower" else 1.0 - EXTREME_TAU
         for kind, rd in extreme_designs():
             fo = rq_oracle(rd, tau)
             fit = fit_rq(rd, tau)
@@ -1437,17 +1430,25 @@ class TestExtremeTau:
             assert beta_gap(rd, fit.beta, fo.beta) <= 1e-9, kind
 
     @pytest.mark.parametrize("tau", [5e-324, 1e-9, 1e-6, np.nextafter(EXTREME_TAU, 0.0),
-                                     np.nextafter(upper_bound_tau(), 1.0), 1.0 - 1e-9])
+                                     np.nextafter(1.0 - EXTREME_TAU, 1.0), 1.0 - 1e-9])
     def test_refused_beyond_bound(self, tau):
         tau = float(tau)
+        kinds = set()
         for kind, rd in extreme_designs(100):
-            if kind in EXACT_AT_ANY_TAU:
-                fit, fo = fit_rq(rd, tau), rq_oracle(rd, tau)
-                assert fit.objective == pytest.approx(fo.objective, rel=1e-9)
-                assert beta_gap(rd, fit.beta, fo.beta) <= 1e-9
-            else:
-                with pytest.raises(NumericalError, match=r"^tau = .* lies within 0\.0001 of 0 or 1 "):
-                    fit_rq(rd, tau)
+            with pytest.raises(NumericalError, match=r"^tau = .* lies within 0\.0001 of 0 or 1 "):
+                fit_rq(rd, tau)
+            kinds.add(kind)
+        assert kinds == set(EXTREME_KINDS)
+
+    @pytest.mark.parametrize("tau", [5e-324, 1e-10, TIE_RTOL])
+    def test_edge_with_no_kink_raises(self, monkeypatch, tau):
+        # Up to TIE_RTOL every downward edge of (1, d) is flat with no kink
+        # ahead.  With the refusal lifted, the walk enters such an edge,
+        # its one edge of the pivot, and raises; it once skipped it.
+        monkeypatch.setattr(quantreg, "EXTREME_TAU", 0.0)
+        z = np.random.default_rng(0).normal(size=12)
+        with pytest.raises(ConvergenceError, match="^simplex found no kink to stop at along an edge$"):
+            fit_rq(two_sample(z, [1] * 6 + [0] * 6), tau)
 
     def test_discrete_covariate_refused(self):
         # Entries of 0 and 1 alone do not exempt a design: beyond the bound
@@ -1463,12 +1464,20 @@ class TestExtremeTau:
     @pytest.mark.parametrize("tau", [1e-9, 1.0 - 1e-9])
     @pytest.mark.parametrize("with_d", [False, True])
     def test_exempt_designs_match_group_order_statistics(self, tau, with_d):
-        # Beyond the oracle's size: (1) and (1, d) at n = 2000 reach the
-        # least check objective, that of each group's tau-quantile.
+        # (1) and (1, d), once exempt from the refusal, are refused too.
+        # Beyond the oracle's size, at n = 2000, each group's order
+        # statistic that the es fit takes reaches the least check
+        # objective, that of each group's tau-quantile.
         rng = np.random.default_rng(1207)
         y = np.round(rng.normal(size=2000), 2)
         d = rng.permutation(np.arange(2000) % 2).astype(float)
         X = np.column_stack([np.ones(2000), d]) if with_d else np.ones((2000, 1))
-        groups = [d == 0.0, d == 1.0] if with_d else [np.ones(2000, dtype=bool)]
+        with pytest.raises(NumericalError, match=r"^tau = .* lies within 0\.0001 of 0 or 1 "):
+            fit_rq(RegressionData(y, X), tau)
+        groups = [d == 1.0, d == 0.0] if with_d else [np.ones(2000, dtype=bool)]
         best = sum(float(np.sum(rho_tau(y[g] - empirical_quantile(y[g], tau), tau))) for g in groups)
-        assert fit_rq(RegressionData(y, X), tau).objective == pytest.approx(best, rel=1e-12)
+        if with_d:
+            objective = fit_group_quantiles(y, groups, tau).objective
+        else:
+            objective = float(np.sum(rho_tau(y - quantreg._lower_end(y, tau), tau)))
+        assert objective == pytest.approx(best, rel=1e-12)

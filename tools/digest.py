@@ -27,9 +27,9 @@ design, so ``--diff`` can name every design whose result moved.
   scenarios 1-4 at eta 0 and 1.35, seeds 0-4, at (25, 25) with tau 0.28
   and 0.56 and at (100, 100) with tau 0.55, where tau*N_d is a float a
   hair above an integer.  Tiny-tau two-sample designs add (1, d) fits at
-  five levels from 5e-324 to 1e-6, below and above TIE_RTOL, under
-  which every downward edge is flat, and the (1, d, c) fit at 5e-5,
-  below EXTREME_TAU, which ``fit_rq`` refuses.  Designs of one or two columns
+  five levels from 5e-324 to 1e-6, below and above TIE_RTOL, and the
+  (1, d, c) fit at 5e-5, all below EXTREME_TAU, where ``fit_rq``
+  refuses every design.  Designs of one or two columns
   without an intercept, (c), (d) and (d, c), and the intercept alone,
   (1), add fits of scenarios 1-4 at (25, 25) and of scenario 3 at
   (5000, 5000), so one- and two-column designs, with and without an
@@ -50,7 +50,9 @@ design, so ``--diff`` can name every design whose result moved.
   way, on every one of those designs with at most ``ORACLE_MAX_N`` rows.
 - ``run_coves``, ``run_es``, ``run_ttest``, ``decompose_T``: every field
   of the report, or the error, on the same datasets.  ``run_coves`` and
-  ``run_es`` also run on the near-integral designs, and ``run_coves`` on
+  ``run_es`` also run on the near-integral designs, ``run_es`` on the
+  tiny-tau designs at each of their (1, d) levels, where it answers
+  from order statistics, and ``run_coves`` on
   each scenario dataset of ``SIZES`` with its covariate times 1e-10 and
   on the rank-boundary datasets; ``run_ttest`` runs on the tiny-covariate
   and the rank-boundary datasets too, and on the offset-covariate
@@ -113,7 +115,7 @@ SCENARIOS = [(sc, eta) for sc in (1, 2, 3, 4) for eta in (0.0, 1.35)]
 NEAR_INTEGRAL = {25: (0.28, 0.56), 100: (0.55,)}
 # Levels at which each group of a signed-zero design has a zero order statistic.
 SIGNED_ZERO_TAUS = (0.25, 0.5, 0.75)
-# Levels at and below TIE_RTOL, where a downward edge of (1, d) is flat.
+# Levels below EXTREME_TAU, on both sides of TIE_RTOL: fit_rq refuses them, run_es answers.
 TINY_TAUS = (5e-324, 1e-10, 1e-9, 2e-9, 1e-6)
 # Eighths k of the powers 10**k times the covariate where the rank
 # decision of (1, d, c) on a (50, 50) scenario dataset flips.
@@ -312,8 +314,8 @@ def sweep(record):
         name = f"tinytau/{name}"
         record("simgen", name, (data.z, data.d, data.c))
         record_fits(record, f"{name}/cov0", data.z, design_matrix(data, False), TINY_TAUS)
-        # Below EXTREME_TAU = 1e-4, where fit_rq refuses (1, d, c).
         record_fits(record, f"{name}/cov1", data.z, design_matrix(data), (5e-5,))
+        record_reports(record, name, data, (), TINY_TAUS, False)
     large = scenario_draws([(5000, 5000)], ("rep0", "rep1"), [(3, 0.0)])
     for name, data, _ in itertools.chain(scenario_draws([(25, 25)], range(3)), large):
         d = data.d.astype(float)
@@ -458,7 +460,7 @@ def counters():
         branches["fits"] += 1
         keyed[0] = False
 
-    def keyed_edges(*_):
+    def keyed_edge(*_):
         branches["keyed"] += not keyed[0]
         keyed[0] = True
 
@@ -471,7 +473,7 @@ def counters():
          quantreg, {"_kinks_to_stop": kink_sort}),
         (branches, "solver branches: {keyed} of {fits} fits entered the key block, "
          "{fallback} of {nearest} nearest-rows starts fell back to the full pass",
-         quantreg, {"_start_basis": started, "_key_edges": keyed_edges, "_greedy_rows": nearest}),
+         quantreg, {"_start_basis": started, "_key_edge": keyed_edge, "_greedy_rows": nearest}),
     ]
 
 
