@@ -107,8 +107,8 @@ class RegressionData:
     indicator, covariate), but any full-column-rank design is accepted.
     The rank comes from np.linalg.lstsq(X, y, rcond=None), an SVD with
     np.linalg.matrix_rank's tolerance s_max * max(n, p) * eps; its
-    coefficients are kept as ``ols``, the start basis's OLS pilot, so a
-    fit factorises X once.
+    coefficients are kept as ``ols``, the start basis's OLS pilot before
+    its shift and Newton step, so a fit factorises X once.
     """
 
     y: np.ndarray
@@ -163,12 +163,11 @@ class QuantileFit:
         return self.residuals > self.zero_tol
 
 
-def _make_fit(
-    tau: float, beta: np.ndarray, y: np.ndarray, residuals: np.ndarray
-) -> QuantileFit:
-    # The zero tolerance is scale-relative: scaling y scales it too.  The
-    # objective is sum(rho_tau(residuals, tau)), without its checks.
-    ztol = TIE_RTOL * float(np.abs(y).max())
+def _make_fit(tau: float, beta: np.ndarray, ymax: float, residuals: np.ndarray) -> QuantileFit:
+    # The zero tolerance is scale-relative (ymax is max|y|): scaling y
+    # scales it too.  The objective is sum(rho_tau(residuals, tau)),
+    # without its checks.
+    ztol = TIE_RTOL * ymax
     return QuantileFit(
         tau=tau,
         beta=beta,
@@ -231,7 +230,7 @@ def rq_oracle(data: RegressionData, tau: float) -> QuantileFit:
     beta = _enumerate_vertices(data, tau)
     if beta is None:
         raise DegenerateDesignError("no nonsingular p-subset of observations")
-    return _make_fit(tau, beta, data.y, data.y - data.X @ beta)
+    return _make_fit(tau, beta, float(np.abs(data.y).max()), data.y - data.X @ beta)
 
 
 def fit_group_quantiles(z, groups, tau: float) -> QuantileFit:
@@ -252,7 +251,7 @@ def fit_group_quantiles(z, groups, tau: float) -> QuantileFit:
     _check_tau(tau)
     q1, q0 = (_lower_end(z[in_g], tau) for in_g in groups)
     beta = np.array([q0, q1 - q0])
-    return _make_fit(tau, beta, z, z - np.where(groups[0], q1, q0))
+    return _make_fit(tau, beta, float(np.abs(z).max()), z - np.where(groups[0], q1, q0))
 
 
 def _lower_end(values: np.ndarray, tau: float) -> float:
@@ -272,12 +271,19 @@ def _col_absmax(X: np.ndarray) -> np.ndarray:
 def _start_basis(data: RegressionData, tau: float, weight: np.ndarray) -> np.ndarray:
     """p linearly independent rows near the tau-quantile plane of the data.
 
-    The OLS fit ``data.ols``, from the lstsq that decided the rank in
-    ``RegressionData``, shifted by the tau-quantile of its residuals
-    (their ceil(tau*n)-th order statistic, as ``empirical_quantile``
-    takes it, found by np.partition: the value a full sort puts there,
-    up to the sign of a zero, which the distance's absolute value drops)
-    gives each row a distance.  Rows are taken greedily: at each step
+    The pilot is the OLS fit ``data.ols``, from the lstsq that decided
+    the rank in ``RegressionData``, shifted by the tau-quantile of its
+    residuals (their ceil(tau*n)-th order statistic, as
+    ``empirical_quantile`` takes it, found by np.partition: the value a
+    full sort puts there, up to the sign of a zero, which the distance's
+    absolute value drops).  The OLS slope is not the quantile slope, so
+    one Newton step of the check loss (``_newton_step``) moves the pilot
+    toward the optimum, and each row's distance is its |residual| from
+    the stepped plane, or from the pilot where the step fails.  At
+    (5000, 5000) on scenario 3 the step left about a quarter as many rows
+    between the plane and the optimum, and the walk took about a third
+    fewer pivots.  Only the start moves: where the optimum is one vertex,
+    every fit keeps its bits.  Rows are taken greedily: at each step
     the row with the least (distance, row index) among those whose component
     orthogonal to the rows already taken is at least 1e-6 of the largest
     such component, found by one argmin over the distances with the
@@ -296,13 +302,43 @@ def _start_basis(data: RegressionData, tau: float, weight: np.ndarray) -> np.nda
     X = data.X
     r = data.y - X @ data.ols
     k = math.ceil(tau * r.size) - 1
-    dist = np.abs(r - np.partition(r, k)[k])
+    dist = np.abs(_newton_step(X, r - np.partition(r, k)[k], tau))
     if r.size >= START_MIN_N and not np.isnan(dist).any():
         near = _stable_head(dist, START_WINDOW)
         rows = _greedy_rows(X[near] / weight, dist[near], True)
         if rows is not None:
             return near[rows]
     return _greedy_rows(X / weight, dist, False)
+
+
+def _newton_step(X: np.ndarray, r: np.ndarray, tau: float) -> np.ndarray:
+    """The residuals r - X delta after one Newton step of the check loss
+    from the plane with residuals r, or r itself where the step fails.
+
+    delta = 2h (X_b'X_b)^-1 X'(tau - 1{r < 0}) is the loss's subgradient
+    over Powell's kernel estimate of its Hessian (Koenker 2005, Quantile
+    Regression, ch. 3), as in the one-step estimators of Bickel (1975):
+    X_b holds the rows with |r| <= h, and h is the m-th least |r|, with
+    m = floor(2 sqrt(n)), at least 2p and at most n.  Where h is 0 or not
+    finite, X_b'X_b is singular or delta is not finite, r serves.  The
+    products are BLAS ones, so on a degenerate vertex (tied or duplicated
+    rows) their rounding can pick which basis of the optimal point the
+    walk ends on, and beta can move by rounding.
+    """
+    n, p = X.shape
+    absr = np.abs(r)
+    m = min(n, max(2 * p, math.isqrt(4 * n)))
+    h = float(np.partition(absr, m - 1)[m - 1])
+    if not 0.0 < h < math.inf:
+        return r
+    band = X[absr <= h]
+    # An overflow or NaN only sends the start back to r.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            delta = 2.0 * h * np.linalg.solve(band.T @ band, X.T @ (tau - (r < 0.0)))
+        except np.linalg.LinAlgError:
+            return r
+        return r - X @ delta if np.isfinite(delta).all() else r
 
 
 def _greedy_rows(R: np.ndarray, dist: np.ndarray, prefix: bool):
@@ -489,10 +525,10 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     """Fit the tau-th linear regression quantile: the canonical optimum.
 
     An exact simplex (Barrodale & Roberts 1974; Koenker & d'Orey 1987).
-    It starts from p independent rows near the pilot plane
-    (``_start_basis``), which one greedy pass takes, on designs of
-    START_MIN_N rows or more from the nearest rows alone where that gives
-    the same rows.  Its state is a basis h of p rows on the fitted plane
+    It starts from p independent rows near the pilot plane after one
+    Newton step of the check loss (``_start_basis``), which one greedy
+    pass takes, on designs of START_MIN_N rows or more from the nearest
+    rows alone where that gives the same rows.  Its state is a basis h of p rows on the fitted plane
     and a side label for every other row, the sign of its residual; a row
     on the plane but outside the basis keeps its last label, which keeps
     degenerate vertices exact.  With B = X_h^-1, edge (k, s) moves beta along
@@ -568,7 +604,8 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     h = _start_basis(data, tau, weight)
     side = None
     bland = False
-    ytop = float(np.abs(y).max()) + _BOUND_FLOOR
+    ymax = float(np.abs(y).max())
+    ytop = ymax + _BOUND_FLOOR
     up = 1.0 - tau
     # The (n, p) arrays of every pivot are written into buffers made once
     # per fit: a fresh array of that size costs its page faults each time.
@@ -632,4 +669,4 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
 
     rows = np.sort(h)
     beta = np.linalg.solve(X[rows], y[rows])
-    return _make_fit(tau, beta, y, y - X @ beta)
+    return _make_fit(tau, beta, ymax, y - X @ beta)

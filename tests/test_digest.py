@@ -79,20 +79,22 @@ def test_counter_without_its_names_is_left_out(monkeypatch):
     digest = load_digest()
     for name in ("_kinks_to_stop", "_start_basis", "_key_edge", "_greedy_rows"):
         monkeypatch.setattr(quantreg, name, getattr(quantreg, name))
-    start_basis = quantreg._start_basis
+    key_edge = quantreg._key_edge
     # The start pass is missing only while the counters are hooked in:
     # every fit runs it.
     with monkeypatch.context() as mp:
         mp.delattr(quantreg, "_greedy_rows")
         rows = digest.instrumented()
     assert [line.split(":")[0] for _, line in rows] == ["kink sorts"]
-    assert quantreg._start_basis is start_basis
+    assert quantreg._key_edge is key_edge
     rng = np.random.default_rng(0)
     X = np.column_stack([np.ones(30), rng.normal(size=30)])
     quantreg.fit_rq(quantreg.RegressionData(rng.normal(size=30), X), 0.5)
     kinks, line = rows[0]
-    assert kinks["pivots"] >= 1
-    assert line.format_map(kinks).startswith(f"kink sorts: {kinks['pivots']} pivots")
+    assert kinks["pivots"] >= 1 and kinks["most"] == kinks["pivots"]
+    text = line.format_map(kinks)
+    assert text.startswith(f"kink sorts: {kinks['pivots']} pivots")
+    assert text.endswith(f"at most {kinks['pivots']} in one fit")
 
 
 def test_signed_zero_designs_tie_both_zeros_at_each_tau():

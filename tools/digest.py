@@ -85,10 +85,10 @@ and p-value (for ``run_ttest`` the t statistic and p-value, or the
 error), and for the fits the objective or the error class, which
 ``--diff`` prints beside each moved design.
 
-The sweep also prints the counters of ``counters``: kink sorts and
-solver branches, each counted by hooks that ``instrument`` puts on
-package functions.  A package that lacks one of a counter's functions
-prints no line for it.
+The sweep also prints the counters of ``counters``: kink sorts, with the
+most pivots of any one fit, and solver branches, each counted by hooks
+that ``instrument`` puts on package functions.  A package that lacks
+one of a counter's functions prints no line for it.
 """
 
 from __future__ import annotations
@@ -439,17 +439,24 @@ def instrument(module, hooks) -> bool:
 def counters():
     """(counts, line, module, hooks) of each counter the sweep prints:
     the pivots of quantreg._kinks_to_stop whose kinks outnumber
-    KINK_WINDOW, and those whose stop lay beyond the first window (or
-    nowhere), so the window was widened; the fits that entered the key
+    KINK_WINDOW, those whose stop lay beyond the first window (or
+    nowhere), so the window was widened, and the most pivots of one fit,
+    so that a walk near MAX_ITER shows; the fits that entered the key
     block (ordered their candidate edges by the key) and the
     nearest-rows starts that fell back to the full pass."""
     from coves import quantreg
 
     kinks, branches = Counter(), Counter()
     keyed = [False]
+    walk = [0]
+
+    def fit_started(*_):
+        walk[0] = 0
 
     def kink_sort(reached, t, *_):
         kinks["pivots"] += 1
+        walk[0] += 1
+        kinks["most"] = max(kinks["most"], walk[0])
         window = quantreg.KINK_WINDOW
         if t.size > window:
             kinks["windowed"] += 1
@@ -469,8 +476,9 @@ def counters():
         branches["fallback"] += rows is None
 
     return [
-        (kinks, "kink sorts: {pivots} pivots, {windowed} over the window, {widened} widened it",
-         quantreg, {"_kinks_to_stop": kink_sort}),
+        (kinks, "kink sorts: {pivots} pivots, {windowed} over the window, {widened} widened it, "
+         "at most {most} in one fit",
+         quantreg, {"_start_basis": fit_started, "_kinks_to_stop": kink_sort}),
         (branches, "solver branches: {keyed} of {fits} fits entered the key block, "
          "{fallback} of {nearest} nearest-rows starts fell back to the full pass",
          quantreg, {"_start_basis": started, "_key_edge": keyed_edge, "_greedy_rows": nearest}),
