@@ -7,16 +7,13 @@ quantile-regression residuals.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import sys
 
 import numpy as np
 
 from .errors import DegenerateSpreadError
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 
 def bandwidth_rot(samples) -> float:
@@ -35,12 +32,9 @@ def bandwidth_rot(samples) -> float:
     if n < 2:
         raise ValueError("need at least two samples for a bandwidth")
     s = np.sort(x)
-    # Within +-sqrt(float max)/(2n) no step can overflow; outside it (a NaN
-    # fails the test too) the steps run with numpy's warnings silenced, so
+    # The steps run with numpy's overflow and invalid warnings silenced, so
     # a sample they overflow or make NaN ends in the ValueError below.
-    bound = _SQRT_FLOAT_MAX / (2 * n)
-    quiet = not (-bound <= s[0] and s[-1] <= bound)
-    with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
+    with np.errstate(over="ignore", invalid="ignore"):
         dev = x - x.sum() / n
         np.square(dev, out=dev)
         sd = math.sqrt(dev.sum() / (n - 1))

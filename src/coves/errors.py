@@ -23,8 +23,8 @@ class DegenerateDesignError(NumericalError):
 
 
 class ConvergenceError(NumericalError):
-    """The simplex of ``quantreg.fit_rq`` exceeded its pivot cap, or found
-    no kink to stop at along an edge."""
+    """The simplex of ``quantreg.fit_rq`` exceeded its pivot cap, found
+    no kink to stop at along an edge, or reached a singular basis."""
 
 
 class OracleSizeError(CovesError):

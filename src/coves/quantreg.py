@@ -67,8 +67,12 @@ KINK_WINDOW = 64
 EXTREME_TAU = 1e-4
 # The start basis runs its pass on the START_WINDOW rows nearest the
 # pilot plane (see _start_basis) on designs of START_MIN_N rows or more.
-# Around 1000 rows the two cost the same; at 200 rows the prefix took a
-# third longer than the full pass, at 10 000 under a third of its time.
+# On scenario 2 and 3 draws at tau 0.75 (300 per size, one BLAS thread)
+# the start took 88 us with the prefix against 76 us with the full pass
+# at 100 rows, about the same at 200 and 300, 101 against 121 at 600 and
+# 112 against 228 at 1000.  The cut sits above that crossing because a
+# prefix on tied or discrete rows often declines and pays for both
+# passes: at 512, 44 of the digest's 72 added prefix passes did.
 START_WINDOW = 64
 START_MIN_N = 1024
 
@@ -412,26 +416,13 @@ def _stable_head(values: np.ndarray, window: int) -> np.ndarray:
     return head[values[head].argsort(kind="stable")]
 
 
-def _col_sums(absA: np.ndarray) -> np.ndarray:
-    """Column sums of the nonnegative (n, p) array absA, added in row
-    order: the last row of np.add.accumulate(absA, axis=0), bit for bit.
-
-    einsum's loop adds one row after another into the p sums, without
-    numpy's length-p inner loops; a single column it sums pairwise, so
-    p = 1 takes the running sum.
-    """
-    if absA.shape[1] == 1:
-        return np.add.accumulate(absA[:, 0])[-1:]
-    return np.einsum("ij->j", absA)
-
-
 def _plane_cap(ytop, colsum, yh, n):
     """An upper bound, over every row i, on _on_plane's right-hand side
     _NOISE_RTOL * (|y_i| + |A_i| @ |yh|), from scalars alone.
 
     ``ytop`` is max|y| + _BOUND_FLOOR and ``colsum`` the column sums of
-    |A| (``_col_sums``, as an array or a list); n is the number of rows.
-    In exact arithmetic
+    |A| (np.einsum("ij->j"), as an array or a list); n is the number of
+    rows.  In exact arithmetic
     |A_i| @ |yh| <= sum_k |A_ik| * max|yh| <= sum(colsum) * max|yh|.  In
     floats the test's product rounds up by at most a relative p*2^-53,
     and the bound's rounds down by at most (n + p + 2)*2^-53 (colsum
@@ -545,11 +536,11 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     pivot at large n sorts a few dozen kinks, not thousands, and stops
     where the full sort would.  The other O(n) passes of a pivot keep
     their bits too: the column sums of |XB| behind the flat-edge window
-    are added row after row in one einsum pass (``_col_sums``), and the
-    exact test of which crossing rows lie on the plane runs only when a
-    scalar bound on its right-hand side (``_plane_cap``) cannot rule them
-    all out, which on continuous data it nearly always can, and then
-    decides each row from that row alone.
+    come from one einsum pass, which adds row after row (pairwise for a
+    single column), and the exact test of which crossing rows lie on the
+    plane runs only when a scalar bound on its right-hand side
+    (``_plane_cap``) cannot rule them all out, which on continuous data
+    it nearly always can, and then decides each row from that row alone.
 
     An edge is flat when its slope is within TIE_RTOL * sum |x_i' delta|
     of zero.  Each pivot enters one edge: the steepest descending one,
@@ -586,7 +577,8 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
         If the design is rank deficient (via RegressionData validation).
     ConvergenceError
         If the simplex exceeds MAX_ITER pivots, or, in rounding, finds
-        no kink to stop at along the edge it enters.
+        no kink to stop at along the edge it enters or pivots into a
+        basis whose rows are singular.
     NumericalError
         If tau < EXTREME_TAU or tau > 1 - EXTREME_TAU, on any design.
     """
@@ -612,7 +604,12 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     A, absA = np.empty_like(X), np.empty_like(X)
     for _ in range(MAX_ITER):
         # Row i of A = X B holds x_i's coordinates in the basis rows.
-        B = np.linalg.inv(X[h])
+        try:
+            B = np.linalg.inv(X[h])
+        except np.linalg.LinAlgError:
+            raise ConvergenceError(
+                f"simplex reached a singular basis, rows {sorted(h.tolist())}"
+            ) from None
         np.matmul(X, B, out=A)
         yh = y[h]
         r = y - A @ yh
@@ -628,7 +625,7 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
         # The 2p slopes and their flat-edge windows, in Python floats:
         # each +, -, * and comparison rounds as the float64 ufunc would.
         c = (w @ A).tolist()
-        colsum = _col_sums(absA).tolist()
+        colsum = np.einsum("ij->j", absA).tolist()
         slope = [ci + up for ci in c] + [tau - ci for ci in c]
         flat = [TIE_RTOL * s for s in colsum] * 2
         if not any(map(float.__le__, slope, flat)):

@@ -187,10 +187,11 @@ def sample_targeted(
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
     u = _open_uniforms(seed, m + n)
-    d = np.concatenate([np.ones(m, dtype=int), np.zeros(n, dtype=int)])
+    d = np.zeros(m + n, dtype=int)
+    d[:m] = 1
     c = empirical_quantile(g_dist.values, u)
     z = empirical_quantile(f_dist.values, u)
-    z = z + np.where(d == 0, tail_shift(u), 0.0)
+    z[m:] += tail_shift(u[m:])
     return Dataset(z=z, d=d, c=c)
 
 

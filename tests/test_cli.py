@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from coves.cli import main, read_dataset_csv
+from coves.cli import main, read_dataset_csv, write_dataset_csv
+from test_quantreg import SINGULAR_PINS, sweep_dataset
 
 FIXTURE_CSV = "z,d,c\n0,1,1\n1,1,2\n2,1,3\n10,1,4\n0,0,1\n1,0,2\n2,0,3\n4,0,4\n"
 
@@ -152,6 +153,16 @@ class TestTest:
         out = tmp_path / "r.json"
         assert main(["test", "--input", str(path), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["s_counts"] == {"treatment": 12, "control": 12}
+
+    @pytest.mark.parametrize("seed, tau", SINGULAR_PINS)
+    def test_singular_basis_exits_3(self, tmp_path, capsys, seed, tau):
+        # A collinear sweep design whose walk pivots into a singular basis:
+        # the command once exited 2 with "error: Singular matrix".
+        path = tmp_path / "collinear.csv"
+        write_dataset_csv(str(path), sweep_dataset(seed))
+        capsys.readouterr()
+        assert main(["test", "--input", str(path), "--tau", str(tau), "--out", str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: simplex reached a singular basis, rows [")
 
     @pytest.mark.parametrize("tau", ["1e-9", "0.999999999"])
     def test_extreme_tau_exits_3(self, fixture_csv, tmp_path, capsys, tau):

@@ -84,8 +84,8 @@ class TestBandwidth:
             bandwidth_rot(samples)
 
     def test_window_edge_is_finite(self):
-        # Samples at +-sqrt(float max)/(2n) pass the window test and
-        # square without overflow.
+        # Samples at +-sqrt(float max)/(2n), where the mean and the
+        # deviations cannot overflow, square without overflow.
         edge = np.sqrt(np.finfo(float).max) / 4
         assert bandwidth_rot([-edge, edge]) == pytest.approx(0.9 * np.sqrt(2.0) * edge * 2 ** -0.2, rel=1e-12)
 

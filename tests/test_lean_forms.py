@@ -123,6 +123,14 @@ class TestBandwidth:
         with pytest.raises(DegenerateSpreadError):
             bandwidth_rot(np.full(7, scale))
 
+    def test_wide_pair_squares_finitely(self):
+        # At twice sqrt(float max)/(2n) from the mean, where a step could
+        # overflow on a larger sample, these deviations still square and
+        # add finitely, and the sd keeps np.std's bits.
+        e = np.sqrt(np.finfo(float).max) / 4
+        x = np.array([-2.0 * e, 2.0 * e])
+        assert same(bandwidth_rot(x), np_bandwidth(x))
+
 
 class TestGroupSums:
     @settings(max_examples=400, deadline=None)

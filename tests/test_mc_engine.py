@@ -15,6 +15,7 @@ from coves.mc_engine import (
     sample_size_search,
 )
 from coves.simgen import ScenarioSampler, ScenarioSpec
+from test_quantreg import SINGULAR_PINS, sweep_dataset
 
 NULL1 = ScenarioSampler(ScenarioSpec.from_scenario(1, 0.0))
 ALT1 = ScenarioSampler(ScenarioSpec.from_scenario(1, 1.35))
@@ -41,6 +42,17 @@ class FailOnSeeds:
 
     def __call__(self, m, n, seed):
         return DegenerateSampler()(m, n, seed) if seed in self.bad else NULL1(m, n, seed)
+
+
+@dataclass(frozen=True)
+class PinOnSeed:
+    """NULL1, except that one replication seed gives the pinned dataset."""
+
+    bad: int
+    pinned: Dataset
+
+    def __call__(self, m, n, seed):
+        return self.pinned if seed == self.bad else NULL1(m, n, seed)
 
 
 @dataclass(frozen=True)
@@ -195,6 +207,16 @@ class TestEstimateRejectionRate:
         est = estimate_rejection_rate(RaiseOnSeeds(bad), "es", 10, 10, 0.05, 100, 1)
         assert est.errors == 1
         assert est == estimate_rejection_rate(FailOnSeeds(bad), "es", 10, 10, 0.05, 100, 1)
+
+    @pytest.mark.parametrize("seed, tau", SINGULAR_PINS)
+    def test_singular_basis_counts_as_one_failed_replication(self, seed, tau):
+        # A collinear sweep design whose walk pivots into a singular basis
+        # once crashed the estimate with numpy's LinAlgError.
+        sampler = PinOnSeed(replication_seed(1, 0, 0), sweep_dataset(seed))
+        assert estimate_rejection_rate(sampler, "coves", 10, 10, 0.05, 100, 1, tau=tau).errors == 1
+        first = "the first raised ConvergenceError: simplex reached a singular basis"
+        with pytest.raises(UnstableConfigurationError, match=first):
+            estimate_rejection_rate(sampler, "coves", 10, 10, 0.05, 1, 1, tau=tau)
 
     def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
         # One chunk per replication asks for 50 processes; the pool gets

@@ -1,3 +1,4 @@
+import math
 import warnings
 from itertools import combinations, product
 
@@ -7,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coves import quantreg
-from coves.coves_test import design_matrix
-from coves.errors import ConvergenceError, DegenerateDesignError, NumericalError, OracleSizeError
+from coves.coves_test import Dataset, design_matrix
+from coves.errors import ConvergenceError, CovesError, DegenerateDesignError, NumericalError, OracleSizeError
 from coves.orderstats import empirical_quantile
 from coves.quantreg import (
     EXTREME_TAU,
@@ -19,7 +20,6 @@ from coves.quantreg import (
     _BOUND_FLOOR,
     _NOISE_RTOL,
     _col_absmax,
-    _col_sums,
     _greedy_rows,
     _key_columns,
     _kinks_to_stop,
@@ -861,6 +861,25 @@ def start_designs(rng, n, p, ties, covariate, duplicates):
     return y, X
 
 
+def sweep_design(seed):
+    """(y, X) of the collinear sweep at one seed: (1, d, c) with c nearly
+    1 + 2d, n in [5, 300), random ties and duplicated rows."""
+    rng = np.random.default_rng(seed)
+    n = rng.integers(5, 300)
+    ties, duplicates = rng.integers(0, 2), rng.integers(0, 2)
+    return start_designs(rng, n, 3, ties, "collinear", duplicates)
+
+
+def sweep_dataset(seed):
+    """The collinear sweep's design at one seed as a Dataset (z, d, c)."""
+    y, X = sweep_design(seed)
+    return Dataset(z=y, d=X[:, 1].astype(int), c=X[:, 2])
+
+
+# (seed, tau) of sweep designs whose walk pivots into a singular basis.
+SINGULAR_PINS = [(199, 0.75), (72, 0.5)]
+
+
 def pilot_residuals(rd, tau):
     """The residuals of the OLS pilot shifted to their tau-quantile."""
     r = rd.y - rd.X @ rd.ols
@@ -1000,7 +1019,7 @@ def reference_fit_rq(rd, tau):
         np.abs(A, out=absA)
         c = w @ A
         slope = np.concatenate((c + (1.0 - tau), tau - c))
-        colsum = _col_sums(absA)
+        colsum = np.einsum("ij->j", absA)
         spread = TIE_RTOL * colsum
         cap = _plane_cap(ytop, colsum, yh, y.size)
         noise = absA[:, 0].copy()
@@ -1331,7 +1350,10 @@ class TestOneSolve:
 
 class TestWindowSums:
     # fit_rq's flat-edge window is TIE_RTOL times the column sums of |A|,
-    # added row after row; _col_sums must give those bits, for every p.
+    # np.einsum("ij->j").  For p >= 2 einsum adds row after row, and these
+    # pin those bits.  A single column it sums pairwise: within the
+    # (n - 1) * 2^-53 relative rounding of a running sum, which _plane_cap
+    # allows for, of the exact sum.
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 1000, 8191, 8192, 8193, 20000])
     def test_equals_running_sum(self, p, n):
@@ -1344,10 +1366,14 @@ class TestWindowSums:
                     arr = absA.copy()
                     if zero is not None:
                         arr[:, zero] = 0.0
-                    ref = np.add.accumulate(arr, axis=0)[-1]
-                    got = _col_sums(arr)
+                    got = np.einsum("ij->j", arr)
                     assert got.shape == (p,)
-                    assert got.tobytes() == ref.tobytes(), (p, n, scale, zero)
+                    if p == 1:
+                        exact = math.fsum(arr[:, 0].tolist())
+                        assert abs(got[0] - exact) <= (n - 1) * 2.0**-53 * exact, (n, scale, zero)
+                    else:
+                        ref = np.add.accumulate(arr, axis=0)[-1]
+                        assert got.tobytes() == ref.tobytes(), (p, n, scale, zero)
 
 
 def pivot_state(X, y, h):
@@ -1356,7 +1382,7 @@ def pivot_state(X, y, h):
     A = X @ np.linalg.inv(X[h])
     absA = np.abs(A)
     ytop = float(np.abs(y).max()) + _BOUND_FLOOR
-    return y - A @ y[h], np.setdiff1d(np.arange(y.size), h), absA, _plane_cap(ytop, _col_sums(absA), y[h], y.size)
+    return y - A @ y[h], np.setdiff1d(np.arange(y.size), h), absA, _plane_cap(ytop, np.einsum("ij->j", absA), y[h], y.size)
 
 
 def full_on_plane_rhs(y, absA, yh, rows):
@@ -1451,7 +1477,7 @@ class TestOnPlaneBound:
             p = int(rng.integers(2, 5))
             absA = np.abs(rng.normal(size=(1, p))) * 10.0 ** float(rng.integers(-100, 101))
             yh = float(rng.exponential()) * rng.choice([-1.0, 1.0], size=p)
-            cap = _plane_cap(_BOUND_FLOOR, _col_sums(absA), yh, 1)
+            cap = _plane_cap(_BOUND_FLOOR, np.einsum("ij->j", absA), yh, 1)
             rhs = _NOISE_RTOL * np.einsum("ij,j->i", absA, np.abs(yh))
             for rc in (rhs, np.nextafter(rhs, np.inf)):
                 assert np.array_equal(as_mask(_on_plane(rc, rows, cap, y, absA, yh), 1), np.abs(rc) <= rhs)
@@ -1467,8 +1493,8 @@ class TestOnPlaneBound:
         absA, yh = np.array([[1.6, 1.6]]), np.array([h, -h])
         y, rows = np.array([(5000250000000000 - 1) * ulp]), np.array([0])
         rhs = _NOISE_RTOL * (np.abs(y) + absA @ np.abs(yh))
-        assert _plane_cap(float(y[0]), _col_sums(absA), yh, 1) < rhs[0]
-        cap = _plane_cap(float(y[0]) + _BOUND_FLOOR, _col_sums(absA), yh, 1)
+        assert _plane_cap(float(y[0]), np.einsum("ij->j", absA), yh, 1) < rhs[0]
+        cap = _plane_cap(float(y[0]) + _BOUND_FLOOR, np.einsum("ij->j", absA), yh, 1)
         for rc in (rhs, np.nextafter(rhs, np.inf)):
             assert np.array_equal(as_mask(_on_plane(rc, rows, cap, y, absA, yh), 1), np.abs(rc) <= rhs)
 
@@ -1629,3 +1655,27 @@ class TestExtremeTau:
         else:
             objective = float(np.sum(rho_tau(y - quantreg._lower_end(y, tau), tau)))
         assert objective == pytest.approx(best, rel=1e-12)
+
+
+class TestSingularBasis:
+    # On the collinear sweep, rounding in A = X B can let a row in the
+    # span of the other basis rows cross the plane and enter, and the next
+    # pivot's basis is singular.  The walk ends there in a typed error.
+    @pytest.mark.parametrize("seed, tau", SINGULAR_PINS)
+    def test_pinned_designs_raise_convergence_error(self, seed, tau):
+        y, X = sweep_design(seed)
+        with pytest.raises(ConvergenceError, match=r"^simplex reached a singular basis, rows \[\d+, \d+, \d+\]$"):
+            fit_rq(RegressionData(y, X), tau)
+
+    def test_sweep_ends_in_fit_or_typed_error(self):
+        # Seeds 0-249 at three outcome scales and four levels: 2987 fits
+        # and 13 singular bases when this was written.  Any error that is
+        # not the package's fails the test.
+        for seed in range(250):
+            y, X = sweep_design(seed)
+            for scale in (1e-8, 1.0, 1e8):
+                for tau in (0.25, 0.5, 0.75, 0.9):
+                    try:
+                        fit_rq(RegressionData(y * scale, X), tau)
+                    except CovesError:
+                        pass

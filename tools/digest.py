@@ -151,12 +151,13 @@ def sha(obj) -> str:
 
 
 def call(fn, *args, **kwargs):
-    """fn(*args, **kwargs), or the package or numpy error it raises."""
+    """fn(*args, **kwargs), or the package error or ValueError it raises
+    (numpy's LinAlgError is a ValueError)."""
     from coves.errors import CovesError
 
     try:
         return fn(*args, **kwargs)
-    except (CovesError, ValueError, np.linalg.LinAlgError) as exc:
+    except (CovesError, ValueError) as exc:
         return exc
 
 
