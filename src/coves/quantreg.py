@@ -48,9 +48,12 @@ _NOISE_RTOL = 1e-12
 # The on-plane bound's absolute floor, above the subnormal rounding of
 # |A_i| @ |yh| (see _plane_cap).
 _BOUND_FLOOR = float(np.finfo(float).tiny)
-# Kinks sorted at first along an edge step.  Over 20 fits of scenario 3
-# at (5000,5000), 132 pivots crossed about 4100 kinks each and stopped at
-# kink 4 in the median and 19 at the 90th percentile; one went past 64.
+# Kinks sorted at first along an edge step.  Over 80 fits of scenario 3
+# under the null at (5000,5000), tau 0.25 to 0.9, the walk on all rows
+# alone took 340 pivots, which crossed about 4500 kinks each and stopped
+# at kink 2 in the median, 6 at the 90th percentile and 30 at most.  With
+# the band walk the same 340 pivots cross about 190 kinks each and the
+# walk on all rows takes none; on tied designs a stop can lie past 64.
 KINK_WINDOW = 64
 # fit_rq refuses tau below this or above 1 - this, on every design.
 # There the flat-edge window, TIE_RTOL * sum|x_i' delta|, can be wider
@@ -75,6 +78,12 @@ EXTREME_TAU = 1e-4
 # passes: at 512, 44 of the digest's 72 added prefix passes did.
 START_WINDOW = 64
 START_MIN_N = 1024
+# fit_rq walks the band of rows nearest its start first (see _band_walk)
+# on designs of BAND_MIN_N rows or more.  On 30 scenario 3 draws under
+# the null at tau 0.25 to 0.9 (one BLAS thread), fit_rq with the band
+# walk took 1.04x its time without it at 1000 rows, 0.99x at 1500, 0.98x
+# at 2000, 0.92x at 2500 and 0.89x at 4000.
+BAND_MIN_N = 2048
 
 
 def rho_tau(u, tau: float):
@@ -512,6 +521,124 @@ def _key_edge(B, weight, key, h, slope, flat, descend) -> int | None:
     return min(edges, key=lambda e: (hl[e % p], e), default=None)
 
 
+def _band_walk(X, y, tau, h, weight, key, ytop) -> np.ndarray:
+    """The basis fit_rq's walk on all rows starts from: the end of the
+    same walk (``_walk``) on the rows of the band alone.
+
+    The band is the floor(4 sqrt(n)) rows nearest the plane of the start
+    basis h, with every row tied with the farthest of them, and h's rows.
+    Every other row keeps the side of its residual there, so it adds one
+    fixed p-vector, its weight in the slopes times its row of X, to w'X;
+    the walk takes it through B as ``offset`` and never tests those rows
+    for a kink.  The band walk hands back h where X_h is singular.
+    """
+    try:
+        B = np.linalg.inv(X[h])
+    except np.linalg.LinAlgError:
+        return h
+    r = y - X @ (B @ y[h])
+    absr = np.abs(r)
+    m = min(y.size, math.isqrt(16 * y.size))
+    near = absr <= np.partition(absr, m - 1)[m - 1]
+    near[h] = True
+    rows = near.nonzero()[0]
+    w = np.where(r > 0.0, -tau, 1.0 - tau)
+    w[rows] = 0.0
+    band = _walk(X[rows], y[rows], tau, np.searchsorted(rows, h), weight, key, ytop, w @ X)[0]
+    return rows[band]
+
+
+def _walk(X, y, tau, h, weight, key, ytop, offset):
+    """The simplex walk of fit_rq from basis h (row indices of X), which
+    it overwrites: (h, True) at the optimum.
+
+    With ``offset`` None this is the walk on all rows, and it raises
+    ConvergenceError where fit_rq does.  Otherwise it is the band walk
+    of ``_band_walk``: w'XB gains offset @ B, and the walk never raises.
+    At a singular basis, an edge with no kink, MAX_ITER pivots or its
+    first zero-length step it hands back the last basis it inverted, as
+    (basis, False), so the walk on all rows takes every Bland step.
+    """
+    p = len(key)
+    band = offset is not None
+    side = None
+    bland = False
+    up = 1.0 - tau
+    last = h.copy()
+
+    def give_up(message):
+        if not band:
+            raise ConvergenceError(message) from None
+        return last, False
+
+    # The (n, p) arrays of every pivot are written into buffers made once
+    # per walk: a fresh array of that size costs its page faults each time.
+    A, absA = np.empty_like(X), np.empty_like(X)
+    for _ in range(MAX_ITER):
+        # Row i of A = X B holds x_i's coordinates in the basis rows.
+        try:
+            B = np.linalg.inv(X[h])
+        except np.linalg.LinAlgError:
+            return give_up(f"simplex reached a singular basis, rows {sorted(h.tolist())}")
+        last[:] = h
+        np.matmul(X, B, out=A)
+        yh = y[h]
+        r = y - A @ yh
+        if side is None:
+            # side is +1 above the plane and -1 below; w is each row's
+            # weight in the objective's slope, 0 on the basis rows.  Both
+            # change only where a row changes sides or leaves the basis.
+            above = r > 0.0
+            side = np.where(above, 1.0, -1.0)
+            w = np.where(above, -tau, up)
+        w[h] = 0.0
+        np.abs(A, out=absA)
+        # The 2p slopes and their flat-edge windows, in Python floats:
+        # each +, -, * and comparison rounds as the float64 ufunc would.
+        c = (w @ A if offset is None else w @ A + offset @ B).tolist()
+        colsum = np.einsum("ij->j", absA).tolist()
+        slope = [ci + up for ci in c] + [tau - ci for ci in c]
+        flat = [TIE_RTOL * s for s in colsum] * 2
+        if not any(map(float.__le__, slope, flat)):
+            break  # no edge descends and none is flat: a strict optimum
+        descend = [sl < -f for sl, f in zip(slope, flat)]
+        if bland or not any(descend):
+            e = _key_edge(B, weight, key, h, slope, flat, descend)
+            if e is None:
+                break
+        else:
+            e = _first_min(slope)
+        k, s = e % p, 1.0 if e < p else -1.0
+        # Row sums of |A|, columns added in order 0 to p-1.
+        noise = absA[:, 0].copy()
+        for col in range(1, p):
+            noise += absA[:, col]
+        noise *= _NOISE_RTOL
+        a = s * A[:, k]
+        a[h] = 0.0
+        cross = (a * side > noise).nonzero()[0]
+        rc, ac = r[cross], a[cross]
+        t = np.maximum(rc / ac, 0.0)
+        on_plane = _on_plane(rc, cross, _plane_cap(ytop, colsum, yh, y.size), y, absA, yh)
+        if on_plane is not None:
+            t[on_plane] = 0.0
+        reached = _kinks_to_stop(t, np.abs(ac), slope[e], -flat[e])
+        if reached is None:
+            return give_up("simplex found no kink to stop at along an edge")
+        bland = t[reached[-1]] == 0.0
+        if bland and band:
+            return last, False
+        passed = cross[reached[:-1]]
+        side[passed] = -side[passed]
+        w[passed] = np.where(side[passed] > 0.0, -tau, up)
+        side[h[k]] = -s
+        w[h[k]] = -tau if s < 0.0 else up
+        h[k] = cross[reached[-1]]
+    else:
+        return give_up(f"simplex did not finish within MAX_ITER = {MAX_ITER} pivots")
+    return h, True
+
+
 def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     """Fit the tau-th linear regression quantile: the canonical optimum.
 
@@ -519,7 +646,18 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     It starts from p independent rows near the pilot plane after one
     Newton step of the check loss (``_start_basis``), which one greedy
     pass takes, on designs of START_MIN_N rows or more from the nearest
-    rows alone where that gives the same rows.  Its state is a basis h of p rows on the fitted plane
+    rows alone where that gives the same rows.  On designs of BAND_MIN_N
+    rows or more the walk then runs twice (``_walk``).  It first runs on
+    the floor(4 sqrt(n)) rows nearest the start's plane, with every other
+    row held on its side there (``_band_walk``); the rows that change
+    sides on the way to the optimum nearly all lie in that band, and its
+    pivots cost O(sqrt(n)), not O(n).  The walk on all rows then starts
+    from the band walk's last basis, and it alone decides optimality and
+    raises every error, so where the optimum is one vertex every fit keeps
+    its bits.  At (5000, 5000) on scenario 3 it confirms the band's
+    optimum with no pivot in most fits.
+
+    Its state is a basis h of p rows on the fitted plane
     and a side label for every other row, the sign of its residual; a row
     on the plane but outside the basis keeps its last label, which keeps
     degenerate vertices exact.  With B = X_h^-1, edge (k, s) moves beta along
@@ -590,80 +728,14 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
             f"use a tau in [{EXTREME_TAU:g}, 1 - {EXTREME_TAU:g}]"
         )
     y, X = data.y, data.X
-    p = data.p
     weight = _col_absmax(X)
-    key = _key_columns(p)
-    h = _start_basis(data, tau, weight)
-    side = None
-    bland = False
+    key = _key_columns(data.p)
     ymax = float(np.abs(y).max())
     ytop = ymax + _BOUND_FLOOR
-    up = 1.0 - tau
-    # The (n, p) arrays of every pivot are written into buffers made once
-    # per fit: a fresh array of that size costs its page faults each time.
-    A, absA = np.empty_like(X), np.empty_like(X)
-    for _ in range(MAX_ITER):
-        # Row i of A = X B holds x_i's coordinates in the basis rows.
-        try:
-            B = np.linalg.inv(X[h])
-        except np.linalg.LinAlgError:
-            raise ConvergenceError(
-                f"simplex reached a singular basis, rows {sorted(h.tolist())}"
-            ) from None
-        np.matmul(X, B, out=A)
-        yh = y[h]
-        r = y - A @ yh
-        if side is None:
-            # side is +1 above the plane and -1 below; w is each row's
-            # weight in the objective's slope, 0 on the basis rows.  Both
-            # change only where a row changes sides or leaves the basis.
-            above = r > 0.0
-            side = np.where(above, 1.0, -1.0)
-            w = np.where(above, -tau, up)
-        w[h] = 0.0
-        np.abs(A, out=absA)
-        # The 2p slopes and their flat-edge windows, in Python floats:
-        # each +, -, * and comparison rounds as the float64 ufunc would.
-        c = (w @ A).tolist()
-        colsum = np.einsum("ij->j", absA).tolist()
-        slope = [ci + up for ci in c] + [tau - ci for ci in c]
-        flat = [TIE_RTOL * s for s in colsum] * 2
-        if not any(map(float.__le__, slope, flat)):
-            break  # no edge descends and none is flat: a strict optimum
-        descend = [sl < -f for sl, f in zip(slope, flat)]
-        if bland or not any(descend):
-            e = _key_edge(B, weight, key, h, slope, flat, descend)
-            if e is None:
-                break
-        else:
-            e = _first_min(slope)
-        k, s = e % p, 1.0 if e < p else -1.0
-        # Row sums of |A|, columns added in order 0 to p-1.
-        noise = absA[:, 0].copy()
-        for col in range(1, p):
-            noise += absA[:, col]
-        noise *= _NOISE_RTOL
-        a = s * A[:, k]
-        a[h] = 0.0
-        cross = (a * side > noise).nonzero()[0]
-        rc, ac = r[cross], a[cross]
-        t = np.maximum(rc / ac, 0.0)
-        on_plane = _on_plane(rc, cross, _plane_cap(ytop, colsum, yh, y.size), y, absA, yh)
-        if on_plane is not None:
-            t[on_plane] = 0.0
-        reached = _kinks_to_stop(t, np.abs(ac), slope[e], -flat[e])
-        if reached is None:
-            raise ConvergenceError("simplex found no kink to stop at along an edge")
-        passed = cross[reached[:-1]]
-        side[passed] = -side[passed]
-        w[passed] = np.where(side[passed] > 0.0, -tau, up)
-        side[h[k]] = -s
-        w[h[k]] = -tau if s < 0.0 else up
-        h[k] = cross[reached[-1]]
-        bland = t[reached[-1]] == 0.0
-    else:
-        raise ConvergenceError(f"simplex did not finish within MAX_ITER = {MAX_ITER} pivots")
-
+    h = _start_basis(data, tau, weight)
+    if data.n >= BAND_MIN_N:
+        h = _band_walk(X, y, tau, h, weight, key, ytop)
+    h = _walk(X, y, tau, h, weight, key, ytop, None)[0]
     rows = np.sort(h)
     beta = np.linalg.solve(X[rows], y[rows])
     return _make_fit(tau, beta, ymax, y - X @ beta)

@@ -77,7 +77,7 @@ def test_instrument_wraps_nothing_when_a_name_is_missing(monkeypatch):
 
 def test_counter_without_its_names_is_left_out(monkeypatch):
     digest = load_digest()
-    for name in ("_kinks_to_stop", "_start_basis", "_key_edge", "_greedy_rows"):
+    for name in ("_kinks_to_stop", "_start_basis", "_key_edge", "_greedy_rows", "_walk"):
         monkeypatch.setattr(quantreg, name, getattr(quantreg, name))
     key_edge = quantreg._key_edge
     # The start pass is missing only while the counters are hooked in:
@@ -85,16 +85,26 @@ def test_counter_without_its_names_is_left_out(monkeypatch):
     with monkeypatch.context() as mp:
         mp.delattr(quantreg, "_greedy_rows")
         rows = digest.instrumented()
-    assert [line.split(":")[0] for _, line in rows] == ["kink sorts"]
+    assert [line.split(":")[0] for _, line in rows] == ["kink sorts", "band walks"]
     assert quantreg._key_edge is key_edge
     rng = np.random.default_rng(0)
     X = np.column_stack([np.ones(30), rng.normal(size=30)])
-    quantreg.fit_rq(quantreg.RegressionData(rng.normal(size=30), X), 0.5)
-    kinks, line = rows[0]
+    rd = quantreg.RegressionData(rng.normal(size=30), X)
+    quantreg.fit_rq(rd, 0.5)
+    (kinks, line), (band, band_line) = rows
     assert kinks["pivots"] >= 1 and kinks["most"] == kinks["pivots"]
     text = line.format_map(kinks)
     assert text.startswith(f"kink sorts: {kinks['pivots']} pivots")
-    assert text.endswith(f"at most {kinks['pivots']} in one fit")
+    assert f"at most {kinks['pivots']} in one fit" in text
+    assert band_line.format_map(band).startswith("band walks: 0 of 1 fits, 0 handed over early")
+    # With the band walk at every size, the most pivots of one fit count
+    # both walks.
+    monkeypatch.setattr(quantreg, "BAND_MIN_N", 0)
+    before = kinks["pivots"]
+    quantreg.fit_rq(rd, 0.5)
+    assert kinks["most"] == max(kinks["pivots"] - before, before)
+    assert band["walks"] == 1 and band["fits"] == 2
+    assert band_line.format_map(band).endswith(f"{band['after']} pivots on all rows after the band")
 
 
 def test_signed_zero_designs_tie_both_zeros_at_each_tau():

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from itertools import combinations, product
 
@@ -988,26 +989,72 @@ def reference_fit_rq(rd, tau):
     """fit_rq as it was with its pricing in numpy arrays: the slopes,
     windows, descend and flat tests and key signs as arrays of 2p, the key
     block on every pivot once no edge descends, the start from
-    argsort_start_basis.  It also keeps the loop over the candidate edges
-    that skipped a flat edge with no kink ahead, where fit_rq enters one
-    edge and raises, so the two agree only while that skip never fires;
-    it fired only on (1) and (1, d) at tau up to 1e-6, which both refuse.
-    Returns (beta, residuals, objective, zero_set, pivots), or raises as
-    fit_rq does."""
+    argsort_start_basis, and from quantreg.BAND_MIN_N rows on the band
+    walk first (reference_walk with an offset).  Returns (beta, residuals,
+    objective, zero_set, pivots), with the pivots of both walks, or
+    raises as fit_rq does."""
     y, X = rd.y, rd.X
-    p = rd.p
     if tau < EXTREME_TAU or tau > 1.0 - EXTREME_TAU:
         raise NumericalError("extreme tau")
     weight = np.abs(X).max(axis=0)
-    key = _key_columns(p)
     h = argsort_start_basis(X, y, tau)
+    pivots = 0
+    if rd.n >= quantreg.BAND_MIN_N:
+        h, pivots = reference_band_walk(X, y, tau, h, weight)
+    h, more = reference_walk(X, y, tau, h, weight, None)
+    rows = np.sort(h)
+    beta = np.linalg.solve(X[rows], y[rows])
+    res = y - X @ beta
+    objective = float((res * (tau - (res < 0))).sum())
+    zero_set = np.flatnonzero(np.abs(res) <= TIE_RTOL * float(np.abs(y).max()))
+    return beta, res, objective, zero_set, pivots + more
+
+
+def reference_band_walk(X, y, tau, h, weight):
+    """(basis, pivots) of the band walk: the rows whose |residual| at
+    basis h is at most the m-th least, m = min(n, floor(4 sqrt(n))), read
+    from a full sort, and h's rows, walked with the other rows held on
+    their sides by their slope weights times their rows of X."""
+    try:
+        B = np.linalg.inv(X[h])
+    except np.linalg.LinAlgError:
+        return h, 0
+    r = y - X @ (B @ y[h])
+    m = min(y.size, int(np.sqrt(16 * y.size)))
+    near = np.abs(r) <= np.sort(np.abs(r))[m - 1]
+    near[h] = True
+    rows = np.flatnonzero(near)
+    w = np.where(r > 0.0, -tau, 1.0 - tau)
+    w[rows] = 0.0
+    band, pivots = reference_walk(X[rows], y[rows], tau, np.searchsorted(rows, h), weight, w @ X)
+    return rows[band], pivots
+
+
+def reference_walk(X, y, tau, h, weight, offset):
+    """(basis, pivots) of the walk from basis h on the rows of X.  It
+    keeps the loop over the candidate edges that skipped a flat edge with
+    no kink ahead, where fit_rq enters one edge and raises, so the two
+    agree only while that skip never fires; it fired only on (1) and
+    (1, d) at tau up to 1e-6, which both refuse.  With an offset, the band
+    walk: it adds offset @ B to w'XB and hands back the last basis it
+    inverted at a singular basis, an edge with no kink, MAX_ITER or a
+    zero-length step."""
+    p = X.shape[1]
+    key = _key_columns(p)
     side = None
     bland = False
     ytop = float(np.abs(y).max()) + _BOUND_FLOOR
     A, absA = np.empty_like(X), np.empty_like(X)
     pivots = 0
+    last = h.copy()
     for _ in range(MAX_ITER):
-        B = np.linalg.inv(X[h])
+        try:
+            B = np.linalg.inv(X[h])
+        except np.linalg.LinAlgError:
+            if offset is not None:
+                return last, pivots
+            raise ConvergenceError(f"simplex reached a singular basis, rows {sorted(h.tolist())}") from None
+        last = h.copy()
         np.matmul(X, B, out=A)
         yh = y[h]
         r = y - A @ yh
@@ -1017,7 +1064,7 @@ def reference_fit_rq(rd, tau):
             w = np.where(above, -tau, 1.0 - tau)
         w[h] = 0.0
         np.abs(A, out=absA)
-        c = w @ A
+        c = w @ A if offset is None else w @ A + offset @ B
         slope = np.concatenate((c + (1.0 - tau), tau - c))
         colsum = np.einsum("ij->j", absA)
         spread = TIE_RTOL * colsum
@@ -1050,26 +1097,27 @@ def reference_fit_rq(rd, tau):
             reached = _kinks_to_stop(t, np.abs(ac), slope[e], -flat_tol[e])
             if reached is not None:
                 break
+            if offset is not None:
+                return last, pivots
             if descend[e]:
                 raise ConvergenceError("simplex found no kink to stop at along an edge")
         else:
             break
         pivots += 1
+        bland = t[reached[-1]] == 0.0
+        if bland and offset is not None:
+            return last, pivots
         passed = cross[reached[:-1]]
         side[passed] = -side[passed]
         w[passed] = np.where(side[passed] > 0.0, -tau, 1.0 - tau)
         side[h[k]] = -s
         w[h[k]] = -tau if s < 0.0 else 1.0 - tau
         h[k] = cross[reached[-1]]
-        bland = t[reached[-1]] == 0.0
     else:
+        if offset is not None:
+            return last, pivots
         raise ConvergenceError(f"simplex did not finish within MAX_ITER = {MAX_ITER} pivots")
-    rows = np.sort(h)
-    beta = np.linalg.solve(X[rows], y[rows])
-    res = y - X @ beta
-    objective = float((res * (tau - (res < 0))).sum())
-    zero_set = np.flatnonzero(np.abs(res) <= TIE_RTOL * float(np.abs(y).max()))
-    return beta, res, objective, zero_set, pivots
+    return h, pivots
 
 
 def counted_fit_rq(rd, tau):
@@ -1104,7 +1152,8 @@ def outcome(fn, rd, tau):
 class TestFitBitIdentity:
     # fit_rq prices its edges in Python floats and stops at a strict
     # optimum without the key block; every fit must keep the bits of the
-    # array form, and its pivots.
+    # array form, and its pivots, the band walk's and the walk's on all
+    # rows together.
     @settings(max_examples=400, deadline=None)
     @given(
         n=st.integers(3, 300),
@@ -1123,17 +1172,18 @@ class TestFitBitIdentity:
         rd = RegressionData(scale * y, X)
         with pytest.MonkeyPatch.context() as mp:
             if nearest:
-                # The start from the nearest rows at every size.
+                # The start from the nearest rows and the band walk at
+                # every size.
                 mp.setattr(quantreg, "START_MIN_N", 0)
                 mp.setattr(quantreg, "START_WINDOW", min(16, y.size))
-            got = outcome(counted_fit_rq, rd, tau)
-        assert got == outcome(reference_fit_rq, rd, tau)
+                mp.setattr(quantreg, "BAND_MIN_N", 0)
+            assert outcome(counted_fit_rq, rd, tau) == outcome(reference_fit_rq, rd, tau)
 
     def test_equals_reference_on_scenario_designs(self):
         from coves.simgen import ScenarioSpec, sample_scenario
 
         for sc in (1, 2, 3, 4):
-            for size in (30, 50, 700):
+            for size in (30, 50, 700, 1100):
                 data = sample_scenario(ScenarioSpec.from_scenario(sc, 1.35), size, size, sc)
                 for cov in (True, False):
                     rd = RegressionData(data.z, design_matrix(data, cov))
@@ -1260,6 +1310,209 @@ class TestNewtonStep:
             rd = RegressionData(data.z, design_matrix(data))
             pivots += [counted_fit_rq(rd, tau)[-1] for tau in (0.5, 0.75, 0.9)]
         assert np.mean(pivots) <= 4.0
+
+
+def no_band_fit(rd, tau):
+    """fit_rq with the band walk left out: the walk on all rows from the
+    start basis."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantreg, "BAND_MIN_N", rd.n + 1)
+        return fit_rq(rd, tau)
+
+
+def large_tied_design(seed, ties, covariate, duplicates):
+    """RegressionData of start_designs' (1, d, c) with 4096 to 8000 rows,
+    and with duplicates up to 12 000."""
+    rng = np.random.default_rng(seed)
+    return RegressionData(*start_designs(rng, int(rng.integers(4096, 8001)), 3, ties, covariate, duplicates))
+
+
+def band_trace(rd, tau, band_max_iter=None, fail_inversion=None):
+    """(fit, trace) of fit_rq with the band walk on every design.  The
+    trace holds the band walk's result (basis, optimal), the bases it
+    inverted as rows of its X, its kink stops as (reached, t), and the
+    pivots of the walk on all rows after it.  band_max_iter sets MAX_ITER
+    for the band walk alone; the band walk's inversion number
+    fail_inversion raises LinAlgError."""
+    trace = {"inverted": [], "stops": [], "after": 0}
+    walk, kinks, inv = quantreg._walk, quantreg._kinks_to_stop, np.linalg.inv
+    in_band = [False]
+
+    def traced_walk(X, *args):
+        offset = args[-1]
+        in_band[0] = offset is not None
+        with pytest.MonkeyPatch.context() as mp:
+            if in_band[0] and band_max_iter is not None:
+                mp.setattr(quantreg, "MAX_ITER", band_max_iter)
+            result = walk(X, *args)
+        if in_band[0]:
+            trace["band"] = result
+            trace["band_rows"] = X[result[0]]
+        in_band[0] = False
+        return result
+
+    def traced_kinks(*args):
+        reached = kinks(*args)
+        if in_band[0]:
+            trace["stops"].append((reached, args[0]))
+        else:
+            trace["after"] += reached is not None
+        return reached
+
+    def traced_inv(M):
+        if in_band[0]:
+            trace["inverted"].append(M.copy())
+            if len(trace["inverted"]) == fail_inversion:
+                raise np.linalg.LinAlgError("singular matrix")
+        return inv(M)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantreg, "BAND_MIN_N", 0)
+        mp.setattr(quantreg, "_walk", traced_walk)
+        mp.setattr(quantreg, "_kinks_to_stop", traced_kinks)
+        mp.setattr(np.linalg, "inv", traced_inv)
+        fit = fit_rq(rd, tau)
+    return fit, trace
+
+
+def assert_same_point(fit, ref, rd):
+    """The same zero set, positive mask and, up to rounding, objective."""
+    assert np.array_equal(fit.zero_set, ref.zero_set)
+    assert np.array_equal(fit.positive_mask(), ref.positive_mask())
+    assert abs(fit.objective - ref.objective) <= rd.n * np.finfo(float).eps * np.abs(rd.y).max()
+
+
+def assert_band_keeps_fit(rd, tau, bits):
+    """fit_rq with the band walk on every design ends on the point of the
+    fit without it (its bits too, if bits), or fails with its error."""
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quantreg, "BAND_MIN_N", 0)
+            fit = fit_rq(rd, tau)
+    except ConvergenceError as exc:
+        with pytest.raises(ConvergenceError, match=f"^{re.escape(str(exc))}$"):
+            no_band_fit(rd, tau)
+        return
+    ref = no_band_fit(rd, tau)
+    if bits:
+        assert_same_fit(fit, ref)
+    else:
+        assert_same_point(fit, ref, rd)
+
+
+class TestBandWalk:
+    # From BAND_MIN_N rows on, fit_rq walks the band of rows nearest its
+    # start first, then from the band's last basis on all rows.  That walk
+    # alone decides the optimum, so where the optimum is one vertex every
+    # fit keeps its bits.
+    def test_fits_keep_their_bits_on_scenario_designs(self):
+        from coves.simgen import ScenarioSpec, sample_scenario
+
+        for sc, eta, size in product((1, 2, 3, 4), (0.0, 1.35), (2500, 5000)):
+            data = sample_scenario(ScenarioSpec.from_scenario(sc, eta), size, size, sc)
+            for cov in (True, False):
+                rd = RegressionData(data.z, design_matrix(data, cov))
+                assert rd.n >= quantreg.BAND_MIN_N
+                for tau in (0.25, 0.5, 0.75, 0.9):
+                    assert_same_fit(fit_rq(rd, tau), no_band_fit(rd, tau))
+
+    # On tied, duplicated, discrete or near-collinear rows the optimal
+    # point can have several bases, and beta solved from another one moves
+    # by rounding; the point, and so the shortfall counts, stay.  A design
+    # the walk on all rows fails on fails with the same error either way.
+    @pytest.mark.parametrize("covariate", ["normal", "discrete", "tiny", "collinear"])
+    @pytest.mark.parametrize("ties, duplicates", [(1, 0), (0, 1), (1, 1)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_same_point_on_large_tied_designs(self, covariate, ties, duplicates, seed):
+        rd = large_tied_design(seed, ties, covariate, duplicates)
+        for tau in (0.25, 0.5, 0.75, 0.9):
+            assert_band_keeps_fit(rd, tau, bits=False)
+
+    # The band walk at every size, so on designs of 3 to 450 rows: where
+    # the outcomes are continuous and no row is duplicated, the bits stay.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(3, 300),
+        p=st.integers(1, 3),
+        ties=st.booleans(),
+        duplicates=st.booleans(),
+        covariate=st.sampled_from(["normal", "discrete", "tiny", "collinear"]),
+        scale=st.sampled_from([1e-8, 1.0, 1e8]),
+        tau=st.sampled_from([0.25, 0.5, 0.75, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_point_at_every_size(self, n, p, ties, duplicates, covariate, scale, tau, seed):
+        y, X = start_designs(np.random.default_rng(seed), n, p, ties, covariate, duplicates)
+        assume(np.linalg.matrix_rank(X) == p)
+        assert_band_keeps_fit(RegressionData(scale * y, X), tau, bits=not (ties or duplicates))
+
+    def scenario_design(self, seed=0):
+        from coves.simgen import ScenarioSpec, sample_scenario
+
+        data = sample_scenario(ScenarioSpec.from_scenario(3, 0.0), 5000, 5000, seed)
+        return RegressionData(data.z, design_matrix(data))
+
+    def test_hands_over_at_singular_basis(self):
+        rd = self.scenario_design()
+        fit, trace = band_trace(rd, 0.75, fail_inversion=3)
+        assert len(trace["inverted"]) == 3
+        assert trace["band"][1] is False
+        assert np.array_equal(trace["band_rows"], trace["inverted"][1])
+        assert_same_fit(fit, no_band_fit(rd, 0.75))
+
+    def test_hands_over_at_max_iter(self):
+        rd = self.scenario_design()
+        fit, trace = band_trace(rd, 0.75, band_max_iter=2)
+        assert len(trace["inverted"]) == 2 and len(trace["stops"]) == 2
+        assert trace["band"][1] is False
+        assert np.array_equal(trace["band_rows"], trace["inverted"][-1])
+        assert trace["after"] >= 1
+        assert_same_fit(fit, no_band_fit(rd, 0.75))
+
+    def test_hands_over_at_edge_with_no_kink(self):
+        # Tied outcomes at 7417 rows: the band walk finds no kink to stop
+        # at along the edge it enters.
+        rd = large_tied_design(0, 1, "normal", 0)
+        fit, trace = band_trace(rd, 0.25)
+        assert trace["stops"][-1][0] is None
+        assert trace["band"][1] is False
+        assert np.array_equal(trace["band_rows"], trace["inverted"][-1])
+        assert_same_point(fit, no_band_fit(rd, 0.25), rd)
+
+    def test_hands_over_at_first_zero_length_step(self):
+        # Tied outcomes at 5943 rows: the band walk's step stops at a kink
+        # of length zero, and the walk on all rows takes it.
+        rd = large_tied_design(1, 1, "normal", 0)
+        fit, trace = band_trace(rd, 0.25)
+        reached, t = trace["stops"][-1]
+        assert reached is not None and t[reached[-1]] == 0.0
+        assert all(t[r[-1]] > 0.0 for r, t in trace["stops"][:-1])
+        assert trace["band"][1] is False
+        assert np.array_equal(trace["band_rows"], trace["inverted"][-1])
+        assert_same_point(fit, no_band_fit(rd, 0.25), rd)
+
+    def test_pivot_budget(self):
+        # Scenario 3 under the null at (5000, 5000): the walk on all rows
+        # took 4.9 pivots per fit from the start basis here, and after the
+        # band walk, which takes those pivots, it confirms the optimum.
+        after = []
+        for seed in range(10):
+            fit, trace = band_trace(self.scenario_design(seed), 0.75)
+            assert trace["band"][1] is True
+            after.append(trace["after"])
+        assert np.mean(after) <= 1.0
+
+    def test_runs_from_band_min_n(self):
+        # Below BAND_MIN_N rows the walk on all rows runs alone.
+        rng = np.random.default_rng(3)
+        for n, runs in ((quantreg.BAND_MIN_N - 1, False), (quantreg.BAND_MIN_N, True)):
+            X = np.column_stack([np.ones(n), rng.integers(0, 2, size=n), rng.normal(size=n)])
+            rd = RegressionData(rng.normal(size=n), X)
+            called = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(quantreg, "_band_walk", lambda *args: called.append(1) or args[3])
+                fit_rq(rd, 0.5)
+            assert bool(called) == runs
 
 
 def scaled_covariate_designs():

@@ -86,7 +86,7 @@ error), and for the fits the objective or the error class, which
 ``--diff`` prints beside each moved design.
 
 The sweep also prints the counters of ``counters``: kink sorts, with the
-most pivots of any one fit, and solver branches, each counted by hooks
+most pivots of any one fit, solver branches and band walks, each counted by hooks
 that ``instrument`` puts on package functions.  A package that lacks
 one of a counter's functions prints no line for it.
 """
@@ -442,9 +442,12 @@ def counters():
     the pivots of quantreg._kinks_to_stop whose kinks outnumber
     KINK_WINDOW, those whose stop lay beyond the first window (or
     nowhere), so the window was widened, and the most pivots of one fit,
-    so that a walk near MAX_ITER shows; the fits that entered the key
-    block (ordered their candidate edges by the key) and the
-    nearest-rows starts that fell back to the full pass."""
+    its band walk's and its walk on all rows together, so that a walk
+    near MAX_ITER shows; the fits that entered the key block (ordered
+    their candidate edges by the key) and the nearest-rows starts that
+    fell back to the full pass; the fits that walked a band first, the
+    band walks that handed over short of their optimum, and the pivots
+    of the walks on all rows that followed a band walk."""
     from coves import quantreg
 
     kinks, branches = Counter(), Counter()
@@ -476,13 +479,36 @@ def counters():
         branches["nearest"] += prefix
         branches["fallback"] += rows is None
 
+    band = Counter()
+    # Kink sorts since the fit's last walk ended, and whether it walked a band.
+    since, banded = [0], [False]
+
+    def band_fit(*_):
+        band["fits"] += 1
+        since[0], banded[0] = 0, False
+
+    def band_kinks(*_):
+        since[0] += 1
+
+    def walked(result, *args):
+        if args[-1] is not None:
+            band["walks"] += 1
+            band["early"] += not result[1]
+            banded[0] = True
+        elif banded[0]:
+            band["after"] += since[0]
+        since[0] = 0
+
     return [
         (kinks, "kink sorts: {pivots} pivots, {windowed} over the window, {widened} widened it, "
-         "at most {most} in one fit",
+         "at most {most} in one fit (band walk and walk on all rows together)",
          quantreg, {"_start_basis": fit_started, "_kinks_to_stop": kink_sort}),
         (branches, "solver branches: {keyed} of {fits} fits entered the key block, "
          "{fallback} of {nearest} nearest-rows starts fell back to the full pass",
          quantreg, {"_start_basis": started, "_key_edge": keyed_edge, "_greedy_rows": nearest}),
+        (band, "band walks: {walks} of {fits} fits, {early} handed over early, "
+         "{after} pivots on all rows after the band",
+         quantreg, {"_start_basis": band_fit, "_kinks_to_stop": band_kinks, "_walk": walked}),
     ]
 
 
