@@ -68,22 +68,15 @@ KINK_WINDOW = 64
 # (b1, b2) went wrong at 1e-9 and 1 - 1e-9.  The unadjusted es test fits
 # (1, d) at any tau from order statistics (fit_group_quantiles).
 EXTREME_TAU = 1e-4
-# The start basis runs its pass on the START_WINDOW rows nearest the
-# pilot plane (see _start_basis) on designs of START_MIN_N rows or more.
-# On scenario 2 and 3 draws at tau 0.75 (300 per size, one BLAS thread)
-# the start took 88 us with the prefix against 76 us with the full pass
-# at 100 rows, about the same at 200 and 300, 101 against 121 at 600 and
-# 112 against 228 at 1000.  The cut sits above that crossing because a
-# prefix on tied or discrete rows often declines and pays for both
-# passes: at 512, 44 of the digest's 72 added prefix passes did.
-START_WINDOW = 64
-START_MIN_N = 1024
-# fit_rq walks the band of rows nearest its start first (see _band_walk)
-# on designs of BAND_MIN_N rows or more.  On 30 scenario 3 draws under
-# the null at tau 0.25 to 0.9 (one BLAS thread), fit_rq with the band
-# walk took 1.04x its time without it at 1000 rows, 0.99x at 1500, 0.98x
-# at 2000, 0.92x at 2500 and 0.89x at 4000.
-BAND_MIN_N = 2048
+# From BAND_MIN_N rows on, fit_rq takes the near set, the floor(4 sqrt(n))
+# rows nearest its Newton-stepped plane, for the start pass (_start_basis)
+# and the first walk (_band_walk).  On 30 scenario 3 draws under the null,
+# tau 0.25 to 0.9 (one BLAS thread, 61 alternating in-process rounds),
+# fit_rq with it took 1.00x its time without it at 512 rows, 0.95x at
+# 800, 0.92x at exactly 1024, 0.88x at 1500 and 0.84x at 2048.  The cut
+# sits higher as on tied rows the near-set pass often declines and pays
+# for both passes.
+BAND_MIN_N = 1024
 
 
 def rho_tau(u, tau: float):
@@ -281,8 +274,9 @@ def _col_absmax(X: np.ndarray) -> np.ndarray:
     return np.array([np.abs(col).max() for col in X.T])
 
 
-def _start_basis(data: RegressionData, tau: float, weight: np.ndarray) -> np.ndarray:
-    """p linearly independent rows near the tau-quantile plane of the data.
+def _start_basis(data: RegressionData, tau: float, weight: np.ndarray):
+    """(h, near, s): p linearly independent rows h near the tau-quantile
+    plane of the data, the near set and the residuals s from that plane.
 
     The pilot is the OLS fit ``data.ols``, from the lstsq that decided
     the rank in ``RegressionData``, shifted by the tau-quantile of its
@@ -291,37 +285,45 @@ def _start_basis(data: RegressionData, tau: float, weight: np.ndarray) -> np.nda
     full sort puts there, up to the sign of a zero, which the distance's
     absolute value drops).  The OLS slope is not the quantile slope, so
     one Newton step of the check loss (``_newton_step``) moves the pilot
-    toward the optimum, and each row's distance is its |residual| from
-    the stepped plane, or from the pilot where the step fails.  At
-    (5000, 5000) on scenario 3 the step left about a quarter as many rows
-    between the plane and the optimum, and the walk took about a third
-    fewer pivots.  Only the start moves: where the optimum is one vertex,
-    every fit keeps its bits.  Rows are taken greedily: at each step
-    the row with the least (distance, row index) among those whose component
-    orthogonal to the rows already taken is at least 1e-6 of the largest
-    such component, found by one argmin over the distances with the
-    failing rows set to infinity, so no sort of all n distances is
-    needed.  The rows are divided by ``weight``, each column's max|x| as
-    ``fit_rq`` measured it, first, so a column far smaller than the
+    toward the optimum, and s holds the residuals from the stepped plane,
+    or from the pilot where the step fails; each row's distance is its
+    |s|.  At (5000, 5000) on scenario 3 the step left about a quarter as
+    many rows between the plane and the optimum, and the walk took about
+    a third fewer pivots.  Only the start moves: where the optimum is one
+    vertex, every fit keeps its bits.  Rows are taken greedily: at each
+    step the row with the least (distance, row index) among those whose
+    component orthogonal to the rows already taken is at least 1e-6 of
+    the largest such component, found by one argmin over the distances
+    with the failing rows set to infinity, so no sort of all n distances
+    is needed.  The rows are divided by ``weight``, each column's max|x|
+    as ``fit_rq`` measured it, first, so a column far smaller than the
     others (a covariate of order 1e-10 beside the intercept) is not lost
     below the rounding residue of a row taken.
 
-    From START_MIN_N rows on, the pass first runs on the nearest rows
-    alone, ``_stable_head(dist, START_WINDOW)``, which gives the same
+    Below BAND_MIN_N rows near is None.  From there on it holds the rows
+    whose distance is at most the m-th least, m = min(n, floor(4 sqrt(n))),
+    ties included, in index order: a head of the (distance, row index)
+    order.  The pass first runs on those rows alone, which gives the same
     rows or declines (see ``_greedy_rows``); on a decline the pass runs
     over all rows, and so it does where a distance is NaN, since the
-    argmin takes a NaN first and no prefix holds one.
+    argmin takes a NaN first and the near set holds none.  ``_band_walk``
+    walks the same rows.
     """
     X = data.X
     r = data.y - X @ data.ols
-    k = math.ceil(tau * r.size) - 1
-    dist = np.abs(_newton_step(X, r - np.partition(r, k)[k], tau))
-    if r.size >= START_MIN_N and not np.isnan(dist).any():
-        near = _stable_head(dist, START_WINDOW)
+    n = r.size
+    k = math.ceil(tau * n) - 1
+    s = _newton_step(X, r - np.partition(r, k)[k], tau)
+    dist = np.abs(s)
+    if n < BAND_MIN_N:
+        return _greedy_rows(X / weight, dist, False), None, s
+    m = min(n, math.isqrt(16 * n))
+    near = (dist <= np.partition(dist, m - 1)[m - 1]).nonzero()[0]
+    if not np.isnan(dist).any():
         rows = _greedy_rows(X[near] / weight, dist[near], True)
         if rows is not None:
-            return near[rows]
-    return _greedy_rows(X / weight, dist, False)
+            return near[rows], near, s
+    return _greedy_rows(X / weight, dist, False), near, s
 
 
 def _newton_step(X: np.ndarray, r: np.ndarray, tau: float) -> np.ndarray:
@@ -361,11 +363,13 @@ def _greedy_rows(R: np.ndarray, dist: np.ndarray, prefix: bool):
 
     Every product is formed row by row (einsum's row sums and the
     column-by-column update of ``_project_out``), so a row's values
-    depend on that row and the rows taken alone.  On a prefix, the head
-    of the rows' (distance, row index) order, they are the bits of the
-    pass over all rows, and only the test's threshold, 1e-12 of the
-    largest ``left``, can differ there, as the full pass's largest may
-    lie outside the prefix.  It is no smaller, so a prefix row that
+    depend on that row and the rows taken alone.  On a prefix, the rows
+    of a head of the (distance, row index) order in index order, as the
+    near set of ``_start_basis`` holds them, they are the bits of the
+    pass over all rows, the argmin's first least is the full pass's
+    least (distance, row index), and only the test's threshold, 1e-12 of
+    the largest ``left``, can differ there, as the full pass's largest
+    may lie outside the prefix.  It is no smaller, so a prefix row that
     fails the test fails it in the full pass too, and the row taken is
     the full pass's row if it passes there.  That holds when its
     ``left`` clears 1e-12 of a bound on every row's, found without a
@@ -521,28 +525,21 @@ def _key_edge(B, weight, key, h, slope, flat, descend) -> int | None:
     return min(edges, key=lambda e: (hl[e % p], e), default=None)
 
 
-def _band_walk(X, y, tau, h, weight, key, ytop) -> np.ndarray:
+def _band_walk(X, y, tau, h, near, s, weight, key, ytop) -> np.ndarray:
     """The basis fit_rq's walk on all rows starts from: the end of the
-    same walk (``_walk``) on the rows of the band alone.
+    same walk (``_walk``) from the start basis h on the rows of the band
+    alone.
 
-    The band is the floor(4 sqrt(n)) rows nearest the plane of the start
-    basis h, with every row tied with the farthest of them, and h's rows.
-    Every other row keeps the side of its residual there, so it adds one
-    fixed p-vector, its weight in the slopes times its row of X, to w'X;
-    the walk takes it through B as ``offset`` and never tests those rows
-    for a kink.  The band walk hands back h where X_h is singular.
+    The band is the near set of ``_start_basis`` and h's rows.  Every
+    other row keeps the side of its residual s from the stepped plane,
+    which is never zero there, so it adds one fixed p-vector, its weight
+    in the slopes times its row of X, to w'X; the walk takes it through B
+    as ``offset`` and never tests those rows for a kink.
     """
-    try:
-        B = np.linalg.inv(X[h])
-    except np.linalg.LinAlgError:
-        return h
-    r = y - X @ (B @ y[h])
-    absr = np.abs(r)
-    m = min(y.size, math.isqrt(16 * y.size))
-    near = absr <= np.partition(absr, m - 1)[m - 1]
-    near[h] = True
-    rows = near.nonzero()[0]
-    w = np.where(r > 0.0, -tau, 1.0 - tau)
+    inside = np.zeros(y.size, dtype=bool)
+    inside[near] = inside[h] = True
+    rows = inside.nonzero()[0]
+    w = np.where(s > 0.0, -tau, 1.0 - tau)
     w[rows] = 0.0
     band = _walk(X[rows], y[rows], tau, np.searchsorted(rows, h), weight, key, ytop, w @ X)[0]
     return rows[band]
@@ -556,8 +553,9 @@ def _walk(X, y, tau, h, weight, key, ytop, offset):
     ConvergenceError where fit_rq does.  Otherwise it is the band walk
     of ``_band_walk``: w'XB gains offset @ B, and the walk never raises.
     At a singular basis, an edge with no kink, MAX_ITER pivots or its
-    first zero-length step it hands back the last basis it inverted, as
-    (basis, False), so the walk on all rows takes every Bland step.
+    first zero-length step it hands back the last basis it inverted (h
+    itself where X_h is singular), as (basis, False), so the walk on all
+    rows takes every Bland step.
     """
     p = len(key)
     band = offset is not None
@@ -644,18 +642,18 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
 
     An exact simplex (Barrodale & Roberts 1974; Koenker & d'Orey 1987).
     It starts from p independent rows near the pilot plane after one
-    Newton step of the check loss (``_start_basis``), which one greedy
-    pass takes, on designs of START_MIN_N rows or more from the nearest
-    rows alone where that gives the same rows.  On designs of BAND_MIN_N
-    rows or more the walk then runs twice (``_walk``).  It first runs on
-    the floor(4 sqrt(n)) rows nearest the start's plane, with every other
-    row held on its side there (``_band_walk``); the rows that change
-    sides on the way to the optimum nearly all lie in that band, and its
-    pivots cost O(sqrt(n)), not O(n).  The walk on all rows then starts
-    from the band walk's last basis, and it alone decides optimality and
-    raises every error, so where the optimum is one vertex every fit keeps
-    its bits.  At (5000, 5000) on scenario 3 it confirms the band's
-    optimum with no pivot in most fits.
+    Newton step of the check loss, which one greedy pass takes
+    (``_start_basis``).  From BAND_MIN_N rows on the walk (``_walk``)
+    runs twice.  It first runs on the start's near set, the
+    floor(4 sqrt(n)) rows nearest the stepped plane, and the start's
+    rows, with every other row held on the side of its stepped residual
+    (``_band_walk``); the rows that change sides on the way to the
+    optimum nearly all lie in that band, and its pivots cost O(sqrt(n)),
+    not O(n).  The walk on all rows then starts from the band walk's
+    last basis, and it alone decides optimality and raises every error,
+    so where the optimum is one vertex every fit keeps its bits.  At
+    (5000, 5000) on scenario 3 it confirms the band's optimum with no
+    pivot in most fits.
 
     Its state is a basis h of p rows on the fitted plane
     and a side label for every other row, the sign of its residual; a row
@@ -732,9 +730,9 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     key = _key_columns(data.p)
     ymax = float(np.abs(y).max())
     ytop = ymax + _BOUND_FLOOR
-    h = _start_basis(data, tau, weight)
-    if data.n >= BAND_MIN_N:
-        h = _band_walk(X, y, tau, h, weight, key, ytop)
+    h, near, s = _start_basis(data, tau, weight)
+    if near is not None:
+        h = _band_walk(X, y, tau, h, near, s, weight, key, ytop)
     h = _walk(X, y, tau, h, weight, key, ytop, None)[0]
     rows = np.sort(h)
     beta = np.linalg.solve(X[rows], y[rows])

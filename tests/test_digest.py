@@ -104,7 +104,12 @@ def test_counter_without_its_names_is_left_out(monkeypatch):
     quantreg.fit_rq(rd, 0.5)
     assert kinks["most"] == max(kinks["pivots"] - before, before)
     assert band["walks"] == 1 and band["fits"] == 2
-    assert band_line.format_map(band).endswith(f"{band['after']} pivots on all rows after the band")
+    # The band: the near set's floor(4 sqrt(30)) = 21 rows and the start
+    # basis's rows.
+    assert 21 <= band["largest"] <= 21 + 2
+    assert band_line.format_map(band).endswith(
+        f"{band['after']} pivots on all rows after the band, largest band {band['largest']} rows"
+    )
 
 
 def test_signed_zero_designs_tie_both_zeros_at_each_tau():

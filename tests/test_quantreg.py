@@ -888,9 +888,21 @@ def pilot_residuals(rd, tau):
     return r - np.partition(r, k)[k]
 
 
+def stepped_residuals(rd, tau):
+    """The residuals from the Newton-stepped plane of _start_basis."""
+    return newton_step(rd.X, pilot_residuals(rd, tau), tau)
+
+
 def start_distances(rd, tau):
     """The distances _start_basis ranks the rows by."""
-    return np.abs(newton_step(rd.X, pilot_residuals(rd, tau), tau))
+    return np.abs(stepped_residuals(rd, tau))
+
+
+def near_set(dist):
+    """The rows whose distance is at most the m-th least, m = min(n,
+    floor(4 sqrt(n))), read from a full sort, in index order."""
+    m = min(dist.size, int(np.sqrt(16 * dist.size)))
+    return np.flatnonzero(dist <= np.sort(dist)[m - 1])
 
 
 class TestStartBasis:
@@ -913,14 +925,19 @@ class TestStartBasis:
         assume(np.linalg.matrix_rank(X) == p)
         rd = RegressionData(y, X)
         ref = argsort_start_basis(X, y, tau)
-        assert np.array_equal(_start_basis(rd, tau, _col_absmax(X)), ref)
-        # The same fit with the nearest-rows pass on every design: a
-        # window of at most n rows, cut among tied distances when the
-        # outcomes are tied.
+        h, near, s = _start_basis(rd, tau, _col_absmax(X))
+        assert np.array_equal(h, ref) and near is None
+        # The same rows with the near set on every design, cut among tied
+        # distances when the outcomes are tied; and the pass on a window
+        # of any size gives them too, or declines.
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(quantreg, "START_MIN_N", 0)
-            mp.setattr(quantreg, "START_WINDOW", min(window, y.size))
-            assert np.array_equal(_start_basis(rd, tau, _col_absmax(X)), ref)
+            mp.setattr(quantreg, "BAND_MIN_N", 0)
+            h, near, s = _start_basis(rd, tau, _col_absmax(X))
+        assert np.array_equal(h, ref)
+        assert np.array_equal(s, stepped_residuals(rd, tau))
+        assert np.array_equal(near, near_set(np.abs(s)))
+        rows = prefix_start(X, np.abs(s), min(window, y.size))
+        assert rows is None or np.array_equal(rows, ref)
 
     def test_same_rows_on_scenario_designs(self):
         from coves.simgen import ScenarioSpec, sample_scenario
@@ -931,14 +948,14 @@ class TestStartBasis:
                 for cov in (True, False):
                     X = design_matrix(data, cov)
                     for tau in (0.5, 0.75, 0.9):
-                        rows = _start_basis(RegressionData(data.z, X), tau, _col_absmax(X))
+                        rows = _start_basis(RegressionData(data.z, X), tau, _col_absmax(X))[0]
                         assert np.array_equal(rows, argsort_start_basis(X, data.z, tau)), (sc, m, cov, tau)
 
     def test_nearest_rows_decline_where_they_cannot_decide(self):
-        # (d) alone at (600, 600): when the nearest rows all have d = 0,
-        # every one is a zero row and none can be taken, so the pass
-        # declines and the full pass runs.  With the covariate the
-        # nearest rows span the design and are taken.
+        # (d) alone at (600, 600): the near set's 138 rows all have d = 0,
+        # so every one is a zero row and none can be taken; the pass
+        # declines and the full pass runs.  With the covariate the near
+        # set spans the design and its rows are taken.
         from coves.simgen import ScenarioSpec, sample_scenario
 
         for seed in range(4):
@@ -947,9 +964,13 @@ class TestStartBasis:
             for name, X in (("d", d[:, None]), ("dc", np.column_stack([d, data.c])), ("1dc", design_matrix(data))):
                 rd = RegressionData(data.z, X)
                 dist = start_distances(rd, 0.75)
-                rows = prefix_start(X, dist, quantreg.START_WINDOW)
+                near = near_set(dist)
+                assert near.size == 138 and rd.n >= quantreg.BAND_MIN_N
+                assert (name == "d") == (not d[near].any()), (seed, name)
+                rows = _greedy_rows(X[near] / _col_absmax(X), dist[near], True)
+                rows = None if rows is None else near[rows]
                 full = _greedy_rows(X / _col_absmax(X), dist, False)
-                assert np.array_equal(_start_basis(rd, 0.75, _col_absmax(X)), full)
+                assert np.array_equal(_start_basis(rd, 0.75, _col_absmax(X))[0], full)
                 assert np.array_equal(full, argsort_start_basis(X, data.z, 0.75))
                 assert (rows is None) == (name == "d"), (seed, name)
                 assert rows is None or np.array_equal(rows, full)
@@ -1000,7 +1021,7 @@ def reference_fit_rq(rd, tau):
     h = argsort_start_basis(X, y, tau)
     pivots = 0
     if rd.n >= quantreg.BAND_MIN_N:
-        h, pivots = reference_band_walk(X, y, tau, h, weight)
+        h, pivots = reference_band_walk(X, y, tau, h, weight, stepped_residuals(rd, tau))
     h, more = reference_walk(X, y, tau, h, weight, None)
     rows = np.sort(h)
     beta = np.linalg.solve(X[rows], y[rows])
@@ -1010,21 +1031,13 @@ def reference_fit_rq(rd, tau):
     return beta, res, objective, zero_set, pivots + more
 
 
-def reference_band_walk(X, y, tau, h, weight):
-    """(basis, pivots) of the band walk: the rows whose |residual| at
-    basis h is at most the m-th least, m = min(n, floor(4 sqrt(n))), read
-    from a full sort, and h's rows, walked with the other rows held on
-    their sides by their slope weights times their rows of X."""
-    try:
-        B = np.linalg.inv(X[h])
-    except np.linalg.LinAlgError:
-        return h, 0
-    r = y - X @ (B @ y[h])
-    m = min(y.size, int(np.sqrt(16 * y.size)))
-    near = np.abs(r) <= np.sort(np.abs(r))[m - 1]
-    near[h] = True
-    rows = np.flatnonzero(near)
-    w = np.where(r > 0.0, -tau, 1.0 - tau)
+def reference_band_walk(X, y, tau, h, weight, s):
+    """(basis, pivots) of the band walk: the near set of the stepped
+    residuals s, read from a full sort (near_set), and h's rows, walked
+    with every other row held on the side of its residual in s by its
+    slope weight times its row of X."""
+    rows = np.union1d(near_set(np.abs(s)), h)
+    w = np.where(s > 0.0, -tau, 1.0 - tau)
     w[rows] = 0.0
     band, pivots = reference_walk(X[rows], y[rows], tau, np.searchsorted(rows, h), weight, w @ X)
     return rows[band], pivots
@@ -1172,10 +1185,8 @@ class TestFitBitIdentity:
         rd = RegressionData(scale * y, X)
         with pytest.MonkeyPatch.context() as mp:
             if nearest:
-                # The start from the nearest rows and the band walk at
-                # every size.
-                mp.setattr(quantreg, "START_MIN_N", 0)
-                mp.setattr(quantreg, "START_WINDOW", min(16, y.size))
+                # The start from the near set and the band walk at every
+                # size.
                 mp.setattr(quantreg, "BAND_MIN_N", 0)
             assert outcome(counted_fit_rq, rd, tau) == outcome(reference_fit_rq, rd, tau)
 
@@ -1329,11 +1340,11 @@ def large_tied_design(seed, ties, covariate, duplicates):
 
 def band_trace(rd, tau, band_max_iter=None, fail_inversion=None):
     """(fit, trace) of fit_rq with the band walk on every design.  The
-    trace holds the band walk's result (basis, optimal), the bases it
-    inverted as rows of its X, its kink stops as (reached, t), and the
-    pivots of the walk on all rows after it.  band_max_iter sets MAX_ITER
-    for the band walk alone; the band walk's inversion number
-    fail_inversion raises LinAlgError."""
+    trace holds the band walk's result (basis, optimal), its number of
+    rows, the bases it inverted as rows of its X, its kink stops as
+    (reached, t), and the pivots of the walk on all rows after it.
+    band_max_iter sets MAX_ITER for the band walk alone; the band walk's
+    inversion number fail_inversion raises LinAlgError."""
     trace = {"inverted": [], "stops": [], "after": 0}
     walk, kinks, inv = quantreg._walk, quantreg._kinks_to_stop, np.linalg.inv
     in_band = [False]
@@ -1348,6 +1359,7 @@ def band_trace(rd, tau, band_max_iter=None, fail_inversion=None):
         if in_band[0]:
             trace["band"] = result
             trace["band_rows"] = X[result[0]]
+            trace["band_size"] = X.shape[0]
         in_band[0] = False
         return result
 
@@ -1401,8 +1413,8 @@ def assert_band_keeps_fit(rd, tau, bits):
 
 
 class TestBandWalk:
-    # From BAND_MIN_N rows on, fit_rq walks the band of rows nearest its
-    # start first, then from the band's last basis on all rows.  That walk
+    # From BAND_MIN_N rows on, fit_rq walks the near set of its start and
+    # the start's rows first, then from the band's last basis on all rows.  That walk
     # alone decides the optimum, so where the optimum is one vertex every
     # fit keeps its bits.
     def test_fits_keep_their_bits_on_scenario_designs(self):
@@ -1480,9 +1492,10 @@ class TestBandWalk:
         assert_same_point(fit, no_band_fit(rd, 0.25), rd)
 
     def test_hands_over_at_first_zero_length_step(self):
-        # Tied outcomes at 5943 rows: the band walk's step stops at a kink
-        # of length zero, and the walk on all rows takes it.
-        rd = large_tied_design(1, 1, "normal", 0)
+        # Duplicated rows at 11 125 rows: after one pivot the band walk's
+        # step stops at a kink of length zero, and the walk on all rows
+        # takes it.
+        rd = large_tied_design(0, 0, "normal", 1)
         fit, trace = band_trace(rd, 0.25)
         reached, t = trace["stops"][-1]
         assert reached is not None and t[reached[-1]] == 0.0
@@ -1490,6 +1503,23 @@ class TestBandWalk:
         assert trace["band"][1] is False
         assert np.array_equal(trace["band_rows"], trace["inverted"][-1])
         assert_same_point(fit, no_band_fit(rd, 0.25), rd)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_band_stays_small_on_signed_zero_designs(self, seed):
+        # Scenario 3 at (5000, 5000) with z cut toward zero in whole
+        # interquartile ranges about its median, as tools/digest.py's
+        # signed-zero designs are: about half the rows tie at zero, and a
+        # band cut among them would take every row tied at its cut, most
+        # of the design.  The band is the near set's floor(4 sqrt(n)) rows
+        # nearest the stepped plane and h's rows.
+        from coves.simgen import ScenarioSpec, sample_scenario
+
+        data = sample_scenario(ScenarioSpec.from_scenario(3, 0.0), 5000, 5000, seed)
+        q25, q50, q75 = np.percentile(data.z, [25, 50, 75])
+        rd = RegressionData(np.trunc((data.z - q50) / (q75 - q25)), design_matrix(data))
+        for tau in (0.25, 0.5, 0.75):
+            trace = band_trace(rd, tau)[1]
+            assert trace["band_size"] <= math.isqrt(16 * rd.n) + rd.p, tau
 
     def test_pivot_budget(self):
         # Scenario 3 under the null at (5000, 5000): the walk on all rows

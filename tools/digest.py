@@ -446,8 +446,9 @@ def counters():
     near MAX_ITER shows; the fits that entered the key block (ordered
     their candidate edges by the key) and the nearest-rows starts that
     fell back to the full pass; the fits that walked a band first, the
-    band walks that handed over short of their optimum, and the pivots
-    of the walks on all rows that followed a band walk."""
+    band walks that handed over short of their optimum, the pivots of
+    the walks on all rows that followed a band walk, and the most rows
+    of any one band, so that a band that takes most of a design shows."""
     from coves import quantreg
 
     kinks, branches = Counter(), Counter()
@@ -494,6 +495,7 @@ def counters():
         if args[-1] is not None:
             band["walks"] += 1
             band["early"] += not result[1]
+            band["largest"] = max(band["largest"], args[0].shape[0])
             banded[0] = True
         elif banded[0]:
             band["after"] += since[0]
@@ -507,7 +509,7 @@ def counters():
          "{fallback} of {nearest} nearest-rows starts fell back to the full pass",
          quantreg, {"_start_basis": started, "_key_edge": keyed_edge, "_greedy_rows": nearest}),
         (band, "band walks: {walks} of {fits} fits, {early} handed over early, "
-         "{after} pivots on all rows after the band",
+         "{after} pivots on all rows after the band, largest band {largest} rows",
          quantreg, {"_start_basis": band_fit, "_kinks_to_stop": band_kinks, "_walk": walked}),
     ]
 
