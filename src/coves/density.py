@@ -60,8 +60,15 @@ def kde_at_zero(samples, h: float) -> float:
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise ValueError("need at least one sample")
-    t = -x / h
-    return float(np.sum(np.exp(-0.5 * t * t) / _SQRT_2PI) / (x.size * h))
+    # The operations of np.exp(-0.5 * t * t) / _SQRT_2PI with t = -x / h,
+    # in the same order, in two buffers.
+    t = np.negative(x)
+    t /= h
+    k = t * -0.5
+    k *= t
+    np.exp(k, out=k)
+    k /= _SQRT_2PI
+    return float(np.add.reduce(k) / (x.size * h))
 
 
 def group_density_at_zero(samples) -> float:

@@ -502,33 +502,48 @@ def _first_min(values: list) -> int:
     return values.index(min(values))
 
 
+def _key_lower(B, weight, key) -> list:
+    """Whether each of the 2p edges of the basis with inverse B lowers the
+    key: its move of the key has a leading entry, weighted by the
+    coefficient's largest effect on a fitted value, below zero.  V holds
+    those weighted entries, B's rows times ``weight`` in key order; an
+    entry leads its column when its size exceeds TIE_RTOL times the
+    column's sum of sizes (the first entry when none does)."""
+    p = len(key)
+    V = (B * weight[:, None])[key]
+    big = np.abs(V) > TIE_RTOL * np.abs(V).sum(axis=0)
+    lead = V[big.argmax(axis=0), range(p)].tolist()
+    return [v < 0.0 for v in lead] + [v > 0.0 for v in lead]
+
+
 def _key_edge(B, weight, key, h, slope, flat, descend) -> int | None:
     """The edge fit_rq enters once no edge descends or after a zero-length
     step, or None when there is no candidate and the fit is optimal.
 
     Edge e is a candidate when it descends, or when it is flat and lowers
-    the key: its move of the key has a leading entry, weighted by the
-    coefficient's largest effect on a fitted value, below zero.  V holds
-    those weighted entries, B's rows times ``weight`` in key order; an
-    entry leads its column when its size exceeds TIE_RTOL times the
-    column's sum of sizes (the first entry when none does).  The edge
-    entered is the candidate with the least basis row index h[e % p],
-    then the least e (Bland's rule).
+    the key (``_key_lower``).  The edge entered is the candidate with the
+    least basis row index h[e % p], then the least e (Bland's rule).
     """
     p = len(key)
-    V = (B * weight[:, None])[key]
-    big = np.abs(V) > TIE_RTOL * np.abs(V).sum(axis=0)
-    lead = V[big.argmax(axis=0), range(p)].tolist()
-    lower = [v < 0.0 for v in lead] + [v > 0.0 for v in lead]
+    lower = _key_lower(B, weight, key)
     hl = h.tolist()
     edges = [e for e in range(2 * p) if descend[e] or (slope[e] <= flat[e] and lower[e])]
     return min(edges, key=lambda e: (hl[e % p], e), default=None)
 
 
+def _slope_weights(above: np.ndarray, tau: float) -> np.ndarray:
+    """np.where(above, -tau, 1.0 - tau), each row's weight in the slopes
+    of the objective, by the same bits selected with take on the mask's
+    bytes: np.where branches on every row, and on a random mask those
+    branches mispredict."""
+    return np.array([1.0 - tau, -tau]).take(above.view(np.uint8))
+
+
 def _band_walk(X, y, tau, h, near, s, weight, key, ytop) -> np.ndarray:
-    """The basis fit_rq's walk on all rows starts from: the end of the
-    same walk (``_walk``) from the start basis h on the rows of the band
-    alone.
+    """The basis fit_rq's certificate (``_certified_fit``) checks, and
+    the walk on all rows starts from where the certificate declines: the
+    end of the same walk (``_walk``) from the start basis h on the rows
+    of the band alone.
 
     The band is the near set of ``_start_basis`` and h's rows.  Every
     other row keeps the side of its residual s from the stepped plane,
@@ -539,7 +554,7 @@ def _band_walk(X, y, tau, h, near, s, weight, key, ytop) -> np.ndarray:
     inside = np.zeros(y.size, dtype=bool)
     inside[near] = inside[h] = True
     rows = inside.nonzero()[0]
-    w = np.where(s > 0.0, -tau, 1.0 - tau)
+    w = _slope_weights(s > 0.0, tau)
     w[rows] = 0.0
     band = _walk(X[rows], y[rows], tau, np.searchsorted(rows, h), weight, key, ytop, w @ X)[0]
     return rows[band]
@@ -550,7 +565,8 @@ def _walk(X, y, tau, h, weight, key, ytop, offset):
     it overwrites: (h, True) at the optimum.
 
     With ``offset`` None this is the walk on all rows, and it raises
-    ConvergenceError where fit_rq does.  Otherwise it is the band walk
+    ConvergenceError where fit_rq does; after a band walk it runs only
+    where the certificate declines.  Otherwise it is the band walk
     of ``_band_walk``: w'XB gains offset @ B, and the walk never raises.
     At a singular basis, an edge with no kink, MAX_ITER pivots or its
     first zero-length step it hands back the last basis it inverted (h
@@ -587,8 +603,8 @@ def _walk(X, y, tau, h, weight, key, ytop, offset):
             # weight in the objective's slope, 0 on the basis rows.  Both
             # change only where a row changes sides or leaves the basis.
             above = r > 0.0
-            side = np.where(above, 1.0, -1.0)
-            w = np.where(above, -tau, up)
+            side = above * 2.0 - 1.0
+            w = _slope_weights(above, tau)
         w[h] = 0.0
         np.abs(A, out=absA)
         # The 2p slopes and their flat-edge windows, in Python floats:
@@ -637,6 +653,137 @@ def _walk(X, y, tau, h, weight, key, ytop, offset):
     return h, True
 
 
+def _vertex_fit(X, y, tau, h, ymax) -> QuantileFit:
+    """The fit at basis h: beta solved from its rows in ascending index
+    order, and the residuals of every row from it."""
+    rows = np.sort(h)
+    beta = np.linalg.solve(X[rows], y[rows])
+    return _make_fit(tau, beta, ymax, y - X @ beta)
+
+
+def _stop_bounds(X, y, tau, h, near, B, fit, weight):
+    """(G, c, E, L, U): bounds on what the walk on all rows forms at its
+    first iteration from basis h, where B = X_h^-1 as it inverts it, from
+    ``fit``, any fit with residuals y - X @ fit.beta, and the rows
+    ``near``.
+
+    With u = 2^-53 and g_k = 1.01*k*u >= k*u/(1 - k*u) (Higham's gamma,
+    for k*u <= 0.01), a dot product of k terms, in any order, is within
+    g_k times the sum of the terms' sizes of its value, and a sum of k
+    nonnegative terms within g_k of its value relatively.  |x_i| <=
+    weight for every row, entry by entry, so (|X||B|)_ik <= W_k, with
+    W = weight @ |B|.  Each bound is widened by 1e-9 relative, far more
+    than the few dozen roundings of its own evaluation, and carries an
+    absolute floor, a multiple of _BOUND_FLOOR at least 2^50 times the
+    subnormal half-ulps that products of tiny values add.
+
+    * G bounds |v_i - f_i| on every row, v = (X @ B) @ y_h the walk's
+      fitted values and f = X @ beta the fit's.  v_i is x_i B y_h within
+      g_p (|x_i||B|)|y_h| from the row of X @ B and g_p (1 + g_p) times
+      the same from the second product; f_i is x_i beta within
+      g_p |x_i||beta|; and |x_i (B y_h - beta)| is at most
+      weight @ (|D| (1 + 2u) + g_p |B||y_h|), with D = B @ y_h - beta as
+      computed.  So G = weight @ |D| + g_p (4 Q + weight @ |beta|), with
+      Q = W @ |y_h|, widened.  Where G < zero_tol, every row off the
+      zero set has |y_i - f_i| >= |r_i| / (1 + u) > G, so y_i - v_i has
+      the sign of y_i - f_i, and the walk's residual that of r_i.
+    * With w the walk's slope weights on those sides (0 on h's rows),
+      c = (w @ X) @ B, where the walk forms w @ (X @ B).  With m =
+      max(tau, 1 - tau), the walk's value is within
+      (g_n (1 + g_p) + g_p) m n W_k of w X B e_k and c_k within
+      (g_n + g_p (1 + g_n)) m n W_k, so E_k = 2 (g_n + 2 g_p) m n W_k +
+      2u |c_k|, widened, with the floor
+      n (1 + W_k / min(weight)) _BOUND_FLOOR (W_k / min(weight) bounds
+      column k's sum of |B|).  The 2u |c_k|
+      keeps the walk's c_k between c_k - E_k and c_k + E_k once they
+      are rounded.
+    * U_k bounds the walk's flat-edge column sum of |X @ B|: its n terms
+      are at most W_k (1 + g_p) each and the rounded sum adds g_n, so
+      n W_k times 1 + 1e-9 + n 2^-50 (as ``_plane_cap`` widens), which
+      exceeds (1 + g_n)(1 + g_p)^2 (1 + u)^2, plus n _BOUND_FLOOR.
+    * L_k bounds it from below.  A rounded sum of n nonnegative terms is
+      at least 1 - g_n times their sum, so at least that times the sum
+      over the near set.  There the column sum S_k of |X_near @ B|,
+      formed apart, differs from the walk's rows by at most 2 g_p W_k per
+      row and g_s of its own rounding (s = near.size <= n), so L_k =
+      (S_k - 3 g_p s W_k)(1 - 1e-9 - n 2^-50) - s _BOUND_FLOOR, or 0
+      where that is less, as no sum of sizes is negative.
+
+    The derivations assume that nothing overflows.  Where G and every U_k
+    are finite nothing does: the walk's |x_i B| is at most W_k (1 + g_p)
+    < U_k, its column sums and |w @ (X @ B)| at most U_k, and its fitted
+    values at most Q (1 + g_p)^2, with 4 Q inside G.
+
+    G is a Python float, c, E, L and U lists of them.
+    """
+    n, p = X.shape
+    u = 2.0**-53
+    gp, gn = 1.01 * p * u, 1.01 * n * u
+    yh = y[h]
+    T = (weight @ np.abs(np.column_stack((B, B @ yh - fit.beta, fit.beta)))).tolist()
+    W, dD, Wb = T[:p], T[p], T[p + 1]
+    ayh = [abs(v) for v in yh.tolist()]
+    Q = sum(map(float.__mul__, W, ayh))
+    G = (dD + gp * (4.0 * Q + Wb)) * (1.0 + 1e-9) + _BOUND_FLOOR * (3.0 + sum(ayh) + sum(weight.tolist()))
+    w = _slope_weights(fit.residuals > 0.0, tau)
+    w[h] = 0.0
+    c = ((w @ X) @ B).tolist()
+    grow = 2.0 * (gn + 2.0 * gp) * max(tau, 1.0 - tau) * n
+    wmin = min(weight.tolist())
+    E = [(grow * Wk + 2.0 * u * abs(ck)) * (1.0 + 1e-9) + n * _BOUND_FLOOR * (1.0 + Wk / wmin)
+         for Wk, ck in zip(W, c)]
+    S = np.einsum("ij->j", np.abs(X[near] @ B)).tolist()
+    s = near.size
+    L = [max(0.0, (Sk - 3.0 * gp * s * Wk) * (1.0 - 1e-9 - n * 2.0**-50) - s * _BOUND_FLOOR)
+         for Sk, Wk in zip(S, W)]
+    U = [n * Wk * (1.0 + 1e-9 + n * 2.0**-50) + n * _BOUND_FLOOR for Wk in W]
+    return G, c, E, L, U
+
+
+def _certified_fit(X, y, tau, h, near, weight, key, ymax):
+    """The fit at basis h where the walk on all rows from h provably
+    stops at its first iteration, without a pivot, so that fit_rq would
+    return it; None where that is not proven.
+
+    The walk's first iteration inverts X_h in h's order, as this does,
+    so B has the walk's bits, and it stops unless some edge descends or
+    is flat and lowers the key (``_key_lower`` on the same B).  The fit
+    must have finite residuals and a zero set of exactly h's rows, the
+    bound G of ``_stop_bounds`` must lie below its zero tolerance, so
+    that every other row has the side the walk gives it, and every U_k
+    must be finite.  Rounding is monotone, so the walk's slopes then lie
+    at or above the rounded c_k - E_k + (1 - tau) and tau - (c_k + E_k),
+    and its flat-edge windows TIE_RTOL * colsum_k between TIE_RTOL * L_k
+    and TIE_RTOL * U_k.  No edge descends where each slope's bound is at
+    least minus its window's lower bound, and an edge is not flat where
+    the slope's bound exceeds its window's upper bound.  The fit is
+    returned when no edge can descend and no edge that lowers the key can
+    be flat.  This is the Koenker-Bassett
+    condition for an optimal vertex (Koenker & Bassett 1978,
+    Econometrica 46(1), Thm 3.3; Koenker 2005, Quantile Regression,
+    2.2) as the walk tests it: each dual value c_k lies in [tau - 1, tau]
+    up to the flat-edge windows.
+    """
+    try:
+        B = np.linalg.inv(X[h])
+        fit = _vertex_fit(X, y, tau, h, ymax)
+    except np.linalg.LinAlgError:
+        return None
+    if not (math.isfinite(fit.objective) and np.array_equal(fit.zero_set, np.sort(h))):
+        return None
+    G, c, E, L, U = _stop_bounds(X, y, tau, h, near, B, fit, weight)
+    if not (G < fit.zero_tol and all(uk < math.inf for uk in U)):
+        return None
+    up = 1.0 - tau
+    slope = [ck - ek + up for ck, ek in zip(c, E)] + [tau - (ck + ek) for ck, ek in zip(c, E)]
+    if not all(sl >= -TIE_RTOL * lk for sl, lk in zip(slope, L * 2)):
+        return None
+    maybe_flat = [not sl > TIE_RTOL * uk for sl, uk in zip(slope, U * 2)]
+    if any(maybe_flat) and any(map(bool.__and__, maybe_flat, _key_lower(B, weight, key))):
+        return None
+    return fit
+
+
 def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     """Fit the tau-th linear regression quantile: the canonical optimum.
 
@@ -649,11 +796,15 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     rows, with every other row held on the side of its stepped residual
     (``_band_walk``); the rows that change sides on the way to the
     optimum nearly all lie in that band, and its pivots cost O(sqrt(n)),
-    not O(n).  The walk on all rows then starts from the band walk's
-    last basis, and it alone decides optimality and raises every error,
-    so where the optimum is one vertex every fit keeps its bits.  At
-    (5000, 5000) on scenario 3 it confirms the band's optimum with no
-    pivot in most fits.
+    not O(n).  The fit at the band walk's last basis is returned where
+    a certificate (``_certified_fit``), formed from that fit's residuals
+    and one product w'X with rounding bounds, proves that the walk on all
+    rows would stop there at its first iteration, without a pivot.  Only
+    where it declines does that walk run, from the band walk's basis, and
+    it decides optimality and raises every error there, so every fit
+    keeps its bits.  At (5000, 5000) on scenario 3 under the null the
+    certificate closes every fit, and it declines wherever more than p
+    rows lie on the plane.
 
     Its state is a basis h of p rows on the fitted plane
     and a side label for every other row, the sign of its residual; a row
@@ -733,7 +884,7 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     h, near, s = _start_basis(data, tau, weight)
     if near is not None:
         h = _band_walk(X, y, tau, h, near, s, weight, key, ytop)
-    h = _walk(X, y, tau, h, weight, key, ytop, None)[0]
-    rows = np.sort(h)
-    beta = np.linalg.solve(X[rows], y[rows])
-    return _make_fit(tau, beta, ymax, y - X @ beta)
+        fit = _certified_fit(X, y, tau, h, near, weight, key, ymax)
+        if fit is not None:
+            return fit
+    return _vertex_fit(X, y, tau, _walk(X, y, tau, h, weight, key, ytop, None)[0], ymax)

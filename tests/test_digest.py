@@ -77,7 +77,7 @@ def test_instrument_wraps_nothing_when_a_name_is_missing(monkeypatch):
 
 def test_counter_without_its_names_is_left_out(monkeypatch):
     digest = load_digest()
-    for name in ("_kinks_to_stop", "_start_basis", "_key_edge", "_greedy_rows", "_walk"):
+    for name in ("_kinks_to_stop", "_start_basis", "_key_edge", "_greedy_rows", "_walk", "_certified_fit"):
         monkeypatch.setattr(quantreg, name, getattr(quantreg, name))
     key_edge = quantreg._key_edge
     # The start pass is missing only while the counters are hooked in:
@@ -85,13 +85,13 @@ def test_counter_without_its_names_is_left_out(monkeypatch):
     with monkeypatch.context() as mp:
         mp.delattr(quantreg, "_greedy_rows")
         rows = digest.instrumented()
-    assert [line.split(":")[0] for _, line in rows] == ["kink sorts", "band walks"]
+    assert [line.split(":")[0] for _, line in rows] == ["kink sorts", "band walks", "certified stops"]
     assert quantreg._key_edge is key_edge
     rng = np.random.default_rng(0)
     X = np.column_stack([np.ones(30), rng.normal(size=30)])
     rd = quantreg.RegressionData(rng.normal(size=30), X)
     quantreg.fit_rq(rd, 0.5)
-    (kinks, line), (band, band_line) = rows
+    (kinks, line), (band, band_line), (certificates, certificate_line) = rows
     assert kinks["pivots"] >= 1 and kinks["most"] == kinks["pivots"]
     text = line.format_map(kinks)
     assert text.startswith(f"kink sorts: {kinks['pivots']} pivots")
@@ -110,6 +110,17 @@ def test_counter_without_its_names_is_left_out(monkeypatch):
     assert band_line.format_map(band).endswith(
         f"{band['after']} pivots on all rows after the band, largest band {band['largest']} rows"
     )
+    # The certificate is asked once per band walk, and the walk on all
+    # rows runs after each band walk it does not close.
+    assert certificate_line.format_map(certificates) == (
+        f"certified stops: {certificates['certified']} of 1 band walks"
+    )
+    certified, walk, on_all_rows = certificates["certified"], quantreg._walk, []
+    monkeypatch.setattr(quantreg, "_walk", lambda *args: on_all_rows.append(args[-1] is None) or walk(*args))
+    for tau in (0.25, 0.5, 0.75, 0.9):
+        quantreg.fit_rq(rd, tau)
+    assert certificates["walks"] == band["walks"] == 5
+    assert 1 <= certificates["certified"] - certified == 4 - sum(on_all_rows)
 
 
 def test_signed_zero_designs_tie_both_zeros_at_each_tau():

@@ -3,8 +3,8 @@ convenience form it replaces.
 
 The convenience forms are written out here as the package had them:
 np.mean, np.std(ddof=1) with empirical_quantile, np.sum,
-np.column_stack, a full np.sort for an order statistic and boolean
-masks for a shortfall set.  Samples cover ties, n = 2, constant samples
+np.column_stack, a full np.sort for an order statistic, boolean masks
+for a shortfall set and the kernel sum in one expression.  Samples cover ties, n = 2, constant samples
 and scales from 1e-100 to 1e100; the order statistic is also checked on
 groups whose zeros of both signs tie at it.
 """
@@ -24,7 +24,7 @@ from coves.coves_test import (
     run_coves,
     run_es,
 )
-from coves.density import bandwidth_rot
+from coves.density import _SQRT_2PI, bandwidth_rot, kde_at_zero
 from coves.errors import CovesError, DegenerateSpreadError, EmptyShortfallError
 from coves.orderstats import empirical_quantile
 from coves.quantreg import TIE_RTOL, _lower_end, rho_tau
@@ -130,6 +130,26 @@ class TestBandwidth:
         e = np.sqrt(np.finfo(float).max) / 4
         x = np.array([-2.0 * e, 2.0 * e])
         assert same(bandwidth_rot(x), np_bandwidth(x))
+
+
+def np_kde_at_zero(x, h):
+    """kde_at_zero as sum(exp(-0.5 * t * t) / sqrt(2 pi)) / (n h), t = -x / h."""
+    t = -np.asarray(x, dtype=float) / h
+    return float(np.sum(np.exp(-0.5 * t * t) / _SQRT_2PI) / (t.size * h))
+
+
+class TestKde:
+    @settings(max_examples=400, deadline=None)
+    @given(x=samples, h=st.sampled_from([1e-300, 1e-3, 0.37, 1.0, 3.0, 1e3, 1e300]))
+    def test_matches_exp_form(self, x, h):
+        # At the extreme bandwidths t or t * t overflows, in both forms.
+        with np.errstate(over="ignore"):
+            assert same(kde_at_zero(x, h), np_kde_at_zero(x, h))
+
+    def test_leaves_the_samples(self):
+        x = np.array([0.5, -1.25, 3.0])
+        kde_at_zero(x, 0.7)
+        assert x.tolist() == [0.5, -1.25, 3.0]
 
 
 class TestGroupSums:

@@ -1545,6 +1545,233 @@ class TestBandWalk:
             assert bool(called) == runs
 
 
+def no_certificate_fit(rd, tau):
+    """fit_rq with the certificate declining every fit: the walk on all
+    rows after every band walk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantreg, "_certified_fit", lambda *args: None)
+        return fit_rq(rd, tau)
+
+
+def certificate_calls(fit_fn, rd, tau):
+    """(fit_fn(rd, tau), calls) with each call of the certificate recorded
+    as (certified, h, vertex fit at h)."""
+    calls = []
+    certify = quantreg._certified_fit
+
+    def recorded(X, y, tau, h, near, weight, key, ymax):
+        vertex = quantreg._vertex_fit(X, y, tau, h, ymax)
+        result = certify(X, y, tau, h, near, weight, key, ymax)
+        calls.append((result is not None, h.copy(), vertex))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantreg, "_certified_fit", recorded)
+        fit = fit_fn(rd, tau)
+    return fit, calls
+
+
+def first_iteration(X, y, tau, h, w=None):
+    """What the walk on all rows forms at its first iteration from basis
+    h, as _walk forms it: (B, fitted values A @ y_h, slope weights w, w @ A,
+    column sums of |A|, slopes, flat-edge windows).  w defaults to the
+    walk's own, from the signs of its residuals."""
+    B = np.linalg.inv(X[h])
+    A = X @ B
+    fitted = A @ y[h]
+    if w is None:
+        w = np.where(y - fitted > 0.0, -tau, 1.0 - tau)
+        w[h] = 0.0
+    c = (w @ A).tolist()
+    colsum = np.einsum("ij->j", np.abs(A)).tolist()
+    slope = [ci + (1.0 - tau) for ci in c] + [tau - ci for ci in c]
+    flat = [TIE_RTOL * s for s in colsum] * 2
+    return B, fitted, w, c, colsum, slope, flat
+
+
+def assert_bounds_hold(rd, tau, h, near):
+    """The bounds of the certificate at basis h hold against the walk's
+    own fitted values, slopes and column sums."""
+    X, y = rd.X, rd.y
+    weight = _col_absmax(X)
+    fit = quantreg._vertex_fit(X, y, tau, h, float(np.abs(y).max()))
+    B = np.linalg.inv(X[h])
+    G, c, E, L, U = quantreg._stop_bounds(X, y, tau, h, near, B, fit, weight)
+    # The certificate's weights, from the fit's residuals.
+    w = np.where(fit.residuals > 0.0, -tau, 1.0 - tau)
+    w[h] = 0.0
+    B_walk, fitted, _, c_walk, colsum, _, _ = first_iteration(X, y, tau, h, w)
+    assert B.tobytes() == B_walk.tobytes()
+    assert np.abs(fitted - X @ fit.beta).max() <= G
+    assert all(abs(a - b) <= e for a, b, e in zip(c_walk, c, E))
+    assert all(lo <= s <= hi for lo, s, hi in zip(L, colsum, U))
+
+
+class TestCertificate:
+    # From BAND_MIN_N rows on, the fit at the band walk's basis is
+    # returned where the certificate proves that the walk on all rows
+    # would stop there at once; everywhere else that walk runs.  So every
+    # fit, and every error, is the one without the certificate.
+    def test_fits_keep_their_bits_on_scenario_designs(self):
+        from coves.simgen import ScenarioSpec, sample_scenario
+
+        certified = 0
+        for sc, eta, size in product((1, 2, 3, 4), (0.0, 1.35), (2500, 5000)):
+            data = sample_scenario(ScenarioSpec.from_scenario(sc, eta), size, size, sc)
+            for cov in (True, False):
+                rd = RegressionData(data.z, design_matrix(data, cov))
+                for tau in (0.25, 0.5, 0.75, 0.9):
+                    fit, calls = certificate_calls(fit_rq, rd, tau)
+                    assert_same_fit(fit, no_certificate_fit(rd, tau))
+                    certified += calls[0][0]
+        assert certified >= 100
+
+    def test_decides_on_scenario_designs(self):
+        # Scenario 3 under the null at (5000, 5000), tau 0.75: the band
+        # walk ends on the optimum, and the certificate proves it.
+        for seed in range(10):
+            rd = TestBandWalk().scenario_design(seed)
+            calls = certificate_calls(fit_rq, rd, 0.75)[1]
+            assert [certified for certified, _, _ in calls] == [True], seed
+
+    def test_declines_at_a_descending_edge(self):
+        # A band walk cut short by MAX_ITER hands over a basis with a
+        # descending edge; the walk on all rows pivots from it.
+        rd = TestBandWalk().scenario_design()
+        fit, calls = certificate_calls(lambda rd, tau: band_trace(rd, tau, band_max_iter=2)[0], rd, 0.75)
+        [(certified, h, vertex)] = calls
+        assert not certified and vertex.zero_set.size == rd.p
+        slope, flat = first_iteration(rd.X, rd.y, 0.75, h)[-2:]
+        assert any(s < -f for s, f in zip(slope, flat))
+        assert_same_fit(fit, no_certificate_fit(rd, 0.75))
+
+    def test_declines_on_large_tied_designs(self):
+        # The grid of TestBandWalk's large tied designs: on tied outcomes
+        # or duplicated rows more than p rows lie on most band vertices
+        # (79 of the 96 here), and the certificate declines there.  Every
+        # fit or error is the walk's.
+        tied = 0
+        for covariate, (ties, duplicates), seed in product(
+            ["normal", "discrete", "tiny", "collinear"], [(1, 0), (0, 1), (1, 1)], [0, 1]
+        ):
+            rd = large_tied_design(seed, ties, covariate, duplicates)
+            for tau in (0.25, 0.5, 0.75, 0.9):
+                try:
+                    fit, [(certified, _, vertex)] = certificate_calls(fit_rq, rd, tau)
+                except ConvergenceError as exc:
+                    with pytest.raises(ConvergenceError, match=f"^{re.escape(str(exc))}$"):
+                        no_certificate_fit(rd, tau)
+                    continue
+                assert_same_fit(fit, no_certificate_fit(rd, tau))
+                if vertex.zero_set.size > rd.p:
+                    assert not certified
+                    tied += 1
+        assert tied >= 48
+
+    def test_declines_on_signed_zero_designs(self):
+        # The signed-zero designs of TestBandWalk: about half the rows tie
+        # at zero, and on 16 of these 18 band vertices 8150 to 8262 rows
+        # lie on the plane; the other two have a descending edge.
+        from coves.simgen import ScenarioSpec, sample_scenario
+
+        tied = 0
+        for seed in range(3):
+            data = sample_scenario(ScenarioSpec.from_scenario(3, 0.0), 5000, 5000, seed)
+            q25, q50, q75 = np.percentile(data.z, [25, 50, 75])
+            z = np.trunc((data.z - q50) / (q75 - q25))
+            for cov in (True, False):
+                rd = RegressionData(z, design_matrix(data, cov))
+                for tau in (0.25, 0.5, 0.75):
+                    fit, [(certified, h, vertex)] = certificate_calls(fit_rq, rd, tau)
+                    slope, flat = first_iteration(rd.X, rd.y, tau, h)[-2:]
+                    assert not certified
+                    assert vertex.zero_set.size > rd.p or any(s < -f for s, f in zip(slope, flat))
+                    tied += vertex.zero_set.size > rd.p
+                    assert_same_fit(fit, no_certificate_fit(rd, tau))
+        assert tied == 16
+
+    # The certificate at every size, so on designs of 3 to 450 rows, with
+    # ties, duplicated rows and near-collinear covariates: every fit and
+    # every error is the one without it.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(3, 300),
+        p=st.integers(1, 3),
+        ties=st.booleans(),
+        duplicates=st.booleans(),
+        covariate=st.sampled_from(["normal", "discrete", "tiny", "collinear"]),
+        scale=st.sampled_from([1e-8, 1.0, 1e8]),
+        tau=st.sampled_from([1e-4, 0.05, 0.25, 0.5, 0.75, 0.9, 1 - 1e-4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_walk_at_every_size(self, n, p, ties, duplicates, covariate, scale, tau, seed):
+        y, X = start_designs(np.random.default_rng(seed), n, p, ties, covariate, duplicates)
+        assume(np.linalg.matrix_rank(X) == p)
+        rd = RegressionData(scale * y, X)
+
+        def result(fn):
+            try:
+                fit = fn(rd, tau)
+            except CovesError as exc:
+                return type(exc).__name__, str(exc)
+            return fit.beta.tobytes(), fit.residuals.tobytes(), fit.zero_set.tobytes(), fit.objective
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quantreg, "BAND_MIN_N", 0)
+            assert result(fit_rq) == result(no_certificate_fit)
+
+    def test_bounds_hold_on_scenario_and_tied_designs(self):
+        # G, E, L and U against the walk's own values at the band's basis
+        # and at bases of random rows, which on the near-collinear design
+        # have condition numbers about 1e8 (those above 1e12 are skipped).
+        from coves.simgen import ScenarioSpec, sample_scenario
+
+        rng = np.random.default_rng(0)
+        designs = [TestBandWalk().scenario_design(seed) for seed in range(2)]
+        designs += [large_tied_design(0, 1, "collinear", 1), large_tied_design(1, 0, "discrete", 1)]
+        data = sample_scenario(ScenarioSpec.from_scenario(4, 1.35), 2500, 2500, 4)
+        designs.append(RegressionData(1e8 * data.z, design_matrix(data)))
+        for rd in designs:
+            near = np.sort(rng.choice(rd.n, size=math.isqrt(16 * rd.n), replace=False))
+            for tau in (0.25, 0.9):
+                fit, calls = certificate_calls(fit_rq, rd, tau)
+                assert_bounds_hold(rd, tau, calls[0][1], near)
+                for _ in range(3):
+                    h = rng.choice(rd.n, size=rd.p, replace=False)
+                    if np.linalg.cond(rd.X[h]) < 1e12:
+                        assert_bounds_hold(rd, tau, h, near)
+
+    def test_column_sum_bound_holds_where_every_row_reaches_it(self):
+        # Rows of weight's size whose signs follow column k of B: every
+        # entry of column k of |X B| is then W_k = weight @ |B|[:, k] up to
+        # rounding, and the rounded sum of n of them can exceed n * W_k.
+        from types import SimpleNamespace
+
+        rd = TestBandWalk().scenario_design()
+        weight = _col_absmax(rd.X)
+        h = certificate_calls(fit_rq, rd, 0.75)[1][0][1]
+        B = np.linalg.inv(rd.X[h])
+        for k in range(rd.p):
+            for n in (4096, 10000, 12288):
+                X = np.tile(np.where(B[:, k] < 0.0, -weight, weight), (n, 1))
+                fit = SimpleNamespace(beta=np.zeros(rd.p), residuals=np.zeros(n))
+                U = quantreg._stop_bounds(X, np.zeros(n), 0.75, np.arange(rd.p), np.arange(n), B, fit, weight)[4]
+                assert np.einsum("ij->j", np.abs(X @ B))[k] <= U[k], (k, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        share=st.floats(0.0, 1.0),
+        tau=st.sampled_from([0.05, 0.25, 0.5, 0.75, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_slope_weights_equal_where(self, n, share, tau, seed):
+        above = np.random.default_rng(seed).random(n) < share
+        got = quantreg._slope_weights(above, tau)
+        assert got.tobytes() == np.where(above, -tau, 1.0 - tau).tobytes()
+        assert (above * 2.0 - 1.0).tobytes() == np.where(above, 1.0, -1.0).tobytes()
+
+
 def scaled_covariate_designs():
     """(name, y, X) of scenarios 1-4 at (50, 50), eta 1.35, seed 1, with
     the covariate times 10**k for k from -15 to 15 in steps of 1/8."""

@@ -86,9 +86,10 @@ error), and for the fits the objective or the error class, which
 ``--diff`` prints beside each moved design.
 
 The sweep also prints the counters of ``counters``: kink sorts, with the
-most pivots of any one fit, solver branches and band walks, each counted by hooks
-that ``instrument`` puts on package functions.  A package that lacks
-one of a counter's functions prints no line for it.
+most pivots of any one fit, solver branches, band walks and the band walks
+the certificate closed, each counted by hooks that ``instrument`` puts on
+package functions.  A package that lacks one of a counter's functions
+prints no line for it.
 """
 
 from __future__ import annotations
@@ -448,7 +449,9 @@ def counters():
     fell back to the full pass; the fits that walked a band first, the
     band walks that handed over short of their optimum, the pivots of
     the walks on all rows that followed a band walk, and the most rows
-    of any one band, so that a band that takes most of a design shows."""
+    of any one band, so that a band that takes most of a design shows;
+    and the band walks whose end the certificate proved optimal, so that
+    the walk on all rows never ran after them."""
     from coves import quantreg
 
     kinks, branches = Counter(), Counter()
@@ -501,6 +504,12 @@ def counters():
             band["after"] += since[0]
         since[0] = 0
 
+    certificates = Counter()
+
+    def certified(result, *_):
+        certificates["walks"] += 1
+        certificates["certified"] += result is not None
+
     return [
         (kinks, "kink sorts: {pivots} pivots, {windowed} over the window, {widened} widened it, "
          "at most {most} in one fit (band walk and walk on all rows together)",
@@ -511,6 +520,8 @@ def counters():
         (band, "band walks: {walks} of {fits} fits, {early} handed over early, "
          "{after} pivots on all rows after the band, largest band {largest} rows",
          quantreg, {"_start_basis": band_fit, "_kinks_to_stop": band_kinks, "_walk": walked}),
+        (certificates, "certified stops: {certified} of {walks} band walks",
+         quantreg, {"_certified_fit": certified}),
     ]
 
 
