@@ -110,11 +110,18 @@ class RegressionData:
     """Responses and design matrix for one quantile-regression problem.
 
     Column order in the two-sample model is (intercept, treatment
-    indicator, covariate), but any full-column-rank design is accepted.
-    The rank comes from np.linalg.lstsq(X, y, rcond=None), an SVD with
-    np.linalg.matrix_rank's tolerance s_max * max(n, p) * eps; its
-    coefficients are kept as ``ols``, the start basis's OLS pilot before
-    its shift and Newton step, so a fit factorises X once.
+    indicator, covariate), but any full-column-rank design is accepted:
+    one that np.linalg.lstsq(X, y, rcond=None) finds of rank p, with
+    np.linalg.matrix_rank's tolerance s_max * max(n, p) * eps on its
+    computed singular values.  ``ols``, the start basis's OLS pilot
+    before its shift and Newton step, comes from the same decision.
+    First the p x p Gram matrix X'X, with rounding bounds, proves that
+    lstsq would find rank p (``_proven_ols``); then ``ols`` solves the
+    normal equations X'X beta = X'y, and no SVD runs.  Where the proof
+    declines (a condition number beyond about 1/sqrt(n eps), an overflow
+    or underflow of X'X, or a non-finite solution), lstsq runs as the
+    only rank test, and ``ols`` is its solution.  So the proof refuses
+    no design and accepts none that lstsq refuses.
     """
 
     y: np.ndarray
@@ -133,11 +140,13 @@ class RegressionData:
             raise ValueError(f"need at least p={p} observations, got {n}")
         if not (np.isfinite(self.y).all() and np.isfinite(self.X).all()):
             raise ValueError("y and X must be finite")
-        self.ols, _, rank, _ = np.linalg.lstsq(self.X, self.y, rcond=None)
-        if rank < p:
-            raise DegenerateDesignError(
-                "design matrix is numerically rank deficient"
-            )
+        self.ols = _proven_ols(self.X, self.y)
+        if self.ols is None:
+            self.ols, _, rank, _ = np.linalg.lstsq(self.X, self.y, rcond=None)
+            if rank < p:
+                raise DegenerateDesignError(
+                    "design matrix is numerically rank deficient"
+                )
 
     @property
     def n(self) -> int:
@@ -146,6 +155,106 @@ class RegressionData:
     @property
     def p(self) -> int:
         return self.X.shape[1]
+
+
+def _proven_ols(X: np.ndarray, y: np.ndarray):
+    """The solution of the normal equations X'X beta = X'y where the Gram
+    matrix proves that np.linalg.lstsq(X, y, rcond=None) finds rank p;
+    None where the proof declines or the solution is not finite.
+
+    lstsq's rank is the number of its computed singular values above
+    r s_1, with r = max(n, p) eps, eps = 2u and u = 2^-53, and
+    np.linalg.matrix_rank takes the same tolerance.  As a stated
+    allowance, not derived, those values are taken to be the singular
+    values of X + E with ||E||_2 <= k u ||X||_F, k = 2^10 max(n, p) p:
+    the Householder QR and bidiagonalization before the SVD are backward
+    stable with a first-order term c max(n, p) p u ||X||_F for a small
+    constant c (Higham 2002, Accuracy and Stability of Numerical
+    Algorithms, ch. 19), and the bidiagonal SVD adds a small multiple of
+    u relative.  With t = tr(X'X) = ||X||_F^2 >= s_1^2, Weyl's
+    inequality moves each singular value by at most k u sqrt(t), so
+    rank p follows from s_p > rho sqrt(t), rho = r + (1 + r) k u: from
+    lambda_min(X'X) > rho^2 t.  The proof shows that from the Gram
+    matrix G = X.T @ X in floats.  With g_k = 1.01 k u >= k u / (1 - k u)
+    (Higham's gamma, for k u <= 0.01) and F = _BOUND_FLOOR, 2^53 times
+    the subnormal half-ulp by which a product or quotient can round:
+
+    * Each entry of G is a dot product of n terms, summed by BLAS in
+      some order, so |G - X'X| <= g_n |X|'|X| + n F entrywise (Higham
+      2002, 3.1).  |X|'|X| is positive semidefinite with trace t, so its
+      2-norm is at most t, and ||G - X'X||_2 <= g_n t + p n F, for G's
+      upper triangle mirrored, the matrix the factorization reads.  Its
+      diagonal sums squares, so t <= (tr(G) + p n F) / (1 - g_n).
+    * ``_cholesky_runs`` factors A = G - s I in floats.  Where it runs to
+      completion its factor R has R'R = A + D with |D| <= g_{p+1} |R'||R|
+      (Demmel 1989; Higham 2002, Thm 10.3, whose proof needs completion,
+      not definiteness; Rump 2006, BIT 46, proves definiteness so), so
+      ||D||_2 <= g_{p+1} ||R||_F^2 <= g_{p+1} tr(A) / (1 - g_{p+1}), with
+      tr(A) <= tr(G) for s >= 0.  Subnormal roundings add at most
+      p (p + sqrt(2 tr(G))) F 2^-52 to ||D||_2, and A's rounded diagonal
+      is within u (tr(G) + s) of G's minus s.  R'R is semidefinite, so
+      lambda_min(G) >= s - ||D||_2 - u (tr(G) + s).
+
+    So lambda_min(X'X) > rho^2 t wherever the factorization runs at the
+    shift s = (rho^2 + 2 (g_n + g_{p+1})) tr(G) + F (2 n p + p (p + 1)
+    (1 + sqrt(tr(G)))), widened by 1e-9 relative, far more than the
+    roundings of its own evaluation and the factors 1 / (1 - g) dropped.
+    At n = 10^4 that takes condition numbers up to about 6e5, where
+    lstsq's threshold lies near 4.5e11.  An overflow in G or in the
+    factorization leaves an infinity or a NaN that fails a pivot's test,
+    and a G that underflows has a trace below s, so both decline.
+    matmul forms G by gemm on a copy of X, since on X and its own
+    transpose it takes syrk, which took twice as long at (10 000, 3).
+    """
+    n, p = X.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = X.T @ X.copy()
+        g = X.T @ y
+    A = G.tolist()
+    u = 2.0**-53
+    m = max(n, p)
+    r = 2.0 * u * m
+    rho = r + (1.0 + r) * (2.0**10 * m * p * u)
+    trace = 0.0
+    for j in range(p):
+        trace += A[j][j]
+    shift = ((rho * rho + 2.0 * 1.01 * (n + p + 1) * u) * trace
+             + _BOUND_FLOOR * (2.0 * n * p + p * (p + 1) * (1.0 + math.sqrt(trace)))) * (1.0 + 1e-9)
+    if not _cholesky_runs(A, shift):
+        return None
+    try:
+        ols = np.linalg.solve(G, g)
+    except np.linalg.LinAlgError:
+        return None
+    return ols if all(map(math.isfinite, ols.tolist())) else None
+
+
+def _cholesky_runs(A: list, shift: float) -> bool:
+    """Whether the Cholesky factorization of A - shift * I, A a symmetric
+    matrix as a list of rows read from its upper triangle, runs to
+    completion in floats: every pivot positive.
+
+    Column j of the factor is r_ij = (a_ij - sum_k<i r_ki r_kj) / r_ii
+    and r_jj = sqrt(a_jj - shift - sum_k<j r_kj^2) (Higham 2002, Alg.
+    10.2).  An overflow makes some r_ij or a sum infinite or NaN, and
+    then the pivot of its column fails the test."""
+    cols = []
+    for j in range(len(A)):
+        col = []
+        for i in range(j):
+            s = A[i][j]
+            ci = cols[i]
+            for k in range(i):
+                s -= ci[k] * col[k]
+            col.append(s / ci[i])
+        pivot = A[j][j] - shift
+        for v in col:
+            pivot -= v * v
+        if not pivot > 0.0:
+            return False
+        col.append(math.sqrt(pivot))
+        cols.append(col)
+    return True
 
 
 @dataclass
@@ -346,11 +455,15 @@ def _newton_step(X: np.ndarray, r: np.ndarray, tau: float) -> np.ndarray:
     h = float(np.partition(absr, m - 1)[m - 1])
     if not 0.0 < h < math.inf:
         return r
-    band = X[absr <= h]
+    # The band's rows gathered by index, and the score tau - 1{r < 0}
+    # taken on the mask's bytes: the rows and bits of X[absr <= h] and
+    # tau - (r < 0.0) without a boolean gather of rows or a branch per row.
+    band = X.take((absr <= h).nonzero()[0], axis=0)
+    psi = np.array([tau, tau - 1.0]).take((r < 0.0).view(np.uint8))
     # An overflow or NaN only sends the start back to r.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            delta = 2.0 * h * np.linalg.solve(band.T @ band, X.T @ (tau - (r < 0.0)))
+            delta = 2.0 * h * np.linalg.solve(band.T @ band, X.T @ psi)
         except np.linalg.LinAlgError:
             return r
         return r - X @ delta if np.isfinite(delta).all() else r
@@ -509,10 +622,17 @@ def _key_lower(B, weight, key) -> list:
     those weighted entries, B's rows times ``weight`` in key order; an
     entry leads its column when its size exceeds TIE_RTOL times the
     column's sum of sizes (the first entry when none does)."""
-    p = len(key)
-    V = (B * weight[:, None])[key]
-    big = np.abs(V) > TIE_RTOL * np.abs(V).sum(axis=0)
-    lead = V[big.argmax(axis=0), range(p)].tolist()
+    w, rows = weight.tolist(), B.tolist()
+    V = [[b * w[k] for b in rows[k]] for k in key]
+    lead = []
+    # In Python floats, the bits of the array form: the column sums add
+    # the rows in order, as np.abs(V).sum(axis=0) does.
+    for col in zip(*V):
+        size = 0.0
+        for v in col:
+            size += abs(v)
+        cut = TIE_RTOL * size
+        lead.append(next((v for v in col if abs(v) > cut), col[0]))
     return [v < 0.0 for v in lead] + [v > 0.0 for v in lead]
 
 

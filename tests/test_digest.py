@@ -10,8 +10,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from coves import density, quantreg
+from coves.errors import DegenerateDesignError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -77,7 +79,8 @@ def test_instrument_wraps_nothing_when_a_name_is_missing(monkeypatch):
 
 def test_counter_without_its_names_is_left_out(monkeypatch):
     digest = load_digest()
-    for name in ("_kinks_to_stop", "_start_basis", "_key_edge", "_greedy_rows", "_walk", "_certified_fit"):
+    for name in ("_kinks_to_stop", "_start_basis", "_key_edge", "_greedy_rows", "_walk", "_certified_fit",
+                 "_proven_ols"):
         monkeypatch.setattr(quantreg, name, getattr(quantreg, name))
     key_edge = quantreg._key_edge
     # The start pass is missing only while the counters are hooked in:
@@ -85,13 +88,13 @@ def test_counter_without_its_names_is_left_out(monkeypatch):
     with monkeypatch.context() as mp:
         mp.delattr(quantreg, "_greedy_rows")
         rows = digest.instrumented()
-    assert [line.split(":")[0] for _, line in rows] == ["kink sorts", "band walks", "certified stops"]
+    assert [line.split(":")[0] for _, line in rows] == ["kink sorts", "band walks", "certified stops", "rank proofs"]
     assert quantreg._key_edge is key_edge
     rng = np.random.default_rng(0)
     X = np.column_stack([np.ones(30), rng.normal(size=30)])
     rd = quantreg.RegressionData(rng.normal(size=30), X)
     quantreg.fit_rq(rd, 0.5)
-    (kinks, line), (band, band_line), (certificates, certificate_line) = rows
+    (kinks, line), (band, band_line), (certificates, certificate_line), (proofs, proof_line) = rows
     assert kinks["pivots"] >= 1 and kinks["most"] == kinks["pivots"]
     text = line.format_map(kinks)
     assert text.startswith(f"kink sorts: {kinks['pivots']} pivots")
@@ -121,6 +124,19 @@ def test_counter_without_its_names_is_left_out(monkeypatch):
         quantreg.fit_rq(rd, tau)
     assert certificates["walks"] == band["walks"] == 5
     assert 1 <= certificates["certified"] - certified == 4 - sum(on_all_rows)
+    # The proof is asked once per design that reaches the rank decision,
+    # and lstsq runs after each one it declines: the covariate times 1e9
+    # lies beyond its bound, and a duplicated column beyond lstsq's too.
+    assert proof_line.format_map(proofs) == "rank proofs: 1 of 1 designs without lstsq"
+    lstsq, solved = np.linalg.lstsq, []
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: solved.append(1) or lstsq(*args, **kwargs))
+    quantreg.RegressionData(rd.y, X * [1.0, 1e9])
+    with pytest.raises(DegenerateDesignError):
+        quantreg.RegressionData(rd.y, X[:, [1, 1]])
+    with pytest.raises(ValueError):
+        quantreg.RegressionData(rd.y[:1], X[:1])
+    assert proof_line.format_map(proofs) == "rank proofs: 1 of 3 designs without lstsq"
+    assert len(solved) == 2
 
 
 def test_signed_zero_designs_tie_both_zeros_at_each_tau():

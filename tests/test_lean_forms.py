@@ -4,7 +4,8 @@ convenience form it replaces.
 The convenience forms are written out here as the package had them:
 np.mean, np.std(ddof=1) with empirical_quantile, np.sum,
 np.column_stack, a full np.sort for an order statistic, boolean masks
-for a shortfall set and the kernel sum in one expression.  Samples cover ties, n = 2, constant samples
+for a shortfall set, the kernel sum in one expression and the simplex
+key block's lead entries in arrays.  Samples cover ties, n = 2, constant samples
 and scales from 1e-100 to 1e100; the order statistic is also checked on
 groups whose zeros of both signs tie at it.
 """
@@ -27,7 +28,7 @@ from coves.coves_test import (
 from coves.density import _SQRT_2PI, bandwidth_rot, kde_at_zero
 from coves.errors import CovesError, DegenerateSpreadError, EmptyShortfallError
 from coves.orderstats import empirical_quantile
-from coves.quantreg import TIE_RTOL, _lower_end, rho_tau
+from coves.quantreg import TIE_RTOL, _key_columns, _key_lower, _lower_end, rho_tau
 
 SCALES = [1e-100, 1e-3, 1.0, 1e3, 1e100]
 
@@ -150,6 +151,33 @@ class TestKde:
         x = np.array([0.5, -1.25, 3.0])
         kde_at_zero(x, 0.7)
         assert x.tolist() == [0.5, -1.25, 3.0]
+
+
+def np_key_lower(B, weight, key):
+    """_key_lower in numpy arrays: the lead entry of each column of the
+    weighted rows of B in key order, by argmax over a boolean mask."""
+    p = len(key)
+    V = (B * weight[:, None])[key]
+    big = np.abs(V) > TIE_RTOL * np.abs(V).sum(axis=0)
+    lead = V[big.argmax(axis=0), range(p)]
+    return np.concatenate((lead < 0.0, lead > 0.0)).tolist()
+
+
+class TestKeyLower:
+    def test_matches_array_form(self):
+        # 3000 random B at each p, entries from 1e-12 to 1e12 in size and
+        # of both signs, some zero, some columns of a size far below the
+        # rest's TIE_RTOL, and a NaN in one B of ten.
+        rng = np.random.default_rng(11)
+        for p in (1, 2, 3, 5, 9):
+            key = _key_columns(p)
+            for trial in range(3000):
+                B = rng.choice([-1.0, 1.0], size=(p, p)) * 10.0 ** rng.uniform(-12, 12, size=(p, p))
+                B[rng.random((p, p)) < 0.2] = 0.0
+                if trial % 10 == 0:
+                    B[rng.integers(p), rng.integers(p)] = np.nan
+                weight = 10.0 ** rng.uniform(-6, 6, size=p)
+                assert _key_lower(B, weight, key) == np_key_lower(B, weight, key), (p, trial)
 
 
 class TestGroupSums:

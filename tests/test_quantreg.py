@@ -828,10 +828,12 @@ def newton_step(X, r, tau):
         return r - X @ delta if np.isfinite(delta).all() else r
 
 
-def argsort_start_basis(X, y, tau):
-    """_start_basis as it was: a full stable argsort of the distances and
-    a gather of the scaled rows, then a Gram-Schmidt pass in that order."""
-    r = y - X @ np.linalg.lstsq(X, y, rcond=None)[0]
+def argsort_start_basis(rd, tau):
+    """_start_basis as it was: a full stable argsort of the distances from
+    the stepped plane of the pilot rd.ols and a gather of the scaled
+    rows, then a Gram-Schmidt pass in that order."""
+    X, y = rd.X, rd.y
+    r = y - X @ rd.ols
     order = np.argsort(np.abs(newton_step(X, r - empirical_quantile(r, tau), tau)), kind="stable")
     R = X[order] / np.abs(X).max(axis=0)
     rows = []
@@ -924,7 +926,7 @@ class TestStartBasis:
         y, X = start_designs(np.random.default_rng(seed), n, p, ties, covariate, duplicates)
         assume(np.linalg.matrix_rank(X) == p)
         rd = RegressionData(y, X)
-        ref = argsort_start_basis(X, y, tau)
+        ref = argsort_start_basis(rd, tau)
         h, near, s = _start_basis(rd, tau, _col_absmax(X))
         assert np.array_equal(h, ref) and near is None
         # The same rows with the near set on every design, cut among tied
@@ -947,9 +949,10 @@ class TestStartBasis:
                 data = sample_scenario(ScenarioSpec.from_scenario(sc, 1.35), m, n, sc)
                 for cov in (True, False):
                     X = design_matrix(data, cov)
+                    rd = RegressionData(data.z, X)
                     for tau in (0.5, 0.75, 0.9):
-                        rows = _start_basis(RegressionData(data.z, X), tau, _col_absmax(X))[0]
-                        assert np.array_equal(rows, argsort_start_basis(X, data.z, tau)), (sc, m, cov, tau)
+                        rows = _start_basis(rd, tau, _col_absmax(X))[0]
+                        assert np.array_equal(rows, argsort_start_basis(rd, tau)), (sc, m, cov, tau)
 
     def test_nearest_rows_decline_where_they_cannot_decide(self):
         # (d) alone at (600, 600): the near set's 138 rows all have d = 0,
@@ -971,7 +974,7 @@ class TestStartBasis:
                 rows = None if rows is None else near[rows]
                 full = _greedy_rows(X / _col_absmax(X), dist, False)
                 assert np.array_equal(_start_basis(rd, 0.75, _col_absmax(X))[0], full)
-                assert np.array_equal(full, argsort_start_basis(X, data.z, 0.75))
+                assert np.array_equal(full, argsort_start_basis(rd, 0.75))
                 assert (rows is None) == (name == "d"), (seed, name)
                 assert rows is None or np.array_equal(rows, full)
 
@@ -1018,7 +1021,7 @@ def reference_fit_rq(rd, tau):
     if tau < EXTREME_TAU or tau > 1.0 - EXTREME_TAU:
         raise NumericalError("extreme tau")
     weight = np.abs(X).max(axis=0)
-    h = argsort_start_basis(X, y, tau)
+    h = argsort_start_basis(rd, tau)
     pivots = 0
     if rd.n >= quantreg.BAND_MIN_N:
         h, pivots = reference_band_walk(X, y, tau, h, weight, stepped_residuals(rd, tau))
@@ -1785,17 +1788,26 @@ def scaled_covariate_designs():
 
 
 class TestOneSolve:
-    # RegressionData makes the one lstsq of a fit: its rank decides the
-    # design and its coefficients are the start basis's OLS pilot.
+    # RegressionData decides the rank once: the Gram matrix's proof, or
+    # where it declines one lstsq, and the same solve gives the start
+    # basis's OLS pilot.
     def test_ols_is_the_lstsq_solution(self):
         designs = [(rd.y, rd.X) for rd in [pin10_data(), *(random_instance(s)[0] for s in range(20))]]
         designs += [(y, X) for _, y, X in scaled_covariate_designs()]
+        branches = set()
         for y, X in designs:
             try:
                 rd = RegressionData(y, X)
             except DegenerateDesignError:
                 continue
-            assert rd.ols.tobytes() == np.linalg.lstsq(X, y, rcond=None)[0].tobytes()
+            proven = quantreg._proven_ols(X, y) is not None
+            branches.add(proven)
+            if proven:
+                want = np.linalg.solve(X.T @ X.copy(), X.T @ y)
+            else:
+                want = np.linalg.lstsq(X, y, rcond=None)[0]
+            assert rd.ols.tobytes() == want.tobytes()
+        assert branches == {False, True}
 
     def test_refuses_exactly_where_matrix_rank_is_short(self):
         refused = {}
@@ -1838,6 +1850,9 @@ class TestOneSolve:
         from coves.simgen import ScenarioSpec, sample_scenario
 
         data = sample_scenario(ScenarioSpec.from_scenario(2, 1.35), 50, 50, 1)
+        # The covariate times 1e9: a condition number near 1e9, where the
+        # proof declines and lstsq finds rank 3.
+        declined = Dataset(z=data.z, d=data.d, c=data.c * 1e9)
         counts = {"lstsq": 0, "matrix_rank": 0, "svd": 0}
 
         def counted(name, fn):
@@ -1855,7 +1870,105 @@ class TestOneSolve:
                 monkeypatch.setitem(namespace, name, counted(name, original))
         report = run_coves(data, 0.75)
         assert report.fit.beta.size == 3
+        assert counts == {"lstsq": 0, "matrix_rank": 0, "svd": 0}
+        report = run_coves(declined, 0.75)
+        assert report.fit.beta.size == 3
         assert counts == {"lstsq": 1, "matrix_rank": 0, "svd": 0}
+
+
+RANK_SCALES = [1e-160, 1e-100, 1e-20, 1e-8, 1.0, 1e8, 1e20, 1e100, 1e160]
+
+
+class TestRankProof:
+    # The Gram matrix's proof accepts only designs that lstsq and
+    # matrix_rank find of full rank; elsewhere lstsq decides, so every
+    # rank decision is lstsq's.
+    @settings(max_examples=400, deadline=None)
+    @given(
+        n=st.integers(4, 300),
+        p=st.integers(1, 3),
+        ties=st.booleans(),
+        covariate=st.sampled_from(["normal", "discrete", "tiny", "collinear"]),
+        duplicates=st.booleans(),
+        extra=st.sampled_from([None, "duplicate", "zero"]),
+        scales=st.lists(st.sampled_from(RANK_SCALES), min_size=5, max_size=5),
+        uniform=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_accepts_only_full_rank(self, n, p, ties, covariate, duplicates, extra, scales, uniform, seed):
+        # Column scales from 1e-160 to 1e160, where X'X underflows or
+        # overflows, one for all columns or one each, and a duplicated or
+        # zero column.
+        y, X = start_designs(np.random.default_rng(seed), n, p, ties, covariate, duplicates)
+        if extra == "duplicate":
+            X = np.column_stack([X, X[:, -1]])
+        elif extra == "zero":
+            X = np.column_stack([X, np.zeros(y.size)])
+        if uniform:
+            scales[:4] = [scales[0]] * 4
+        X = X * np.array(scales[: X.shape[1]])
+        y = y * scales[-1]
+        ols = quantreg._proven_ols(X, y)
+        full = X.shape[1]
+        if ols is not None:
+            assert np.linalg.matrix_rank(X) == full
+            assert np.linalg.lstsq(X, y, rcond=None)[2] == full
+            assert RegressionData(y, X).ols.tobytes() == ols.tobytes()
+        # A column whose squares sum below _BOUND_FLOOR leaves its pivot
+        # below the shift.
+        with np.errstate(over="ignore"):
+            tiny = (np.abs(X).max(axis=0) ** 2 * y.size < _BOUND_FLOOR).any()
+        if extra is not None or tiny:
+            assert ols is None
+
+    def test_decides_every_scenario_design(self, monkeypatch):
+        from coves.simgen import ScenarioSpec, sample_scenario
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("lstsq ran")
+
+        monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+        for sc, eta, size in product((1, 2, 3, 4), (0.0, 1.35), (50, 500, 5000)):
+            data = sample_scenario(ScenarioSpec.from_scenario(sc, eta), size, size, sc)
+            for cov in (True, False):
+                X = design_matrix(data, cov)
+                assert quantreg._proven_ols(X, data.z) is not None, (sc, eta, size, cov)
+                RegressionData(data.z, X)
+
+    def test_declines_between_its_bound_and_lstsqs(self):
+        # On the scaled covariate sweep the proof accepts the covariate
+        # times 10**k for k from about -6.4 to 5.6, condition numbers up to
+        # some 1e6, and lstsq alone decides from there to its own
+        # threshold, near k = -13.3 and 12.4.
+        for sc in (1, 2, 3, 4):
+            accepted, declined_full = [], []
+            for name, y, X in scaled_covariate_designs():
+                if not name.startswith(f"s{sc}/"):
+                    continue
+                k = float(name.split("/k")[1])
+                if quantreg._proven_ols(X, y) is not None:
+                    accepted.append(k)
+                elif np.linalg.matrix_rank(X) == 3:
+                    declined_full.append(k)
+            assert accepted == [i / 8 for i in range(round(8 * accepted[0]), round(8 * accepted[-1]) + 1)], sc
+            assert -7.0 < accepted[0] <= -6.0 and 5.5 <= accepted[-1] < 6.0, sc
+            assert min(declined_full) < -13.0 and max(declined_full) > 12.0, sc
+
+    def test_cholesky_runs_where_the_matrix_is_definite(self):
+        # Against numpy's eigenvalues on random symmetric matrices well
+        # away from singular, both definite and not.
+        rng = np.random.default_rng(5)
+        for p in (1, 2, 3, 5):
+            for _ in range(500):
+                M = rng.normal(size=(p, p))
+                A = M @ M.T + rng.uniform(-1.0, 1.0) * np.eye(p)
+                low = np.linalg.eigvalsh(A)[0]
+                if abs(low) > 1e-6 * np.abs(A).max():
+                    assert quantreg._cholesky_runs(A.tolist(), 0.0) == (low > 0.0)
+                assert not quantreg._cholesky_runs(A.tolist(), low + 1e-6 * abs(low) + 1e-9)
+        assert not quantreg._cholesky_runs([[1.0, math.inf], [math.inf, 1.0]], 0.0)
+        assert not quantreg._cholesky_runs([[1.0, math.nan], [math.nan, 1.0]], 0.0)
+        assert not quantreg._cholesky_runs([[1.0, 1e200], [1e200, 1.0]], 0.0)
 
 
 class TestWindowSums:

@@ -86,8 +86,9 @@ error), and for the fits the objective or the error class, which
 ``--diff`` prints beside each moved design.
 
 The sweep also prints the counters of ``counters``: kink sorts, with the
-most pivots of any one fit, solver branches, band walks and the band walks
-the certificate closed, each counted by hooks that ``instrument`` puts on
+most pivots of any one fit, solver branches, band walks, the band walks
+the certificate closed and the designs whose rank the Gram matrix proved
+without lstsq, each counted by hooks that ``instrument`` puts on
 package functions.  A package that lacks one of a counter's functions
 prints no line for it.
 """
@@ -451,7 +452,9 @@ def counters():
     the walks on all rows that followed a band walk, and the most rows
     of any one band, so that a band that takes most of a design shows;
     and the band walks whose end the certificate proved optimal, so that
-    the walk on all rows never ran after them."""
+    the walk on all rows never ran after them; and the designs whose full
+    rank the Gram matrix proved (quantreg._proven_ols), so that no lstsq
+    ran for them, of all that reached the rank decision."""
     from coves import quantreg
 
     kinks, branches = Counter(), Counter()
@@ -510,6 +513,12 @@ def counters():
         certificates["walks"] += 1
         certificates["certified"] += result is not None
 
+    proofs = Counter()
+
+    def proved(result, *_):
+        proofs["designs"] += 1
+        proofs["proven"] += result is not None
+
     return [
         (kinks, "kink sorts: {pivots} pivots, {windowed} over the window, {widened} widened it, "
          "at most {most} in one fit (band walk and walk on all rows together)",
@@ -522,6 +531,8 @@ def counters():
          quantreg, {"_start_basis": band_fit, "_kinks_to_stop": band_kinks, "_walk": walked}),
         (certificates, "certified stops: {certified} of {walks} band walks",
          quantreg, {"_certified_fit": certified}),
+        (proofs, "rank proofs: {proven} of {designs} designs without lstsq",
+         quantreg, {"_proven_ols": proved}),
     ]
 
 
