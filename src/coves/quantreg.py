@@ -105,6 +105,36 @@ def _check_tau(tau: float) -> None:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
 
 
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+# np.linalg.inv and np.linalg.solve run LAPACK's getrf and getri or gesv
+# through these gufuncs, under the errstate _inv and _solve set: LAPACK's
+# report of a zero pivot sets the invalid flag, and the handler turns it
+# into LinAlgError.  Their Python wrappers add array checks and casts
+# that a float64 p x p matrix never needs: 1.4 of 4.5 us for a 3 x 3
+# inverse and 2.1 of 4.8 us for a solve (timeit, one BLAS thread).
+# Resolved at import, so a numpy without them fails there.
+_INV_GUFUNC = np.linalg._umath_linalg.inv
+_SOLVE1_GUFUNC = np.linalg._umath_linalg.solve1
+
+
+def _inv(M: np.ndarray) -> np.ndarray:
+    """np.linalg.inv of a float64 p x p matrix: the same gufunc under the
+    same errstate, so the same bits and the same LinAlgError."""
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _INV_GUFUNC(M, signature="d->d")
+
+
+def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve of a float64 p x p matrix and p-vector: the same
+    gufunc under the same errstate, so the same bits and the same
+    LinAlgError."""
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _SOLVE1_GUFUNC(M, b, signature="dd->d")
+
+
 @dataclass
 class RegressionData:
     """Responses and design matrix for one quantile-regression problem.
@@ -223,7 +253,7 @@ def _proven_ols(X: np.ndarray, y: np.ndarray):
     if not _cholesky_runs(A, shift):
         return None
     try:
-        ols = np.linalg.solve(G, g)
+        ols = _solve(G, g)
     except np.linalg.LinAlgError:
         return None
     return ols if all(map(math.isfinite, ols.tolist())) else None
@@ -463,10 +493,10 @@ def _newton_step(X: np.ndarray, r: np.ndarray, tau: float) -> np.ndarray:
     # An overflow or NaN only sends the start back to r.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            delta = 2.0 * h * np.linalg.solve(band.T @ band, X.T @ psi)
+            delta = 2.0 * h * _solve(band.T @ band, X.T @ psi)
         except np.linalg.LinAlgError:
             return r
-        return r - X @ delta if np.isfinite(delta).all() else r
+        return r - X @ delta if all(map(math.isfinite, delta.tolist())) else r
 
 
 def _greedy_rows(R: np.ndarray, dist: np.ndarray, prefix: bool):
@@ -516,8 +546,8 @@ def _greedy_rows(R: np.ndarray, dist: np.ndarray, prefix: bool):
 def _project_out(R: np.ndarray, j: int, length2) -> None:
     """Subtract from every row of R, in place, its component along row j,
     whose squared length is length2; each row's result depends on that
-    row and row j alone."""
-    q = R[j] / np.sqrt(length2)
+    row and row j alone.  math.sqrt rounds as np.sqrt does."""
+    q = R[j] / math.sqrt(length2)
     Rq = np.einsum("ij,j->i", R, q)
     # Column by column: the same products and differences as
     # R - np.outer(Rq, q), without a length-p inner loop.
@@ -594,14 +624,19 @@ def _kinks_to_stop(t, gain, slope, tol):
     Only the head of that order is sorted, ``_stable_head(t, window)``
     from a window of KINK_WINDOW, and the running sum is sequential, so
     the stop is the one the full sort finds.  When the stop lies beyond
-    the head, the window doubles until the head is all of t.
+    the head, the window doubles until the head is all of t.  The sum is
+    a Python float, stopped at the first kink that reaches tol: the
+    additions of slope + gain[order].cumsum(), since np.cumsum adds in
+    order, without forming the rest.
     """
     window = KINK_WINDOW
     while True:
         order = _stable_head(t, window)
-        stop = (slope + gain[order].cumsum() >= tol).nonzero()[0]
-        if stop.size:
-            return order[: stop[0] + 1]
+        total = 0.0
+        for j, g in enumerate(gain.take(order).tolist()):
+            total += g
+            if slope + total >= tol:
+                return order[: j + 1]
         if order.size == t.size:
             return None
         window *= 2
@@ -692,6 +727,12 @@ def _walk(X, y, tau, h, weight, key, ytop, offset):
     first zero-length step it hands back the last basis it inverted (h
     itself where X_h is singular), as (basis, False), so the walk on all
     rows takes every Bland step.
+
+    Each pivot inverts X_h, its rows gathered by ``take``, with ``_inv``:
+    the bits and the LinAlgError of np.linalg.inv without its wrapper.
+    Only the rows passed before the stop change sides, so a step that
+    stops at its first kink updates no side or weight but the basis
+    row's.
     """
     p = len(key)
     band = offset is not None
@@ -711,12 +752,12 @@ def _walk(X, y, tau, h, weight, key, ytop, offset):
     for _ in range(MAX_ITER):
         # Row i of A = X B holds x_i's coordinates in the basis rows.
         try:
-            B = np.linalg.inv(X[h])
+            B = _inv(X.take(h, axis=0))
         except np.linalg.LinAlgError:
             return give_up(f"simplex reached a singular basis, rows {sorted(h.tolist())}")
         last[:] = h
         np.matmul(X, B, out=A)
-        yh = y[h]
+        yh = y.take(h)
         r = y - A @ yh
         if side is None:
             # side is +1 above the plane and -1 below; w is each row's
@@ -751,7 +792,7 @@ def _walk(X, y, tau, h, weight, key, ytop, offset):
         a = s * A[:, k]
         a[h] = 0.0
         cross = (a * side > noise).nonzero()[0]
-        rc, ac = r[cross], a[cross]
+        rc, ac = r.take(cross), a.take(cross)
         t = np.maximum(rc / ac, 0.0)
         on_plane = _on_plane(rc, cross, _plane_cap(ytop, colsum, yh, y.size), y, absA, yh)
         if on_plane is not None:
@@ -762,9 +803,10 @@ def _walk(X, y, tau, h, weight, key, ytop, offset):
         bland = t[reached[-1]] == 0.0
         if bland and band:
             return last, False
-        passed = cross[reached[:-1]]
-        side[passed] = -side[passed]
-        w[passed] = np.where(side[passed] > 0.0, -tau, up)
+        if reached.size > 1:
+            passed = cross[reached[:-1]]
+            side[passed] = -side[passed]
+            w[passed] = _slope_weights(side[passed] > 0.0, tau)
         side[h[k]] = -s
         w[h[k]] = -tau if s < 0.0 else up
         h[k] = cross[reached[-1]]
@@ -777,7 +819,7 @@ def _vertex_fit(X, y, tau, h, ymax) -> QuantileFit:
     """The fit at basis h: beta solved from its rows in ascending index
     order, and the residuals of every row from it."""
     rows = np.sort(h)
-    beta = np.linalg.solve(X[rows], y[rows])
+    beta = _solve(X.take(rows, axis=0), y.take(rows))
     return _make_fit(tau, beta, ymax, y - X @ beta)
 
 
@@ -885,7 +927,7 @@ def _certified_fit(X, y, tau, h, near, weight, key, ymax):
     up to the flat-edge windows.
     """
     try:
-        B = np.linalg.inv(X[h])
+        B = _inv(X.take(h, axis=0))
         fit = _vertex_fit(X, y, tau, h, ymax)
     except np.linalg.LinAlgError:
         return None
@@ -976,7 +1018,15 @@ def fit_rq(data: RegressionData, tau: float) -> QuantileFit:
     no edge descends and none is flat, there is no candidate whether or
     not the last step had zero length, so the walk stops there without
     the key block, which thus runs only after a zero-length step or when
-    some edge is flat.
+    some edge is flat.  The running sum of gains along an edge step is
+    formed in Python floats too, in the order np.cumsum adds them.
+
+    Every p x p inverse and solve on the way, the walk's B, the
+    certificate's B, beta at the final basis, the Newton step's delta and
+    the rank proof's pilot, calls the LAPACK gufunc that np.linalg.inv or
+    np.linalg.solve calls, under the errstate they set (``_inv``,
+    ``_solve``): the same bits and the same LinAlgError, without their
+    wrappers' checks and casts.
 
     Raises
     ------

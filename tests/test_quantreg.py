@@ -1347,9 +1347,10 @@ def band_trace(rd, tau, band_max_iter=None, fail_inversion=None):
     rows, the bases it inverted as rows of its X, its kink stops as
     (reached, t), and the pivots of the walk on all rows after it.
     band_max_iter sets MAX_ITER for the band walk alone; the band walk's
-    inversion number fail_inversion raises LinAlgError."""
+    inversion number fail_inversion raises LinAlgError.  The walk inverts
+    its bases by quantreg._inv, which this hooks."""
     trace = {"inverted": [], "stops": [], "after": 0}
-    walk, kinks, inv = quantreg._walk, quantreg._kinks_to_stop, np.linalg.inv
+    walk, kinks, inv = quantreg._walk, quantreg._kinks_to_stop, quantreg._inv
     in_band = [False]
 
     def traced_walk(X, *args):
@@ -1378,14 +1379,14 @@ def band_trace(rd, tau, band_max_iter=None, fail_inversion=None):
         if in_band[0]:
             trace["inverted"].append(M.copy())
             if len(trace["inverted"]) == fail_inversion:
-                raise np.linalg.LinAlgError("singular matrix")
+                raise np.linalg.LinAlgError("Singular matrix")
         return inv(M)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quantreg, "BAND_MIN_N", 0)
         mp.setattr(quantreg, "_walk", traced_walk)
         mp.setattr(quantreg, "_kinks_to_stop", traced_kinks)
-        mp.setattr(np.linalg, "inv", traced_inv)
+        mp.setattr(quantreg, "_inv", traced_inv)
         fit = fit_rq(rd, tau)
     return fit, trace
 
@@ -2302,3 +2303,174 @@ class TestSingularBasis:
                         fit_rq(RegressionData(y * scale, X), tau)
                     except CovesError:
                         pass
+
+
+def lapack_outcome(fn, *args):
+    """fn(*args) as ("returned", dtype, shape, bytes), or the exception it
+    raised as ("raised", class, message)."""
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+    return "returned", out.dtype.str, out.shape, out.tobytes()
+
+
+def forbid_linalg_wrappers(monkeypatch):
+    """Make np.linalg.inv and np.linalg.solve raise, in the public namespace
+    and in that of the module that defines them."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg.inv or np.linalg.solve called")
+
+    for name in ("inv", "solve"):
+        for namespace in (vars(np.linalg), np.linalg.svd.__wrapped__.__globals__):
+            monkeypatch.setitem(namespace, name, forbidden)
+
+
+class TestLapackCalls:
+    # fit_rq's p x p inverses and solves call the gufuncs np.linalg.inv and
+    # np.linalg.solve call, under the same errstate, so every result and
+    # every error keeps its bits; nothing on the fit path calls the
+    # wrappers.
+    @settings(max_examples=500, deadline=None)
+    @given(
+        p=st.sampled_from([1, 2, 3, 5, 9]),
+        kind=st.sampled_from(["random", "near-singular", "duplicate", "zero-row", "zero-column", "nan", "inf", "-inf"]),
+        exponent=st.integers(-150, 150),
+        spread=st.sampled_from([0.0, 4.0, 40.0]),
+        in_b=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_helpers_equal_numpy(self, p, kind, exponent, spread, in_b, seed):
+        # Entries 10**exponent in size, each spread by up to 10**spread
+        # either way.  A near-singular matrix has a last row within 1e-15
+        # relative of a combination of the others (for p = 1, an entry
+        # near the least normal float).  A duplicated row need not leave
+        # LAPACK an exact zero pivot, a zero row or column does, and both
+        # raise; a NaN or an infinity, put into M or, when in_b, into b,
+        # mostly gives NaNs or infinities back, not an error.  In every
+        # case the helpers give what numpy gives.
+        rng = np.random.default_rng(seed)
+        M = rng.normal(size=(p, p)) * 10.0 ** rng.uniform(-spread, spread, size=(p, p)) * 10.0**exponent
+        b = rng.normal(size=p) * 10.0**exponent
+        if kind == "near-singular":
+            if p == 1:
+                M[0, 0] = 1e-307 * rng.uniform(0.5, 2.0)
+            else:
+                M[-1] = rng.normal(size=p - 1) @ M[:-1]
+                M[-1] *= 1.0 + 1e-15 * rng.normal(size=p)
+        elif kind == "duplicate":
+            M[-1] = M[0] if p > 1 else 0.0
+        elif kind == "zero-row":
+            M[rng.integers(p)] = 0.0
+        elif kind == "zero-column":
+            M[:, rng.integers(p)] = 0.0
+        elif kind in ("nan", "inf", "-inf"):
+            target = b if in_b else M.reshape(-1)
+            target[rng.integers(target.size)] = float(kind)
+        inv = lapack_outcome(quantreg._inv, M)
+        solve = lapack_outcome(quantreg._solve, M, b)
+        assert inv == lapack_outcome(np.linalg.inv, M)
+        assert solve == lapack_outcome(np.linalg.solve, M, b)
+        if kind in ("zero-row", "zero-column"):
+            assert inv == solve == ("raised", np.linalg.LinAlgError, "Singular matrix")
+
+    def test_helpers_call_numpys_gufuncs(self, monkeypatch):
+        # np.linalg.inv and np.linalg.solve still call the gufuncs that the
+        # helpers hold, so the helpers' bits are theirs.
+        called = []
+        gufuncs = np.linalg._umath_linalg
+        assert quantreg._INV_GUFUNC is gufuncs.inv and quantreg._SOLVE1_GUFUNC is gufuncs.solve1
+        for name in ("inv", "solve1"):
+            original = getattr(gufuncs, name)
+            monkeypatch.setattr(gufuncs, name, lambda *args, _f=original, _n=name, **kwargs:
+                                called.append(_n) or _f(*args, **kwargs))
+        M = np.array([[2.0, 1.0], [1.0, 3.0]])
+        np.linalg.inv(M)
+        np.linalg.solve(M, np.ones(2))
+        assert called == ["inv", "solve1"]
+
+    def test_fit_path_calls_no_wrapper(self, monkeypatch):
+        # Scenarios 1-4 at eta 0 and 1.35, with and without c: at (50, 50)
+        # the walk on all rows alone, at (5000, 5000) the band walk, the
+        # certificate and, where it declines, the walk on all rows.
+        from coves.simgen import ScenarioSpec, sample_scenario
+
+        designs = []
+        for sc, eta, size in product((1, 2, 3, 4), (0.0, 1.35), (50, 5000)):
+            data = sample_scenario(ScenarioSpec.from_scenario(sc, eta), size, size, sc)
+            designs += [(data.z, design_matrix(data, cov)) for cov in (True, False)]
+        want = [[fit_rq(RegressionData(y, X), tau) for tau in (0.25, 0.75)] for y, X in designs]
+        forbid_linalg_wrappers(monkeypatch)
+        for (y, X), fits in zip(designs, want):
+            rd = RegressionData(y, X)
+            for tau, ref in zip((0.25, 0.75), fits):
+                assert_same_fit(fit_rq(rd, tau), ref)
+
+    @pytest.mark.parametrize("seed, tau", SINGULAR_PINS)
+    def test_singular_basis_error_without_wrappers(self, monkeypatch, seed, tau):
+        y, X = sweep_design(seed)
+        with pytest.raises(ConvergenceError) as want:
+            fit_rq(RegressionData(y, X), tau)
+        forbid_linalg_wrappers(monkeypatch)
+        with pytest.raises(ConvergenceError, match=r"^simplex reached a singular basis, rows \[\d+, \d+, \d+\]$") as got:
+            fit_rq(RegressionData(y, X), tau)
+        assert str(got.value) == str(want.value)
+
+    def test_singular_systems_fall_back_without_wrappers(self, monkeypatch):
+        forbid_linalg_wrappers(monkeypatch)
+        # A Newton band of control rows alone (TestNewtonStep's design):
+        # X_b'X_b is singular, and the start is the unstepped one.
+        rng = np.random.default_rng(1)
+        d = np.r_[np.zeros(12), np.ones(8)]
+        y = np.r_[0.01 * rng.normal(size=12), np.tile([100.0, -100.0], 4)]
+        rd = RegressionData(y, np.column_stack([np.ones(20), d, rng.normal(size=20)]))
+        r = pilot_residuals(rd, 0.5)
+        assert quantreg._newton_step(rd.X, r, 0.5) is r
+        # An exactly singular Gram matrix: the proof's solve raises and
+        # _proven_ols declines, so lstsq decides and refuses the design.
+        X = np.column_stack([np.ones(20), d, d])
+        monkeypatch.setattr(quantreg, "_cholesky_runs", lambda A, shift: True)
+        assert quantreg._proven_ols(X, y) is None
+        with pytest.raises(DegenerateDesignError, match=r"^design matrix is numerically rank deficient$"):
+            RegressionData(y, X)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        size=st.integers(1, 4 * KINK_WINDOW),
+        ties=st.booleans(),
+        zero_gains=st.floats(0.0, 1.0),
+        nan=st.sampled_from([None, "t", "gain", "slope"]),
+        reach=st.floats(0.0, 1.2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_running_sum_equals_cumsum(self, size, ties, zero_gains, nan, reach, seed):
+        # Tied step lengths, a share of zero gains, a NaN anywhere, and a
+        # stop from the first kink to past the last, so past the first
+        # KINK_WINDOW too.
+        rng = np.random.default_rng(seed)
+        t = rng.integers(0, 4, size=size).astype(float) if ties else rng.exponential(size=size)
+        gain = rng.uniform(0.01, 2.0, size)
+        gain[rng.random(size) < zero_gains] = 0.0
+        slope = -reach * float(gain.sum())
+        if nan == "t":
+            t[rng.integers(size)] = np.nan
+        elif nan == "gain":
+            gain[rng.integers(size)] = np.nan
+        elif nan == "slope":
+            slope = math.nan
+        tol = -TIE_RTOL * float(np.nansum(gain))
+        got, ref = _kinks_to_stop(t, gain, slope, tol), full_sort_stop(t, gain, slope, tol)
+        if ref is None:
+            assert got is None
+        else:
+            assert np.array_equal(got, ref)
+
+    def test_running_sum_adds_in_order(self):
+        # 1e16 + 1 rounds back to 1e16, so the sum in order never climbs
+        # above 1e16, where a pairwise sum of the ones would: no stop.
+        t = np.arange(200, dtype=float)
+        gain = np.r_[1e16, np.ones(199)]
+        slope = -1e16 - 2.0
+        assert full_sort_stop(t, gain, slope, 0.0) is None
+        assert _kinks_to_stop(t, gain, slope, 0.0) is None
+        assert np.array_equal(_kinks_to_stop(t, gain, slope, -2.0), [0])
